@@ -175,7 +175,7 @@ def family_jkl(variant: str, t, equation: str = "x_squared") -> FamilyPoint:
         if t in (0, 1, Fraction(-1, 2)):
             raise ValueError("parameter t must avoid 0, 1, -1/2")
         mu = (2 * t**3 + 1) / (3 * t**2)
-        E = Curve([0, 0, 0, -27 * mu * (mu**3 + 8), 54 * (mu**6 - 20 * mu**3 - 9)])
+        E = Curve([0, 0, 0, -27 * mu * (mu**3 + 8), 54 * (mu**6 - 20 * mu**3 - 8)])
         m2 = squarefree_part_rational(8 * t**3 + 1)
         K = None if m2 == -3 else biquadratic_field(-3, m2)
         return FamilyPoint(FamilyId.JKL_6x6, t, E, K, (6, 6))

@@ -20,6 +20,7 @@ from math import gcd as int_gcd, isqrt
 from sympy import factorint
 
 from . import _intpoly as zp
+from .errors import InvariantViolationError
 
 Rational = Fraction
 
@@ -381,7 +382,8 @@ def rational_roots(h: RatPoly) -> set[Fraction]:
         # monic linear factor x - r
         roots.add(-fac.coeffs[0])
     for r in roots:
-        assert h(r) == 0
+        if h(r) != 0:
+            raise InvariantViolationError(f"root verification failed: {r} is not a root")
     return roots
 
 

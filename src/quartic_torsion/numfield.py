@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from sympy import factorint
 
-from .errors import DegenerateTowerError, UnsupportedFieldError
+from .errors import DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
     RatPoly,
     factor_bounded,
@@ -555,7 +555,8 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
         hK = h
         roots = _trager_roots(h.squarefree(), K)
     for r in roots:
-        assert hK(r).is_zero(), "root verification failed"
+        if not hK(r).is_zero():
+            raise InvariantViolationError(f"root verification failed: {r!r} is not a root")
     return roots
 
 

@@ -8,6 +8,12 @@ and higher 2-power points from iterated halving.  Search depth per prime is
 capped by proved bounds per field type; a debug mode runs one extra lifting
 step past every cap and insists it finds nothing.
 
+E(K)_tors is computed once; everything else is derived from its points.
+Each point's order is the lift level at which it appeared (p^k for a point of
+the p-primary part) times the coprime orders of the other primes' summands.
+For a subfield F of K, E(F)_tors = E(K)_tors meet E(F): the points whose
+coordinates lie in F, found with the membership test of `definition_degree`.
+
 Every run revalidates the structural constraints (full-level restriction,
 2-torsion rigidity, the Landau bound, the definition-degree bound for
 p = 3 mod 4, isogeny-degree admissibility, excluded subgroup lists, and
@@ -17,10 +23,9 @@ the engine never returns a best guess.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
@@ -29,10 +34,8 @@ from .ellcurve import (
     Curve,
     Point,
     curve_points_y,
-    lutz_nagell_torsion,
     m_preimages,
     short_model,
-    two_preimages,
     two_torsion,
 )
 from .isogeny import allowed_rational_isogeny_degree, cyclic_layer_degrees
@@ -40,9 +43,8 @@ from .numfield import (
     FieldElement,
     GaloisType,
     NumberField,
+    _in_quadratic_span,
     definition_degree,
-    quadratic_field,
-    rational_field,
     roots_in_field,
     sqrt_in_field,
 )
@@ -182,15 +184,17 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
 
 
 def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
-                   debug_extra_lift: bool = False) -> tuple[TorsionStructure, set[Point]]:
-    """Exact p-primary subgroup of E(K)_tors (points include the identity)."""
+                   debug_extra_lift: bool = False) -> tuple[TorsionStructure, dict[Point, int]]:
+    """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
+    included.  A point found at lift level k has order exactly p^k: the
+    frontier at level k-1 holds every point of order p^(k-1), and a preimage
+    under [p] of such a point has order p^k."""
     cap = p_primary_bound(p, g)
     O = Point.infinity(E, K)
     if cap == TRIVIAL:
-        return TRIVIAL, {O}
+        return TRIVIAL, {O: 1}
     if p == 2:
-        level = two_torsion(E, K)
-        pts = set(level)
+        pts = {P: (1 if P.is_infinity() else 2) for P in two_torsion(E, K)}
         counts = {2: len(pts)}
         if len(pts) == 1:
             return TRIVIAL, pts
@@ -200,7 +204,7 @@ def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
             new = _lift_once(E, K, frontier, 2)
             if not new:
                 break
-            pts |= new
+            pts.update(dict.fromkeys(new, 2**k))
             counts[2**k] = len(pts)
             frontier = new
             k += 1
@@ -213,13 +217,13 @@ def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
         return structure_from_counts(counts), pts
     # odd p
     base = _order_p_points(E, K, p)
-    pts = {O} | base
-    counts = {p: len(pts)}
     if not base:
-        return TRIVIAL, {O}
+        return TRIVIAL, {O: 1}
+    pts = {O: 1} | dict.fromkeys(base, p)
+    counts = {p: len(pts)}
     if cap.d2 >= p * p:
         new = _lift_once(E, K, base, p)
-        pts |= new
+        pts.update(dict.fromkeys(new, p * p))
         counts[p * p] = len(pts)
         if debug_extra_lift and new:
             extra = _lift_once(E, K, new, p)
@@ -252,6 +256,8 @@ class TorsionReport:
     assumptions: tuple[str, ...] = (
         "prime support of torsion over degree <= 4 fields taken as {2,3,5,7,13}",
     )
+    # every point of E(K)_tors with its order; not part of the JSON record
+    points: dict[Point, int] = field(default_factory=dict, repr=False)
 
     @property
     def structure_obj(self) -> TorsionStructure:
@@ -279,11 +285,9 @@ class TorsionReport:
         return out
 
 
-def _point_order(P: Point, exponent: int) -> int:
-    for d in sorted(_divisors(exponent)):
-        if P.scalar_mul(d).is_infinity():
-            return d
-    raise AssertionError("point order does not divide the group exponent")
+def _point_order(m: int, n: int) -> int:
+    """Order of P + Q for points P, Q of coprime orders m and n."""
+    return m * n
 
 
 def _divisors(n: int) -> list[int]:
@@ -291,30 +295,71 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _enumerate_group(parts: dict[int, set[Point]], E: Curve, K: NumberField) -> set[Point]:
-    pts = {Point.infinity(E, K)}
+def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve, K: NumberField) -> dict[Point, int]:
+    """Every sum of one point from each p-primary part, with its order."""
+    pts = {Point.infinity(E, K): 1}
     for ppts in parts.values():
-        pts = {a + b for a in pts for b in ppts}
+        pts = {a + b: _point_order(m, n) for a, m in pts.items() for b, n in ppts.items()}
     return pts
 
 
-def _choose_generators(points: set[Point], st: TorsionStructure) -> list[Point]:
+def _structure_of_orders(orders) -> TorsionStructure:
+    """Structure of a finite group given the orders of all its elements.
+    Raises InconsistentCountsError for an order multiset that no group of
+    rank <= 2 has."""
+    orders = list(orders)
+    exponent = lcm(*orders)
+    counts = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        q = p
+        while exponent % q == 0:
+            counts[q] = sum(1 for n in orders if q % n == 0)
+            q *= p
+    st = structure_from_counts(counts)
+    if st.order != len(orders):
+        raise InconsistentCountsError(f"{len(orders)} points with orders {sorted(orders)} "
+                                      f"do not form the group {st}")
+    return st
+
+
+def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> TorsionStructure:
+    """E(F)_tors = E(K)_tors meet E(F) for F inside K, from E(K)_tors given as
+    {point: order}.  F is QQ when w is None, else QQ(w) for a w in K whose
+    square is rational (as `NumberField.sqrt_of_int` returns)."""
+    def in_F(e: FieldElement) -> bool:
+        return e.is_rational() if w is None else _in_quadratic_span(e, w)
+
+    return _structure_of_orders(n for P, n in points.items()
+                                if P.is_infinity() or (in_F(P.x) and in_F(P.y)))
+
+
+def _choose_generators(points: dict[Point, int], st: TorsionStructure) -> list[Point]:
+    """The first point of order d2 in sort order, and for Z/d1+Z/d2 the first
+    point of order d1 whose cyclic group meets that of the first trivially."""
     if st.order == 1:
         return []
     by_order: dict[int, list[Point]] = {}
-    for P in points:
-        by_order.setdefault(_point_order(P, st.exponent), []).append(P)
+    for P, n in points.items():
+        by_order.setdefault(n, []).append(P)
     for lst in by_order.values():
         lst.sort(key=Point.sort_key)
     g2 = by_order[st.d2][0]
     if st.d1 == 1:
         return [g2]
-    span2 = {g2.scalar_mul(i) for i in range(st.d2)}
+    span2 = set(_multiples(g2, st.d2))
     for g1 in by_order[st.d1]:
-        sub = {g1.scalar_mul(jj) + s for jj in range(st.d1) for s in span2}
-        if len(sub) == st.order:
+        # <g1> + <g2> has d1 * d2 points iff <g1> meets <g2> only in O
+        if not span2.intersection(_multiples(g1, st.d1)[1:]):
             return [g1, g2]
     raise InvariantViolationError("no generating pair found for computed structure")
+
+
+def _multiples(P: Point, n: int) -> list[Point]:
+    """[0]P, [1]P, ..., [n-1]P."""
+    out = [Point.infinity(P.curve, P.field)]
+    for _ in range(n - 1):
+        out.append(out[-1] + P)
+    return out
 
 
 def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
@@ -324,7 +369,7 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
     if g is GaloisType.NonGaloisQuartic:
         raise UnsupportedFieldError(
             "torsion over non-Galois quartic fields is outside the engine's scope")
-    parts: dict[int, tuple[TorsionStructure, set[Point]]] = {}
+    parts: dict[int, tuple[TorsionStructure, dict[Point, int]]] = {}
     for p in gt.TORSION_PRIMES_DEGREE4:
         parts[p] = p_primary_part(E, K, p, g, debug_extra_lift=debug_extra_lift)
     d1 = d2 = 1
@@ -333,23 +378,19 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
         d2 *= st.d2
     st = TorsionStructure(d1, d2)
     nontrivial = {p: pts for p, (stp, pts) in parts.items() if len(pts) > 1}
-    points = _enumerate_group(nontrivial, E, K) if nontrivial else {Point.infinity(E, K)}
+    points = _enumerate_group(nontrivial, E, K) if nontrivial else {Point.infinity(E, K): 1}
     if len(points) != st.order:
         raise InvariantViolationError(
             f"assembled group has {len(points)} points, structure says {st.order}")
     generators = _choose_generators(points, st)
     defdeg: dict[int, int] = {}
-    orderof: dict[Point, int] = {}
-    for P in points:
-        if P.is_infinity():
-            continue
-        n = _point_order(P, st.exponent)
-        orderof[P] = n
-        d = definition_degree([P.x, P.y], K)
-        defdeg[n] = min(defdeg.get(n, K.degree), d)
+    for P, n in points.items():
+        if not P.is_infinity():
+            d = definition_degree([P.x, P.y], K)
+            defdeg[n] = min(defdeg.get(n, K.degree), d)
     checks = []
     if _validate:
-        checks = _validate_report(E, K, g, st, parts, orderof, debug_extra_lift)
+        checks = _validate_report(E, K, g, st, parts, points, debug_extra_lift)
     report = TorsionReport(
         curve=E,
         field_=K,
@@ -359,6 +400,7 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
         per_prime={p: stp.as_pair() for p, (stp, _) in parts.items() if stp != TRIVIAL},
         point_definition_degrees=defdeg,
         checks=checks,
+        points=points,
     )
     return report
 
@@ -368,8 +410,9 @@ def _fail(name: str, msg: str):
 
 
 def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructure,
-                     parts, orderof: dict[Point, int],
+                     parts, points: dict[Point, int],
                      debug_extra_lift: bool) -> list[tuple[str, bool]]:
+    """Check the structural constraints on E(K)_tors, given as {point: order}."""
     checks: list[tuple[str, bool]] = []
 
     def record(name, ok, msg=""):
@@ -395,7 +438,7 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
                 record("full_p_cyclic_quartic", p in (2, 5))
     # definition degree of points of order p = 3 mod 4, p >= 7
     if K.degree == 4:
-        for P, n in orderof.items():
+        for P, n in points.items():
             if n in (7, 11, 19, 23):
                 record("order_p_defined_in_quadratic",
                        definition_degree([P.x, P.y], K) <= 2,
@@ -425,12 +468,14 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
         record("classification_membership", st.as_pair() in gt.NAJMAN_QUAD_RAT)
     else:
         record("classification_membership", st.as_pair() in gt.MAZUR)
-    # quadratic growth chain
+    # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
-        gq = torsion_over_field(E, rational_field(), _validate=False).structure
+        gq = subfield_torsion(points, None).as_pair()
         for m in sorted(K.quadratic_subfields()):
-            F = quadratic_field(m)
-            gf = torsion_over_field(E, F, _validate=False).structure
+            w = K.sqrt_of_int(m)
+            if w is None:
+                _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
+            gf = subfield_torsion(points, w).as_pair()
             row = gt.GROWTH_QUADRATIC.get(gq)
             if row is not None:
                 record("growth_chain", gf in row,

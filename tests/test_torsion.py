@@ -1,0 +1,76 @@
+"""The torsion engine end to end on small witnesses.
+
+Each witness is computed once.  Its subfield torsion, derived from the points
+of E(K)_tors, is compared with a fresh computation over each subfield, and
+the point orders read off the lift levels are compared with brute-force
+multiplication.
+"""
+
+import pytest
+
+from quartic_torsion.ellcurve import Curve
+from quartic_torsion.numfield import parse_field_spec, quadratic_field, rational_field
+from quartic_torsion.torsion import subfield_torsion, torsion_over_field
+
+# (curve spec, field spec, E(K)_tors)
+WITNESSES = (
+    ("0,0,0,-1,0", "-1,2", (4, 4)),        # y^2 = x^3 - x over QQ(i, sqrt2)
+    ("0,0,1,-1,0", "5;5;2", (1, 1)),       # 37a1 over a cyclic quartic
+    ("0,-1,1,-10,-20", "1,1,1,1", (5, 5)),  # 11a1 over QQ(zeta5)
+    ("1,0,1,4,-6", "17,21", (1, 6)),        # 14a1: orders are products over p
+)
+
+
+@pytest.fixture(scope="module", params=WITNESSES, ids=lambda w: f"{w[0]}_over_{w[1]}")
+def witness(request):
+    curve, field, expected = request.param
+    K = parse_field_spec(field)
+    return torsion_over_field(Curve.from_str(curve), K), expected
+
+
+class TestWitnesses:
+    def test_structure(self, witness):
+        report, expected = witness
+        assert report.structure == expected
+        assert len(report.points) == report.structure_obj.order
+
+    def test_growth_chain_recorded(self, witness):
+        report, _ = witness
+        names = [name for name, _ in report.checks]
+        assert names.count("growth_chain") >= 1
+        assert all(ok for _, ok in report.checks)
+
+
+class TestSubfieldTorsion:
+    def test_matches_recomputation_over_each_subfield(self, witness):
+        report, _ = witness
+        E, K = report.curve, report.field_
+        assert (subfield_torsion(report.points, None).as_pair()
+                == torsion_over_field(E, rational_field(), _validate=False).structure)
+        for m in sorted(K.quadratic_subfields()):
+            derived = subfield_torsion(report.points, K.sqrt_of_int(m)).as_pair()
+            assert derived == torsion_over_field(E, quadratic_field(m), _validate=False).structure
+
+
+class TestOrders:
+    def test_point_orders_by_multiplication(self, witness):
+        report, _ = witness
+        exponent = report.structure_obj.exponent
+        for P, n in report.points.items():
+            assert P.order(bound=exponent) == n
+
+    def test_generators(self, witness):
+        report, _ = witness
+        st = report.structure_obj
+        gens = report.generators
+        assert len(gens) == (st.order > 1) + (st.d1 > 1)
+        if not gens:
+            return
+        orders = (st.d1, st.d2) if len(gens) == 2 else (st.d2,)
+        for P, d in zip(gens, orders):
+            assert P.scalar_mul(d).is_infinity()
+            assert all(not P.scalar_mul(d // p).is_infinity() for p in (2, 3, 5, 7, 13) if d % p == 0)
+        g2 = gens[-1]
+        g1 = gens[0] if len(gens) == 2 else g2
+        span = {g1.scalar_mul(i) + g2.scalar_mul(j) for i in range(st.d1) for j in range(st.d2)}
+        assert len(span) == st.order
