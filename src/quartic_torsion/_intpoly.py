@@ -19,6 +19,8 @@ from math import gcd, isqrt
 
 from sympy import nextprime
 
+from .errors import InvariantViolationError
+
 # Primes used for modular steps start just above 10^3 and are taken in
 # increasing order, skipping any that divide a leading coefficient or the
 # discriminant (detected as loss of squarefreeness mod p).
@@ -104,21 +106,6 @@ def zz_divide_exact(a: list[int], b: list[int]) -> list[int] | None:
     return q if not any(rem[: len(b) - 1]) else None
 
 
-def zz_derivative(a: list[int]) -> list[int]:
-    return trim([i * a[i] for i in range(1, len(a))])
-
-
-def zz_eval(a: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = v * x + c
-    return v
-
-
-def zz_max_norm(a: list[int]) -> int:
-    return max((abs(x) for x in a), default=0)
-
-
 def zz_l2_norm_ceil(a: list[int]) -> int:
     s = sum(x * x for x in a)
     r = isqrt(s)
@@ -143,15 +130,6 @@ def sym_mod(a: list[int], m: int) -> list[int]:
 
 def gf_from_zz(a: list[int], p: int) -> list[int]:
     return trim([x % p for x in a])
-
-
-def gf_add(a: list[int], b: list[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p
-    return trim(out)
 
 
 def gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
@@ -578,7 +556,8 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     for k in range(d, -1, -1):
         head = rem[k + len(b) - 1]
         t, r = divmod(head, lead)
-        assert r == 0
+        if r:
+            raise InvariantViolationError(f"pseudo-division left a remainder: {head} by {lead}")
         if t:
             for j, y in enumerate(b):
                 rem[k + j] -= t * y

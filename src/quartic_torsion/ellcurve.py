@@ -15,12 +15,11 @@ order n.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from sympy import factorint
 
-from .errors import DataFormatError, SingularCurveError
+from .errors import DataFormatError, InvariantViolationError, SingularCurveError
 from .exactmath import RatPoly, rat_from_str, rat_to_str, rational_roots, squarefree_part_rational
 from .numfield import FieldElement, KPoly, NumberField, rational_field, roots_in_field, sqrt_in_field
 
@@ -29,7 +28,7 @@ class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "c4", "c6", "disc", "j", "label", "_psi_cache", "_psi_lock")
+                 "c4", "c6", "disc", "j", "label", "_psi_cache")
 
     def __init__(self, a_invariants, label: str | None = None):
         a1, a2, a3, a4, a6 = (Fraction(a) for a in a_invariants)
@@ -38,7 +37,6 @@ class Curve:
         self.b4 = 2 * a4 + a1 * a3
         self.b6 = a3 * a3 + 4 * a6
         self.b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4**2
         self.c4 = self.b2**2 - 24 * self.b4
         self.c6 = -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
         self.disc = (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
@@ -48,7 +46,6 @@ class Curve:
         self.j = self.c4**3 / self.disc
         self.label = label
         self._psi_cache: dict[int, RatPoly] = {}
-        self._psi_lock = threading.Lock()
 
     @property
     def a_invariants(self):
@@ -94,8 +91,7 @@ class Curve:
         psi_n / psi_2 (use two_division_poly for the psi_2^2 part)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        with self._psi_lock:
-            return self._psi(n)
+        return self._psi(n)
 
     def _psi(self, n: int) -> RatPoly:
         cache = self._psi_cache
@@ -133,21 +129,16 @@ class Curve:
             raise ValueError("m must be >= 1")
         if m == 1:
             return RatPoly([0, 1]), RatPoly([1])
-        with self._psi_lock:
-            T = self.two_division_poly()
-            gm, gm1, gp1 = self._psi(m), self._psi(m - 1), self._psi(m + 1)
-            x = RatPoly([0, 1])
-            if m % 2:
-                psi_sq = gm * gm
-                phi = x * psi_sq - gp1 * gm1 * T
-            else:
-                psi_sq = gm * gm * T
-                phi = x * psi_sq - gp1 * gm1
+        T = self.two_division_poly()
+        gm, gm1, gp1 = self._psi(m), self._psi(m - 1), self._psi(m + 1)
+        x = RatPoly([0, 1])
+        if m % 2:
+            psi_sq = gm * gm
+            phi = x * psi_sq - gp1 * gm1 * T
+        else:
+            psi_sq = gm * gm * T
+            phi = x * psi_sq - gp1 * gm1
         return phi, psi_sq
-
-
-def invariants_of(E: Curve) -> tuple[Fraction, Fraction]:
-    return E.disc, E.j
 
 
 class Point:
@@ -259,10 +250,6 @@ class Point:
         return None
 
 
-def point_add(P: Point, Q: Point) -> Point:
-    return P + Q
-
-
 def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
     """All points of E(K) above a given x-coordinate."""
     B, C = E.rhs_quadratic_in_y(x)
@@ -290,16 +277,23 @@ def two_torsion(E: Curve, K: NumberField) -> set[Point]:
 
 def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     """All Q in E(K) with [m]Q = P, for affine P, via the degree-m^2 solve
-    phi_m(x) = x_P * psi_m^2(x) over K."""
+    phi_m(x) = x_P * psi_m^2(x) over K.  The points above one x-root are Q
+    and -Q, and [m](-Q) = -[m]Q, so one multiplication settles both."""
     if P.is_infinity():
         raise ValueError("use the m-torsion kernel for P at infinity")
     phi, psi_sq = E.mult_by_m_xmap(m)
     h = KPoly.from_ratpoly(K, phi) - KPoly.from_ratpoly(K, psi_sq).scale(P.x)
     out = set()
     for x in roots_in_field(h, K):
-        for Q in curve_points_y(E, x, K):
-            if Q.scalar_mul(m) == P:
-                out.add(Q)
+        pts = curve_points_y(E, x, K)
+        if not pts:
+            continue
+        Q = pts[0]
+        R = Q.scalar_mul(m)
+        if R == P:
+            out.add(Q)
+        if R == -P:
+            out.add(-Q)
     return out
 
 
@@ -420,12 +414,8 @@ def lutz_nagell_torsion(E: Curve):
 def _structure_of_point_set(points: set[Point]):
     """Invariant factors (d1, d2) of a finite set closed under the group law."""
     n = len(points)
-    orders = sorted(P.order(bound=n if n > 0 else 1) for P in points)
-    assert all(o is not None for o in orders)
-    d2 = max(orders)
-    assert n % d2 == 0
-    d1 = n // d2
-    assert d2 % d1 == 0 or d1 == 1
-    if d1 > 1:
-        assert d2 % d1 == 0
-    return (d1, d2)
+    orders = {P.order(bound=n) for P in points}
+    d2 = max(orders - {None}, default=0)
+    if None in orders or d2 == 0 or n % d2 or d2 % (n // d2):
+        raise InvariantViolationError(f"{n} points with orders {orders} do not form Z/d1 + Z/d2")
+    return (n // d2, d2)

@@ -30,4 +30,4 @@ class InconsistentCountsError(EngineError, ValueError):
 
 
 class DataFormatError(EngineError, ValueError):
-    """Malformed input data (curve/field specs, coefficient files)."""
+    """Malformed input data (curve and field specs)."""

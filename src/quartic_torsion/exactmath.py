@@ -99,10 +99,6 @@ class RatPoly:
         return cls([Fraction(i) for i in ints])
 
     @classmethod
-    def x_power(cls, n: int, c=1) -> "RatPoly":
-        return cls([0] * n + [c])
-
-    @classmethod
     def from_str(cls, s: str) -> "RatPoly":
         """Parse "c0,c1,...,cn" (constant term first)."""
         return cls([rat_from_str(t) for t in s.split(",")])
@@ -256,10 +252,6 @@ class RatPoly:
         ints = [int(c * den) for c in self.coeffs]
         cont, prim = zp.zz_primitive(ints)
         return Fraction(cont, den), prim
-
-    @classmethod
-    def from_int_poly(cls, ints) -> "RatPoly":
-        return cls.from_ints(ints)
 
 
 # ---------------------------------------------------------------------------

@@ -20,23 +20,9 @@ def _family(d, ns):
 # torsion of elliptic curves over QQ: 15 groups
 MAZUR = _cyclic(list(range(1, 11)) + [12]) | _family(2, range(1, 5))
 
-# curves defined over a quadratic field
-KKM_QUAD = (_cyclic(n for n in range(1, 19) if n != 17)
-            | _family(2, range(1, 7)) | _family(3, (1, 2)) | _family(4, (1,)))
-
 # rational curves over a quadratic field
 NAJMAN_QUAD_RAT = (_cyclic(list(range(1, 11)) + [12, 15, 16])
                    | _family(2, range(1, 7)) | _family(3, (1, 2)) | _family(4, (1,)))
-
-# rational curves over a cubic field
-NAJMAN_CUBIC_RAT = (_cyclic(list(range(1, 11)) + [12, 13, 14, 18, 21])
-                    | _family(2, (1, 2, 3, 4, 7)))
-
-# rational curves over a quartic Galois field
-THM_GALOIS_QUARTIC = (_cyclic(n for n in range(1, 17) if n not in (11, 14))
-                      | _family(2, (1, 2, 3, 4, 5, 6, 8))
-                      | _family(3, (1, 2)) | _family(4, (1, 2))
-                      | frozenset({(5, 5), (6, 6)}))
 
 # rational curves over a cyclic quartic field
 THM_CYCLIC_QUARTIC = (_cyclic([*range(1, 11), 12, 13, 15, 16])
@@ -49,12 +35,6 @@ THM_BIQUADRATIC = (_cyclic([*range(1, 11), 12, 15, 16])
                    | _family(3, (1, 2)) | _family(4, (1, 2))
                    | frozenset({(6, 6)}))
 
-# rational curves over the maximal elementary 2-abelian extension: 20 groups
-FUJITA_L = (_family(2, (1, 2, 3, 4, 5, 6, 8))
-            | _family(4, (1, 2, 3, 4))
-            | frozenset({(6, 6), (8, 8)})
-            | frozenset({(1, 1), (1, 3), (3, 3), (1, 5), (1, 7), (1, 9), (1, 15)}))
-
 # groups that never embed in E(K) for K quartic (any E over K)
 BN_EXCLUDED_QUARTIC = frozenset({
     (3, 12), (3, 18), (3, 27), (3, 33), (3, 39),
@@ -64,10 +44,6 @@ BN_EXCLUDED_QUARTIC = frozenset({
 
 # all torsion over the fifth cyclotomic field (any E over that field)
 ZETA5_LIST = MAZUR | frozenset({(1, 15), (1, 16), (5, 5)})
-
-# CM curves over any quartic field
-CM_QUARTIC = (_cyclic([*range(1, 9), 10, 12, 13, 21])
-              | _family(2, range(1, 6)) | _family(3, (1, 2)) | _family(4, (1,)))
 
 # how rational torsion can grow in one quadratic step: the printed table
 # (indexed by E(QQ); absent keys, e.g. C9, are outside the table's scope)

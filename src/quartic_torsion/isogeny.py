@@ -1,153 +1,26 @@
-"""Rational isogeny admissibility: the allowed-degree tables, classical
-modular polynomials of level 3 and 5 loaded from data files, and the
-j-invariant isogeny tests the exclusion arguments rely on.
+"""Rational isogeny admissibility: the allowed-degree table and the cyclic
+layers of a torsion structure whose Galois stability forces an isogeny.
 
-The degree tables are exact membership sets; no divisibility closure is ever
-assumed.  CM status is generally unknown to the engine, so audits use the
-larger CM-inclusive table, which can only under-report violations, never
-fabricate one.
+The degree table is an exact membership set; no divisibility closure is ever
+assumed.  CM status is unknown to the engine, so the table includes the CM
+degrees, which can only under-report violations, never fabricate one.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
-from importlib import resources
-from pathlib import Path
-
-from .errors import DataFormatError
-from .exactmath import RatPoly, rational_roots
+from math import gcd
 
 # degrees of cyclic rational isogenies: n <= 19 or one of the sporadic values
 ISOGENY_DEGREES_ALL = frozenset(range(1, 20)) | {21, 25, 27, 37, 43, 67, 163}
-# without CM the sporadic tail shrinks
-ISOGENY_DEGREES_NON_CM = frozenset(range(1, 19)) | {21, 25, 37}
 
 
-def allowed_rational_isogeny_degree(n: int, cm: bool | None = None) -> bool:
-    """Can a rational elliptic curve (with the given CM status, None for
-    unknown) admit a cyclic n-isogeny over QQ?"""
+def allowed_rational_isogeny_degree(n: int) -> bool:
+    """Can some rational elliptic curve admit a cyclic n-isogeny over QQ?"""
     if n < 1:
         raise ValueError("degree must be positive")
-    if cm is False:
-        return n in ISOGENY_DEGREES_NON_CM
     return n in ISOGENY_DEGREES_ALL
-
-
-class ModularPolynomial:
-    """Symmetric bivariate Phi_level with integer coefficients."""
-
-    __slots__ = ("level", "coefficients")
-
-    def __init__(self, level: int, coefficients: dict[tuple[int, int], int]):
-        if level not in (3, 5):
-            raise DataFormatError(f"unsupported level {level}")
-        full = dict(coefficients)
-        for (i, j), c in list(coefficients.items()):
-            if (j, i) not in full:
-                full[(j, i)] = c
-        for (i, j), c in full.items():
-            if full.get((j, i)) != c:
-                raise DataFormatError(f"symmetry violation at {(i, j)} for level {level}")
-        deg = max(i for i, _ in full)
-        if deg != level + 1:
-            raise DataFormatError(f"level {level} table has X-degree {deg}, want {level + 1}")
-        if full.get((level + 1, 0)) != 1:
-            raise DataFormatError(f"level {level} table is not monic in X")
-        self.level = level
-        self.coefficients = full
-
-    def specialize_y(self, j: Fraction) -> RatPoly:
-        """Phi_level(X, j) as a univariate polynomial in X."""
-        j = Fraction(j)
-        out = [Fraction(0)] * (self.level + 2)
-        jpow = [Fraction(1)]
-        for _ in range(self.level + 1):
-            jpow.append(jpow[-1] * j)
-        for (i, k), c in self.coefficients.items():
-            out[i] += c * jpow[k]
-        return RatPoly(out)
-
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.specialize_y(y)(Fraction(x))
-
-
-def load_modular_polynomial(level: int, stream) -> ModularPolynomial:
-    """Parse "i j c" lines ('#' comments, i >= j, symmetric completion)."""
-    coeffs: dict[tuple[int, int], int] = {}
-    for ln, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataFormatError(f"line {ln}: want 'i j c', got {raw!r}")
-        try:
-            i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DataFormatError(f"line {ln}: non-integer entry in {raw!r}") from exc
-        if i < j:
-            raise DataFormatError(f"line {ln}: entries must have i >= j")
-        if (i, j) in coeffs:
-            raise DataFormatError(f"line {ln}: duplicate entry for {(i, j)}")
-        coeffs[(i, j)] = c
-    return ModularPolynomial(level, coeffs)
-
-
-_CACHE: dict[tuple[int, str | None], ModularPolynomial] = {}
-
-
-def modular_polynomial(level: int, phi_dir: str | None = None) -> ModularPolynomial:
-    """Load (and cache) Phi_level from phi_dir, $QT_PHI_DIR, or package data."""
-    phi_dir = phi_dir or os.environ.get("QT_PHI_DIR") or None
-    key = (level, phi_dir)
-    if key in _CACHE:
-        return _CACHE[key]
-    name = f"phi{level}.txt"
-    if phi_dir is not None:
-        with open(Path(phi_dir) / name, "r", encoding="utf-8") as fh:
-            mp = load_modular_polynomial(level, fh)
-    else:
-        text = resources.files("quartic_torsion").joinpath(f"data/{name}").read_text("utf-8")
-        mp = load_modular_polynomial(level, text.splitlines())
-    _CACHE[key] = mp
-    return mp
-
-
-def j_isogeny_test(j: Fraction, level: int, phi_dir: str | None = None) -> bool:
-    """True iff Phi_level(X, j) has a rational root, i.e. some curve with a
-    rational j-invariant is level-isogenous to one with j-invariant j."""
-    mp = modular_polynomial(level, phi_dir)
-    return bool(rational_roots(mp.specialize_y(Fraction(j))))
 
 
 def cyclic_layer_degrees(d1: int, d2: int) -> list[int]:
     """All n with E(K)[n] cyclic of order n > 1, given structure (d1, d2)."""
-    from math import gcd
-
-    out = []
-    for n in range(2, d2 + 1):
-        if d2 % n == 0 and gcd(n, d1) == 1:
-            out.append(n)
-    return out
-
-
-def cyclic_torsion_isogeny_audit(report) -> list[str]:
-    """Isogeny-degree violations implied by a torsion computation over a
-    Galois field.  Every Galois-stable cyclic layer E(K)[n] = Z/n forces a
-    rational n-isogeny; a 2-power layer Z/2 + Z/2^m forces one of degree
-    2^(m-1).  Violations are returned as data, not raised."""
-    d1, d2 = report.structure
-    violations = []
-    for n in cyclic_layer_degrees(d1, d2):
-        if not allowed_rational_isogeny_degree(n):
-            violations.append(f"cyclic layer of order {n} implies a forbidden rational {n}-isogeny")
-    two = report.per_prime.get(2)
-    if two is not None:
-        t1, t2 = two
-        if t1 == 2 and t2 >= 4:
-            half = t2 // 2
-            if not allowed_rational_isogeny_degree(half):
-                violations.append(
-                    f"2-primary part (2, {t2}) implies a forbidden rational {half}-isogeny")
-    return violations
+    return [n for n in range(2, d2 + 1) if d2 % n == 0 and gcd(n, d1) == 1]

@@ -13,7 +13,6 @@ deg(h) is large, and at degree <= 16 for the common case of a quartic solve.
 from __future__ import annotations
 
 import enum
-import threading
 from fractions import Fraction
 
 from sympy import factorint
@@ -59,7 +58,7 @@ def _integral_scale(poly: RatPoly) -> int:
 class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
-    __slots__ = ("defining_poly", "degree", "_powers", "_lock", "_galois",
+    __slots__ = ("defining_poly", "degree", "_powers", "_galois",
                  "_subfields", "_sqrt_cache", "_roots_of_defpoly")
 
     def __init__(self, poly: RatPoly):
@@ -89,7 +88,6 @@ class NumberField:
                         nxt[i] += top * red[i]
                 powers.append(tuple(nxt))
         self._powers = tuple(powers)
-        self._lock = threading.Lock()
         self._galois = None
         self._subfields = None
         self._sqrt_cache: dict[int, "FieldElement"] = {}
@@ -135,43 +133,26 @@ class NumberField:
 
     @property
     def galois_type(self) -> GaloisType:
-        g = self._galois
-        if g is None:
-            g = _classify(self)  # outside the lock: recomputation is benign
-            with self._lock:
-                if self._galois is None:
-                    self._galois = g
-                g = self._galois
-        return g
+        if self._galois is None:
+            self._galois = _classify(self)
+        return self._galois
 
     def defpoly_roots(self) -> frozenset:
         """Roots of the defining polynomial inside the field itself."""
-        with self._lock:
-            cached = self._roots_of_defpoly
-        if cached is None:
-            cached = frozenset(roots_in_field(self.defining_poly, self))
-            with self._lock:
-                self._roots_of_defpoly = cached
-        return cached
+        if self._roots_of_defpoly is None:
+            self._roots_of_defpoly = frozenset(roots_in_field(self.defining_poly, self))
+        return self._roots_of_defpoly
 
     def quadratic_subfields(self) -> frozenset[int]:
-        with self._lock:
-            cached = self._subfields
-        if cached is None:
-            cached = frozenset(_quadratic_subfields(self))
-            with self._lock:
-                self._subfields = cached
-        return cached
+        if self._subfields is None:
+            self._subfields = frozenset(_quadratic_subfields(self))
+        return self._subfields
 
     def sqrt_of_int(self, m: int) -> "FieldElement | None":
         """A canonical square root of the integer m inside the field, if any."""
-        with self._lock:
-            if m in self._sqrt_cache:
-                return self._sqrt_cache[m]
-        val = sqrt_in_field(self.element(m), self)
-        with self._lock:
-            self._sqrt_cache[m] = val
-        return val
+        if m not in self._sqrt_cache:
+            self._sqrt_cache[m] = sqrt_in_field(self.element(m), self)
+        return self._sqrt_cache[m]
 
 
 class FieldElement:
@@ -180,7 +161,9 @@ class FieldElement:
     def __init__(self, field: NumberField, coeffs):
         self.field = field
         self.coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(self.coeffs) == field.degree
+        if len(self.coeffs) != field.degree:
+            raise InvariantViolationError(
+                f"{len(self.coeffs)} coordinates for a field of degree {field.degree}")
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -268,7 +251,8 @@ class FieldElement:
             return FieldElement(self.field, (1 / self.coeffs[0],))
         # u * self + v * f = 1 in QQ[x]
         d, u, _ = poly_xgcd(RatPoly(self.coeffs), self.field.defining_poly)
-        assert d.degree == 0
+        if d.degree != 0:
+            raise InvariantViolationError(f"{self!r} shares a factor with the defining polynomial")
         u = u.scale(1 / d.coeffs[0]) if d.coeffs[0] != 1 else u
         red = u % self.field.defining_poly
         cs = list(red.coeffs) + [Fraction(0)] * (self.field.degree - len(red.coeffs))
@@ -596,10 +580,6 @@ def _classify(K: NumberField) -> GaloisType:
     return GaloisType.NonGaloisQuartic
 
 
-def galois_type(K: NumberField) -> GaloisType:
-    return K.galois_type
-
-
 def _quadratic_subfields(K: NumberField) -> set[int]:
     if K.degree != 4:
         raise UnsupportedFieldError("quadratic subfields computed for quartic fields only")
@@ -612,10 +592,6 @@ def _quadratic_subfields(K: NumberField) -> set[int]:
             if D != 0 and not is_rational_square(D):
                 ms.add(squarefree_part_rational(D))
     return ms
-
-
-def quadratic_subfields(K: NumberField) -> frozenset[int]:
-    return K.quadratic_subfields()
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +642,11 @@ def cyclic_criterion(m, a, b) -> tuple[GaloisType, NumberField]:
         return GaloisType.Biquadratic, K
     K = NumberField(RatPoly([a * a - b * b * m, 0, -2 * a, 0, 1]))
     t = a * a - m * b * b
-    assert t != 0
     if is_rational_square(t / m):
         return GaloisType.CyclicQuartic, K
     if is_rational_square(t):
         return GaloisType.Biquadratic, K
     return GaloisType.NonGaloisQuartic, K
-
-
-def tower_field(m, a, b) -> NumberField:
-    return cyclic_criterion(m, a, b)[1]
 
 
 def parse_field_spec(spec: str) -> NumberField:
@@ -697,7 +668,7 @@ def parse_field_spec(spec: str) -> NumberField:
         parts = spec.split(";")
         if len(parts) != 3:
             raise DataFormatError(f"tower spec needs m;a;b: {spec!r}")
-        return tower_field(*(rat_from_str(t) for t in parts))
+        return cyclic_criterion(*(rat_from_str(t) for t in parts))[1]
     parts = spec.split(",")
     if len(parts) == 1:
         return quadratic_field(rat_from_str(parts[0]))

@@ -5,8 +5,7 @@ division polynomial inside K (with y recovered by a square-root in K), and
 p^2-points from preimage lifting: solving phi_p(x) = x_P psi_p^2(x) over K for
 each order-p point P.  For p = 2 the 2-torsion comes from the division cubic
 and higher 2-power points from iterated halving.  Search depth per prime is
-capped by proved bounds per field type; a debug mode runs one extra lifting
-step past every cap and insists it finds nothing.
+capped by proved bounds per field type.
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -29,7 +28,7 @@ from math import gcd, lcm
 
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
-from .exactmath import RatPoly, rational_roots, rat_to_str
+from .exactmath import RatPoly, rat_to_str, rational_roots, rational_sqrt, squarefree_part_rational
 from .ellcurve import (
     Curve,
     Point,
@@ -44,6 +43,8 @@ from .numfield import (
     GaloisType,
     NumberField,
     _in_quadratic_span,
+    biquadratic_field,
+    cyclic_criterion,
     definition_degree,
     roots_in_field,
     sqrt_in_field,
@@ -73,9 +74,6 @@ class TorsionStructure:
 
     def as_pair(self) -> tuple[int, int]:
         return (self.d1, self.d2)
-
-    def n_torsion_count(self, n: int) -> int:
-        return gcd(n, self.d1) * gcd(n, self.d2)
 
     def has_point_of_order(self, n: int) -> bool:
         return self.d2 % n == 0
@@ -183,8 +181,8 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
     return out
 
 
-def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
-                   debug_extra_lift: bool = False) -> tuple[TorsionStructure, dict[Point, int]]:
+def p_primary_part(E: Curve, K: NumberField, p: int,
+                   g: GaloisType) -> tuple[TorsionStructure, dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
     included.  A point found at lift level k has order exactly p^k: the
     frontier at level k-1 holds every point of order p^(k-1), and a preimage
@@ -208,12 +206,6 @@ def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
             counts[2**k] = len(pts)
             frontier = new
             k += 1
-        else:
-            if debug_extra_lift and frontier:
-                extra = _lift_once(E, K, frontier, 2)
-                if extra:
-                    raise InvariantViolationError(
-                        f"2-power torsion exceeds the proved cap {cap} for {E!r} over {K!r}")
         return structure_from_counts(counts), pts
     # odd p
     base = _order_p_points(E, K, p)
@@ -225,16 +217,6 @@ def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
         new = _lift_once(E, K, base, p)
         pts.update(dict.fromkeys(new, p * p))
         counts[p * p] = len(pts)
-        if debug_extra_lift and new:
-            extra = _lift_once(E, K, new, p)
-            if extra:
-                raise InvariantViolationError(
-                    f"{p}-power torsion exceeds the proved cap {cap} for {E!r} over {K!r}")
-    elif debug_extra_lift:
-        extra = _lift_once(E, K, base, p)
-        if extra:
-            raise InvariantViolationError(
-                f"{p}-power torsion exceeds the proved cap {cap} for {E!r} over {K!r}")
     return structure_from_counts(counts), pts
 
 
@@ -362,8 +344,7 @@ def _multiples(P: Point, n: int) -> list[Point]:
     return out
 
 
-def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
-                       _validate: bool = True) -> TorsionReport:
+def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     """E(K)_tors with generators, per-prime parts and validated invariants."""
     g = K.galois_type
     if g is GaloisType.NonGaloisQuartic:
@@ -371,7 +352,7 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
             "torsion over non-Galois quartic fields is outside the engine's scope")
     parts: dict[int, tuple[TorsionStructure, dict[Point, int]]] = {}
     for p in gt.TORSION_PRIMES_DEGREE4:
-        parts[p] = p_primary_part(E, K, p, g, debug_extra_lift=debug_extra_lift)
+        parts[p] = p_primary_part(E, K, p, g)
     d1 = d2 = 1
     for st, _ in parts.values():
         d1 *= st.d1
@@ -388,10 +369,8 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
         if not P.is_infinity():
             d = definition_degree([P.x, P.y], K)
             defdeg[n] = min(defdeg.get(n, K.degree), d)
-    checks = []
-    if _validate:
-        checks = _validate_report(E, K, g, st, parts, points, debug_extra_lift)
-    report = TorsionReport(
+    checks = _validate_report(E, K, g, st, parts, points)
+    return TorsionReport(
         curve=E,
         field_=K,
         galois_type=g,
@@ -402,7 +381,6 @@ def torsion_over_field(E: Curve, K: NumberField, debug_extra_lift: bool = False,
         checks=checks,
         points=points,
     )
-    return report
 
 
 def _fail(name: str, msg: str):
@@ -410,8 +388,7 @@ def _fail(name: str, msg: str):
 
 
 def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructure,
-                     parts, points: dict[Point, int],
-                     debug_extra_lift: bool) -> list[tuple[str, bool]]:
+                     parts, points: dict[Point, int]) -> list[tuple[str, bool]]:
     """Check the structural constraints on E(K)_tors, given as {point: order}."""
     checks: list[tuple[str, bool]] = []
 
@@ -491,14 +468,13 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
 def _quadratic_m_and_coords(F: NumberField, alpha: FieldElement) -> tuple[int, Fraction, Fraction]:
     """For quadratic F: squarefree m with F = QQ(sqrt m) and (a, b) with
     alpha = a + b sqrt(m)."""
-    from .exactmath import squarefree_part_rational, rational_sqrt
-
     f = F.defining_poly  # x^2 + p x + q, integral
     p, q = f.coeffs[1], f.coeffs[0]
     disc = p * p - 4 * q
     m = squarefree_part_rational(disc)
     t = rational_sqrt(disc / m)
-    assert t is not None and t > 0
+    if t is None or t <= 0:
+        raise InvariantViolationError(f"discriminant {disc} of {F!r} is not {m} times a square")
     # theta = (-p + t sqrt m)/2
     c0, c1 = alpha.coeffs
     return m, c0 - c1 * p / 2, c1 * t / 2
@@ -530,9 +506,6 @@ def twist_decomposition_check(E: Curve, F: NumberField, alpha, n: int) -> bool:
     if n == 1:
         return True
     m, a, b = _quadratic_m_and_coords(F, alpha)
-    from .numfield import biquadratic_field, cyclic_criterion
-    from .exactmath import squarefree_part_rational
-
     if b == 0:
         K = biquadratic_field(m, squarefree_part_rational(a))
     else:

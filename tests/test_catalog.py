@@ -1,7 +1,10 @@
 from fractions import Fraction
 
-from quartic_torsion.catalog import family_jkl
+import pytest
+
+from quartic_torsion.catalog import family_fujita, family_jkl
 from quartic_torsion.exactmath import rational_roots
+from quartic_torsion.torsion import torsion_over_field
 
 
 class TestHesseFamily:
@@ -21,3 +24,12 @@ class TestHesseFamily:
         # irreducible cubic splits only over fields of degree divisible by 3
         for t in self.EXPECTED:
             assert rational_roots(family_jkl("6x6", t).curve.two_division_poly())
+
+
+class TestFamiliesThroughEngine:
+    # the first engine witnesses for (2,16), (4,8) and (6,6) of THM_BIQUADRATIC
+    @pytest.mark.parametrize("fp", [family_fujita(2), family_jkl("4x8", 2), family_jkl("6x6", 2)],
+                             ids=["fujita_2", "jkl_4x8_2", "jkl_6x6_2"])
+    def test_reproduces_expected_group(self, fp):
+        assert fp.field_.degree == 4
+        assert torsion_over_field(fp.curve, fp.field_).structure == fp.expected

@@ -9,7 +9,6 @@ from quartic_torsion.ellcurve import (
     Curve,
     Point,
     curve_points_y,
-    invariants_of,
     knapp_preimages,
     lutz_nagell_torsion,
     quadratic_twist,
@@ -28,14 +27,14 @@ E11A1 = Curve([0, -1, 1, -10, -20], label="11a1")
 class TestInvariants:
     def test_family_member(self):
         E = Curve([0, 10, 0, 5, 0])
-        d, j = invariants_of(E)
+        d, j = E.disc, E.j
         assert j == 78608
         assert d == 32000
         assert E.c4 == 1360
 
     def test_1728(self):
         E = Curve([0, 0, 0, 1, 0])
-        d, j = invariants_of(E)
+        d, j = E.disc, E.j
         assert (d, j) == (-64, 1728)
 
     def test_singular(self):
@@ -225,6 +224,16 @@ class TestTwoPreimages:
         for E in (E_X3_X, Curve([0, 1, 0, -2, 0])):
             for P in two_torsion(E, K):
                 assert two_preimages(E, P, K) == knapp_preimages(E, P, K)
+
+    def test_cross_path_agreement_off_two_torsion(self):
+        # halving points of order 4, where P != -P: of the two points above
+        # an x-root, either one may be the half of P
+        E = Curve([0, -47, 0, 4096, 0])
+        K = biquadratic_field(-7, -15)
+        fours = {P for T in two_torsion(E, K) if not T.is_infinity() for P in two_preimages(E, T, K)}
+        assert fours
+        for P in fours:
+            assert two_preimages(E, P, K) == knapp_preimages(E, P, K)
 
     def test_fujita_halving_chain(self):
         # y^2 = x(x^2 - 47x + 4096) over QQ(sqrt(-7), sqrt(-15)) has a point

@@ -12,14 +12,11 @@ from quartic_torsion.numfield import (
     biquadratic_field,
     cyclic_criterion,
     definition_degree,
-    galois_type,
     parse_field_spec,
     quadratic_field,
-    quadratic_subfields,
     rational_field,
     roots_in_field,
     sqrt_in_field,
-    tower_field,
 )
 
 ZETA5 = NumberField(RatPoly([1, 1, 1, 1, 1]))
@@ -121,27 +118,27 @@ class TestSqrtInField:
 
 class TestGaloisType:
     def test_cyclotomic_is_cyclic(self):
-        assert galois_type(ZETA5) is GaloisType.CyclicQuartic
+        assert ZETA5.galois_type is GaloisType.CyclicQuartic
 
     def test_table_field_is_cyclic(self):
-        assert galois_type(F_10_5) is GaloisType.CyclicQuartic
+        assert F_10_5.galois_type is GaloisType.CyclicQuartic
 
     def test_x4_plus_1_biquadratic(self):
         K = NumberField(RatPoly([1, 0, 0, 0, 1]))
-        assert galois_type(K) is GaloisType.Biquadratic
+        assert K.galois_type is GaloisType.Biquadratic
         # discriminant-square oracle
         f = K.defining_poly
         assert is_rational_square(resultant(f, f.derivative()))
 
     def test_x4_minus_2_not_galois(self):
         K = NumberField(RatPoly([-2, 0, 0, 0, 1]))
-        assert galois_type(K) is GaloisType.NonGaloisQuartic
+        assert K.galois_type is GaloisType.NonGaloisQuartic
 
     def test_splitting_consistency(self):
         for K in (ZETA5, F_10_5, NumberField(RatPoly([1, 0, 0, 0, 1])),
                   NumberField(RatPoly([-2, 0, 0, 0, 1]))):
             nroots = len(K.defpoly_roots())
-            galois = galois_type(K) in (GaloisType.CyclicQuartic, GaloisType.Biquadratic)
+            galois = K.galois_type in (GaloisType.CyclicQuartic, GaloisType.Biquadratic)
             assert galois == (nroots == 4)
 
 
@@ -154,12 +151,12 @@ class TestCyclicCriterion:
     def test_b_zero_biquadratic(self):
         gt, K = cyclic_criterion(5, 3, 0)
         assert gt is GaloisType.Biquadratic
-        assert galois_type(K) is GaloisType.Biquadratic
+        assert K.galois_type is GaloisType.Biquadratic
 
     def test_a_zero_pure_quartic(self):
         gt, K = cyclic_criterion(2, 0, 1)
         assert gt is GaloisType.NonGaloisQuartic
-        assert galois_type(K) is GaloisType.NonGaloisQuartic
+        assert K.galois_type is GaloisType.NonGaloisQuartic
 
     def test_negative_m_never_cyclic(self):
         rng = random.Random(14)
@@ -192,24 +189,24 @@ class TestCyclicCriterion:
                 gt, K = cyclic_criterion(m, a, b)
             except DegenerateTowerError:
                 continue
-            assert galois_type(K) is gt, (m, a, b, gt, galois_type(K))
+            assert K.galois_type is gt, (m, a, b, gt, K.galois_type)
             checked += 1
 
 
 class TestQuadraticSubfields:
     def test_cyclotomic(self):
-        assert quadratic_subfields(ZETA5) == {5}
+        assert ZETA5.quadratic_subfields() == {5}
         # cross-check: sqrt(5) really lies in the field
         assert ZETA5.sqrt_of_int(5) is not None
 
     def test_x4_plus_1(self):
         K = NumberField(RatPoly([1, 0, 0, 0, 1]))
-        assert quadratic_subfields(K) == {-1, 2, -2}
+        assert K.quadratic_subfields() == {-1, 2, -2}
         for m in (-1, 2, -2):
             assert K.sqrt_of_int(m) is not None
 
     def test_table_field(self):
-        assert quadratic_subfields(F_10_5) == {5}
+        assert F_10_5.quadratic_subfields() == {5}
 
     def test_cyclic_subfield_totally_real(self):
         # for every cyclic quartic built from the tower, the subfield is m > 0
@@ -225,20 +222,20 @@ class TestQuadraticSubfields:
                 continue
             if gt is not GaloisType.CyclicQuartic:
                 continue
-            subs = quadratic_subfields(K)
+            subs = K.quadratic_subfields()
             assert len(subs) == 1 and next(iter(subs)) > 0
             found += 1
 
     def test_biquadratic_has_three(self):
         K = biquadratic_field(2, 3)
-        assert quadratic_subfields(K) == {2, 3, 6}
+        assert K.quadratic_subfields() == {2, 3, 6}
 
     def test_disc_square_iff_three_subfields(self):
         for K in (ZETA5, F_10_5, biquadratic_field(-7, -15), NumberField(RatPoly([1, 0, 0, 0, 1]))):
             f = K.defining_poly
             disc_sq = is_rational_square(resultant(f, f.derivative()))
-            assert disc_sq == (len(quadratic_subfields(K)) == 3)
-            assert disc_sq == (galois_type(K) is GaloisType.Biquadratic)
+            assert disc_sq == (len(K.quadratic_subfields()) == 3)
+            assert disc_sq == (K.galois_type is GaloisType.Biquadratic)
 
 
 class TestFieldConstruction:
@@ -258,11 +255,11 @@ class TestFieldConstruction:
         assert parse_field_spec("5,0,-10,0") == F_10_5
         assert parse_field_spec("5;5;2") == F_10_5
         K = parse_field_spec("-7,-15")
-        assert galois_type(K) is GaloisType.Biquadratic
-        assert quadratic_subfields(K) == {-7, -15, 105}
+        assert K.galois_type is GaloisType.Biquadratic
+        assert K.quadratic_subfields() == {-7, -15, 105}
 
     def test_tower_field_matches(self):
-        assert tower_field(5, 5, 2) == F_10_5
+        assert cyclic_criterion(5, 5, 2)[1] == F_10_5
 
 
 class TestDefinitionDegree:

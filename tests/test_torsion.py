@@ -6,11 +6,18 @@ the point orders read off the lift levels are compared with brute-force
 multiplication.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from quartic_torsion.ellcurve import Curve
-from quartic_torsion.numfield import parse_field_spec, quadratic_field, rational_field
-from quartic_torsion.torsion import subfield_torsion, torsion_over_field
+from quartic_torsion.ellcurve import Curve, quadratic_twist
+from quartic_torsion.numfield import cyclic_criterion, parse_field_spec, quadratic_field, rational_field
+from quartic_torsion.torsion import (
+    count_torsion_in_field,
+    subfield_torsion,
+    torsion_over_field,
+    twist_decomposition_check,
+)
 
 # (curve spec, field spec, E(K)_tors)
 WITNESSES = (
@@ -46,10 +53,10 @@ class TestSubfieldTorsion:
         report, _ = witness
         E, K = report.curve, report.field_
         assert (subfield_torsion(report.points, None).as_pair()
-                == torsion_over_field(E, rational_field(), _validate=False).structure)
+                == torsion_over_field(E, rational_field()).structure)
         for m in sorted(K.quadratic_subfields()):
             derived = subfield_torsion(report.points, K.sqrt_of_int(m)).as_pair()
-            assert derived == torsion_over_field(E, quadratic_field(m), _validate=False).structure
+            assert derived == torsion_over_field(E, quadratic_field(m)).structure
 
 
 class TestOrders:
@@ -74,3 +81,29 @@ class TestOrders:
         g1 = gens[0] if len(gens) == 2 else g2
         span = {g1.scalar_mul(i) + g2.scalar_mul(j) for i in range(st.d1) for j in range(st.d2)}
         assert len(span) == st.order
+
+
+class TestTwistDecomposition:
+    """|E(F(sqrt alpha))[n]| = |E(F)[n]| * |E^alpha(F)[n]| for odd n."""
+
+    def test_11a1_five_torsion_over_cyclic_quartic(self):
+        E = Curve.from_str("0,-1,1,-10,-20")
+        F = quadratic_field(5)
+        alpha = [Fraction(-5, 2), Fraction(-1, 2)]  # (-5 - sqrt5) / 2
+        K = cyclic_criterion(5, *alpha)[1]
+        assert K == parse_field_spec("5,0,5,0,1")
+        assert count_torsion_in_field(E, K, 5) == 25
+        assert count_torsion_in_field(E, F, 5) == 5
+        assert twist_decomposition_check(E, F, alpha, 5)
+
+    def test_11a1_five_torsion_over_biquadratic(self):
+        # the twist by -1 has no 5-torsion over QQ(sqrt5): 5 = 5 * 1
+        E = Curve.from_str("0,-1,1,-10,-20")
+        F = quadratic_field(5)
+        assert count_torsion_in_field(E, parse_field_spec("5,-1"), 5) == 5
+        assert count_torsion_in_field(quadratic_twist(E, -1), F, 5) == 1
+        assert twist_decomposition_check(E, F, -1, 5)
+
+    def test_37a1_three_torsion(self):
+        E = Curve.from_str("0,0,1,-1,0")
+        assert twist_decomposition_check(E, quadratic_field(5), [5, 2], 3)  # 5 + 2 sqrt5
