@@ -20,18 +20,18 @@ from math import gcd as int_gcd, isqrt
 from sympy import factorint
 
 from . import _intpoly as zp
-from .errors import InvariantViolationError
+from .errors import DataFormatError, InvariantViolationError
 
 Rational = Fraction
 
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading minus, no whitespace)."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError):
+        raise DataFormatError(f"not a rational number: {s!r}") from None
 
 
 def rat_to_str(q: Fraction) -> str:

@@ -1,9 +1,13 @@
-"""The classification lists as plain data.
+"""The classification lists as plain data: the one source of the engine's
+search caps and primes and of its isogeny degrees.
 
 Groups are pairs (d1, d2) with d1 | d2 meaning Z/d1 + Z/d2; (1, 1) is the
 trivial group.  Each table is hard-coded to match its published list line by
-line; nothing here is derived from another table, so a transcription error
-fails loudly against the unit tests instead of propagating.
+line; nothing here is derived from another table.  The engine derives from
+the table of K's Galois type which primes it searches and how deep it lifts
+for each (`torsion.search_primes`, `torsion.p_primary_bound`), so
+`tests/test_grouptables.py` pins every table and every derived cap to literal
+copies: a transcription error fails there instead of changing the search.
 """
 
 from __future__ import annotations
@@ -67,5 +71,8 @@ GROWTH_QUADRATIC: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
 # Landau function g(n): the largest order of an element of S_n
 LANDAU_G = {1: 1, 2: 2, 3: 3, 4: 4, 5: 6, 6: 6, 7: 12, 8: 15}
 
-# primes that can divide rational-curve torsion over fields of degree <= 4
-TORSION_PRIMES_DEGREE4 = (2, 3, 5, 7, 13)
+# degrees of cyclic rational isogenies: n <= 19 or one of the sporadic values.
+# An exact membership set; no divisibility closure is assumed.  CM status is
+# unknown to the engine, so the set includes the CM degrees, which can only
+# under-report violations, never fabricate one.
+ISOGENY_DEGREES = frozenset(range(1, 20)) | {21, 25, 27, 37, 43, 67, 163}

@@ -17,14 +17,17 @@ from fractions import Fraction
 
 from sympy import factorint
 
-from .errors import DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
+from .errors import DataFormatError, DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
     RatPoly,
     factor_bounded,
     is_irreducible,
     is_rational_square,
+    poly_gcd,
     poly_xgcd,
+    rat_from_str,
     rational_roots,
+    rational_sqrt,
     resultant,
     squarefree_part_rational,
 )
@@ -489,8 +492,6 @@ def _shifted_ratpoly(p: RatPoly, s: int, K: NumberField) -> KPoly:
 
 def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     """Roots in K of a squarefree h in K[x]."""
-    from .exactmath import poly_gcd
-
     if h.degree == 0:
         return set()
     for s in (0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13, -13):
@@ -498,7 +499,7 @@ def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
         if N.degree == h.degree * K.degree and poly_gcd(N, N.derivative()).degree == 0:
             break
     else:
-        raise RuntimeError("no squarefree norm shift found (unexpected)")
+        raise InvariantViolationError(f"no squarefree norm shift found for {h!r}")
     roots: set[FieldElement] = set()
     for Ni in factor_bounded(N, K.degree):
         if K.degree % Ni.degree != 0:
@@ -551,8 +552,6 @@ def sqrt_in_field(beta, K: NumberField):
     if beta.is_zero():
         return K.zero()
     if K.degree == 1:
-        from .exactmath import rational_sqrt
-
         r = rational_sqrt(beta.coeffs[0])
         return None if r is None else K.element(r)
     h = KPoly(K, [-beta, K.zero(), K.one()])
@@ -605,6 +604,8 @@ def rational_field() -> NumberField:
 
 def quadratic_field(m) -> NumberField:
     m = Fraction(m)
+    if m == 0:
+        raise UnsupportedFieldError("QQ(sqrt(0)) is not a quadratic field")
     msf = squarefree_part_rational(m)
     if msf == 1:
         raise UnsupportedFieldError("QQ(sqrt(m)) with m square is just QQ")
@@ -658,9 +659,6 @@ def parse_field_spec(spec: str) -> NumberField:
     "c0,c1,c2,c3"       monic quartic x^4 + c3 x^3 + c2 x^2 + c1 x + c0
     "c0,...,c4"         quartic with explicit leading coefficient
     """
-    from .exactmath import rat_from_str
-    from .errors import DataFormatError
-
     spec = spec.strip()
     if spec.lower() in ("q", "qq", "1"):
         return rational_field()
@@ -673,7 +671,10 @@ def parse_field_spec(spec: str) -> NumberField:
     if len(parts) == 1:
         return quadratic_field(rat_from_str(parts[0]))
     if len(parts) == 2:
-        return biquadratic_field(int(parts[0]), int(parts[1]))
+        m, n = (rat_from_str(t) for t in parts)
+        if m.denominator != 1 or n.denominator != 1:
+            raise DataFormatError(f"biquadratic spec needs integers m,n: {spec!r}")
+        return biquadratic_field(int(m), int(n))
     if len(parts) == 4:
         cs = [rat_from_str(t) for t in parts]
         return NumberField(RatPoly(cs + [Fraction(1)]))

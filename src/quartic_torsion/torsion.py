@@ -1,11 +1,13 @@
 """The torsion engine: E(K)_tors for E/QQ and K of degree 1, 2, or 4 Galois.
 
-The computation is per prime.  For odd p the p-torsion comes from roots of the
-division polynomial inside K (with y recovered by a square-root in K), and
-p^2-points from preimage lifting: solving phi_p(x) = x_P psi_p^2(x) over K for
-each order-p point P.  For p = 2 the 2-torsion comes from the division cubic
-and higher 2-power points from iterated halving.  Search depth per prime is
-capped by proved bounds per field type.
+The computation is per prime.  The points of order p come from the roots in K
+of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
+with y recovered by a square root in K.  Points of order p^k come from one
+lift loop for every p: solving phi_p(x) = x_P psi_p^2(x) over K for each point
+P of order p^(k-1).  The primes searched and the lift depth per prime are read
+off the classification table of K's Galois type (`classification_table`): a
+prime is searched when it divides the order of some group in the table, and
+its cap is the largest p-primary part of those groups.
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -24,7 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+
+from sympy import primefactors
 
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
@@ -37,7 +42,6 @@ from .ellcurve import (
     short_model,
     two_torsion,
 )
-from .isogeny import allowed_rational_isogeny_degree, cyclic_layer_degrees
 from .numfield import (
     FieldElement,
     GaloisType,
@@ -87,60 +91,66 @@ class TorsionStructure:
 TRIVIAL = TorsionStructure(1, 1)
 
 
-def structure_from_counts(counts: dict[int, int]) -> TorsionStructure:
-    """Unique (d1, d2) with #E[n] = gcd(n,d1) * gcd(n,d2) matching counts."""
-    d1, d2 = 1, 1
-    primes = set()
-    for n in counts:
-        for p in (2, 3, 5, 7, 11, 13):
-            if n % p == 0:
-                primes.add(p)
-    for p in sorted(primes):
-        v1 = v2 = 0
-        k = 1
-        while p**k in counts:
-            c = counts[p**k]
-            prev = counts.get(p ** (k - 1), 1) if k > 1 else 1
-            ratio = c // prev if prev else 0
-            if prev * ratio != c or ratio not in (1, p, p * p):
-                raise InconsistentCountsError(f"counts not realizable at {p}^{k}: {counts}")
-            if ratio == p * p:
-                v1, v2 = v1 + 1, v2 + 1
-            elif ratio == p:
-                v2 += 1
-            else:
-                break
-            if v1 > v2:
-                raise InconsistentCountsError(f"counts not realizable at {p}: {counts}")
-            k += 1
-        d1 *= p**v1
-        d2 *= p**v2
-    for n, c in counts.items():
-        if gcd(n, d1) * gcd(n, d2) != c:
-            raise InconsistentCountsError(f"counts inconsistent at {n}: {counts}")
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def structure_of_orders(orders) -> TorsionStructure:
+    """Structure Z/d1 + Z/d2 of a finite group given the orders of all its
+    elements: d2 is their lcm and d1 the group order over d2.  Raises
+    InconsistentCountsError unless d1 | d2 and, for every n | d2, exactly
+    gcd(n, d1) * gcd(n, d2) of the orders divide n, as in Z/d1 + Z/d2."""
+    orders = list(orders)
+    d2 = lcm(*orders)
+    d1, rem = divmod(len(orders), d2)
+    if rem or d2 % d1:
+        raise InconsistentCountsError(f"{len(orders)} points of exponent {d2} form no group "
+                                      f"Z/d1+Z/{d2}: orders {sorted(orders)}")
+    for n in _divisors(d2):
+        if sum(1 for m in orders if n % m == 0) != gcd(n, d1) * gcd(n, d2):
+            raise InconsistentCountsError(f"orders {sorted(orders)} are not those of "
+                                          f"Z/{d1}+Z/{d2} at n = {n}")
     return TorsionStructure(d1, d2)
 
 
 # ---------------------------------------------------------------------------
-# per-prime bounds (search caps)
+# search caps and primes, read off the classification tables
 # ---------------------------------------------------------------------------
 
-_BOUNDS: dict[GaloisType, dict[int, tuple[int, int]]] = {
-    GaloisType.CyclicQuartic: {2: (2, 16), 3: (1, 9), 5: (5, 5), 7: (1, 7), 13: (1, 13)},
-    GaloisType.Biquadratic: {2: (4, 16), 3: (3, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-    GaloisType.Quadratic: {2: (4, 16), 3: (3, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-    GaloisType.Rational: {2: (2, 8), 3: (1, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-}
 
-
-def p_primary_bound(p: int, g: GaloisType) -> TorsionStructure:
-    """Maximal shape of the p-primary part for the given field type."""
+def classification_table(g: GaloisType) -> frozenset[tuple[int, int]]:
+    """Every possible E(K)_tors, E over QQ, for K of Galois type g."""
     if g is GaloisType.NonGaloisQuartic:
-        raise UnsupportedFieldError("no bounds for non-Galois quartic fields")
-    table = _BOUNDS[g]
-    if p not in table:
-        return TRIVIAL
-    return TorsionStructure(*table[p])
+        raise UnsupportedFieldError(
+            "torsion over non-Galois quartic fields is outside the engine's scope")
+    return {
+        GaloisType.Rational: gt.MAZUR,
+        GaloisType.Quadratic: gt.NAJMAN_QUAD_RAT,
+        GaloisType.CyclicQuartic: gt.THM_CYCLIC_QUARTIC,
+        GaloisType.Biquadratic: gt.THM_BIQUADRATIC,
+    }[g]
+
+
+def _p_part(n: int, p: int) -> int:
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
+@cache
+def p_primary_bound(p: int, g: GaloisType) -> TorsionStructure:
+    """Largest p-primary part of any group in the classification table of g:
+    the search cap for p."""
+    table = classification_table(g)
+    return TorsionStructure(max(_p_part(d1, p) for d1, _ in table),
+                            max(_p_part(d2, p) for _, d2 in table))
+
+
+@cache
+def search_primes(g: GaloisType) -> tuple[int, ...]:
+    """The primes dividing the order of some group in the table of g."""
+    return tuple(sorted({p for _, d2 in classification_table(g) for p in primefactors(d2)}))
 
 
 def full_level_allowed(g: GaloisType) -> frozenset[int]:
@@ -156,14 +166,6 @@ def full_level_allowed(g: GaloisType) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # per-prime computation
 # ---------------------------------------------------------------------------
-
-
-def _order_p_points(E: Curve, K: NumberField, p: int) -> set[Point]:
-    """All points of exact order p (p odd prime) in E(K)."""
-    pts: set[Point] = set()
-    for x in roots_in_field(E.division_polynomial(p), K):
-        pts |= set(curve_points_y(E, x, K))
-    return pts
 
 
 def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Point]:
@@ -184,40 +186,24 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
 def p_primary_part(E: Curve, K: NumberField, p: int,
                    g: GaloisType) -> tuple[TorsionStructure, dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
-    included.  A point found at lift level k has order exactly p^k: the
-    frontier at level k-1 holds every point of order p^(k-1), and a preimage
-    under [p] of such a point has order p^k."""
+    included, searched up to the cap `p_primary_bound(p, g)`.  The frontier
+    starts as the points of order p (from the 2-division cubic for p = 2, from
+    the roots of psi_p otherwise).  A point found at lift level k has order
+    exactly p^k: the frontier at level k-1 holds every point of order p^(k-1),
+    and a preimage under [p] of such a point has order p^k."""
     cap = p_primary_bound(p, g)
-    O = Point.infinity(E, K)
-    if cap == TRIVIAL:
-        return TRIVIAL, {O: 1}
     if p == 2:
-        pts = {P: (1 if P.is_infinity() else 2) for P in two_torsion(E, K)}
-        counts = {2: len(pts)}
-        if len(pts) == 1:
-            return TRIVIAL, pts
-        frontier = {P for P in pts if not P.is_infinity()}
-        k = 2
-        while 2**k <= cap.d2:
-            new = _lift_once(E, K, frontier, 2)
-            if not new:
-                break
-            pts.update(dict.fromkeys(new, 2**k))
-            counts[2**k] = len(pts)
-            frontier = new
-            k += 1
-        return structure_from_counts(counts), pts
-    # odd p
-    base = _order_p_points(E, K, p)
-    if not base:
-        return TRIVIAL, {O: 1}
-    pts = {O: 1} | dict.fromkeys(base, p)
-    counts = {p: len(pts)}
-    if cap.d2 >= p * p:
-        new = _lift_once(E, K, base, p)
-        pts.update(dict.fromkeys(new, p * p))
-        counts[p * p] = len(pts)
-    return structure_from_counts(counts), pts
+        frontier = {P for P in two_torsion(E, K) if not P.is_infinity()}
+    else:
+        frontier = {P for x in roots_in_field(E.division_polynomial(p), K)
+                    for P in curve_points_y(E, x, K)}
+    pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
+    q = p * p
+    while frontier and q <= cap.d2:
+        frontier = _lift_once(E, K, frontier, p)
+        pts.update(dict.fromkeys(frontier, q))
+        q *= p
+    return structure_of_orders(pts.values()), pts
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +258,12 @@ def _point_order(m: int, n: int) -> int:
     return m * n
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve, K: NumberField) -> dict[Point, int]:
     """Every sum of one point from each p-primary part, with its order."""
     pts = {Point.infinity(E, K): 1}
     for ppts in parts.values():
         pts = {a + b: _point_order(m, n) for a, m in pts.items() for b, n in ppts.items()}
     return pts
-
-
-def _structure_of_orders(orders) -> TorsionStructure:
-    """Structure of a finite group given the orders of all its elements.
-    Raises InconsistentCountsError for an order multiset that no group of
-    rank <= 2 has."""
-    orders = list(orders)
-    exponent = lcm(*orders)
-    counts = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        q = p
-        while exponent % q == 0:
-            counts[q] = sum(1 for n in orders if q % n == 0)
-            q *= p
-    st = structure_from_counts(counts)
-    if st.order != len(orders):
-        raise InconsistentCountsError(f"{len(orders)} points with orders {sorted(orders)} "
-                                      f"do not form the group {st}")
-    return st
 
 
 def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> TorsionStructure:
@@ -311,8 +273,8 @@ def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> Torsio
     def in_F(e: FieldElement) -> bool:
         return e.is_rational() if w is None else _in_quadratic_span(e, w)
 
-    return _structure_of_orders(n for P, n in points.items()
-                                if P.is_infinity() or (in_F(P.x) and in_F(P.y)))
+    return structure_of_orders(n for P, n in points.items()
+                               if P.is_infinity() or (in_F(P.x) and in_F(P.y)))
 
 
 def _choose_generators(points: dict[Point, int], st: TorsionStructure) -> list[Point]:
@@ -347,19 +309,14 @@ def _multiples(P: Point, n: int) -> list[Point]:
 def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     """E(K)_tors with generators, per-prime parts and validated invariants."""
     g = K.galois_type
-    if g is GaloisType.NonGaloisQuartic:
-        raise UnsupportedFieldError(
-            "torsion over non-Galois quartic fields is outside the engine's scope")
-    parts: dict[int, tuple[TorsionStructure, dict[Point, int]]] = {}
-    for p in gt.TORSION_PRIMES_DEGREE4:
-        parts[p] = p_primary_part(E, K, p, g)
+    parts = {p: p_primary_part(E, K, p, g) for p in search_primes(g)}
     d1 = d2 = 1
     for st, _ in parts.values():
         d1 *= st.d1
         d2 *= st.d2
     st = TorsionStructure(d1, d2)
     nontrivial = {p: pts for p, (stp, pts) in parts.items() if len(pts) > 1}
-    points = _enumerate_group(nontrivial, E, K) if nontrivial else {Point.infinity(E, K): 1}
+    points = _enumerate_group(nontrivial, E, K)
     if len(points) != st.order:
         raise InvariantViolationError(
             f"assembled group has {len(points)} points, structure says {st.order}")
@@ -408,7 +365,7 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
     if not rational_roots(cubic):
         record("two_torsion_rigidity", parts[2][0] == TRIVIAL)
     # Landau bound: full p-torsion over degree-4 fields needs p - 1 <= g(4)
-    for p in (2, 3, 5, 7, 13):
+    for p in search_primes(g):
         if st.d1 % p == 0:
             record("landau_bound", p - 1 <= gt.LANDAU_G[min(K.degree, 4)])
             if g is GaloisType.CyclicQuartic:
@@ -421,17 +378,16 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
                        definition_degree([P.x, P.y], K) <= 2,
                        f"order-{n} point defined only over the full quartic")
     # Galois-stable cyclic layers force admissible rational isogenies
-    for n in cyclic_layer_degrees(st.d1, st.d2):
-        record("cyclic_layer_isogeny", allowed_rational_isogeny_degree(n),
-               f"cyclic layer of order {n}")
+    for n in _divisors(st.d2)[1:]:
+        if gcd(n, st.d1) == 1:
+            record("cyclic_layer_isogeny", n in gt.ISOGENY_DEGREES, f"cyclic layer of order {n}")
     t2 = parts[2][0]
     if t2.d1 == 2 and t2.d2 >= 4:
-        record("two_power_isogeny", allowed_rational_isogeny_degree(t2.d2 // 2),
-               f"2-primary {t2}")
+        record("two_power_isogeny", t2.d2 // 2 in gt.ISOGENY_DEGREES, f"2-primary {t2}")
     if g is GaloisType.CyclicQuartic:
-        for n in _divisors(st.d2):
-            if n > 1 and n % 2 and n % 5:
-                record("odd_layer_isogeny_cyclic", allowed_rational_isogeny_degree(n),
+        for n in _divisors(st.d2)[1:]:
+            if n % 2 and n % 5:
+                record("odd_layer_isogeny_cyclic", n in gt.ISOGENY_DEGREES,
                        f"odd order {n} over cyclic quartic")
     # excluded orders and excluded subgroups over quartic fields
     if g is GaloisType.CyclicQuartic:
@@ -439,12 +395,7 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
             record("excluded_order", not st.has_point_of_order(n), f"order {n} present")
     if K.degree == 4:
         record("not_bn_excluded", st.as_pair() not in gt.BN_EXCLUDED_QUARTIC)
-        table = gt.THM_CYCLIC_QUARTIC if g is GaloisType.CyclicQuartic else gt.THM_BIQUADRATIC
-        record("classification_membership", st.as_pair() in table)
-    elif g is GaloisType.Quadratic:
-        record("classification_membership", st.as_pair() in gt.NAJMAN_QUAD_RAT)
-    else:
-        record("classification_membership", st.as_pair() in gt.MAZUR)
+    record("classification_membership", st.as_pair() in classification_table(g))
     # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
         gq = subfield_torsion(points, None).as_pair()

@@ -7,13 +7,17 @@ multiplication.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from quartic_torsion import grouptables as gt
 from quartic_torsion.ellcurve import Curve, quadratic_twist
+from quartic_torsion.errors import InconsistentCountsError
 from quartic_torsion.numfield import cyclic_criterion, parse_field_spec, quadratic_field, rational_field
 from quartic_torsion.torsion import (
     count_torsion_in_field,
+    structure_of_orders,
     subfield_torsion,
     torsion_over_field,
     twist_decomposition_check,
@@ -81,6 +85,27 @@ class TestOrders:
         g1 = gens[0] if len(gens) == 2 else g2
         span = {g1.scalar_mul(i) + g2.scalar_mul(j) for i in range(st.d1) for j in range(st.d2)}
         assert len(span) == st.order
+
+
+def _orders(d1, d2):
+    """Orders of the elements of Z/d1 + Z/d2."""
+    return [lcm(d1 // gcd(a, d1), d2 // gcd(b, d2)) for a in range(d1) for b in range(d2)]
+
+
+class TestStructureOfOrders:
+    @pytest.mark.parametrize("group", sorted(gt.MAZUR | gt.NAJMAN_QUAD_RAT
+                                             | gt.THM_CYCLIC_QUARTIC | gt.THM_BIQUADRATIC))
+    def test_every_table_group(self, group):
+        assert structure_of_orders(_orders(*group)).as_pair() == group
+
+    @pytest.mark.parametrize("orders", [
+        [1, 2, 2, 2, 2, 2, 2, 2],  # (Z/2)^3 has rank 3
+        [1, 3],                    # 2 elements, exponent 3
+        [1, 2, 4, 4, 4, 4, 4, 4],  # order 8, exponent 4, but one element of order 2
+    ])
+    def test_no_rank_two_group(self, orders):
+        with pytest.raises(InconsistentCountsError):
+            structure_of_orders(orders)
 
 
 class TestTwistDecomposition:
