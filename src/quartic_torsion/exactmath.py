@@ -22,8 +22,6 @@ from sympy import factorint
 from . import _intpoly as zp
 from .errors import DataFormatError, InvariantViolationError
 
-Rational = Fraction
-
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading minus, no whitespace)."""
@@ -120,9 +118,6 @@ class RatPoly:
         if not self.coeffs:
             raise ValueError("leading coefficient of zero polynomial")
         return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs

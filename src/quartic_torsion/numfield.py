@@ -8,6 +8,9 @@ of h(x - s*theta) is a rational polynomial whose factors of degree <= [K:QQ]
 pin down the candidate minimal polynomials, and a gcd over K recovers each
 root.  This keeps all rational factorization at degree <= 4 * deg(h) even when
 deg(h) is large, and at degree <= 16 for the common case of a quartic solve.
+A quartic field's Galois type and quadratic subfields are both read off the
+rational roots of the resolvent cubic of f at construction, so setting up a
+field finds no roots in it.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ def _integral_scale(poly: RatPoly) -> int:
 class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
-    __slots__ = ("defining_poly", "degree", "_powers", "_galois",
-                 "_subfields", "_sqrt_cache", "_roots_of_defpoly")
+    __slots__ = ("defining_poly", "degree", "galois_type", "_powers",
+                 "_quadratics", "_sqrt_cache")
 
     def __init__(self, poly: RatPoly):
         if poly.is_zero() or poly.degree not in (1, 2, 4):
@@ -91,10 +94,12 @@ class NumberField:
                         nxt[i] += top * red[i]
                 powers.append(tuple(nxt))
         self._powers = tuple(powers)
-        self._galois = None
-        self._subfields = None
+        if d == 4:
+            self.galois_type, self._quadratics = _galois_structure(poly)
+        else:
+            self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
+            self._quadratics = None
         self._sqrt_cache: dict[int, "FieldElement"] = {}
-        self._roots_of_defpoly = None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.defining_poly == other.defining_poly
@@ -132,24 +137,13 @@ class NumberField:
             return self.zero()
         return self.element([0, 1] + [0] * (self.degree - 2))
 
-    # -- cached structure ------------------------------------------------------
-
-    @property
-    def galois_type(self) -> GaloisType:
-        if self._galois is None:
-            self._galois = _classify(self)
-        return self._galois
-
-    def defpoly_roots(self) -> frozenset:
-        """Roots of the defining polynomial inside the field itself."""
-        if self._roots_of_defpoly is None:
-            self._roots_of_defpoly = frozenset(roots_in_field(self.defining_poly, self))
-        return self._roots_of_defpoly
+    # -- structure -------------------------------------------------------------
 
     def quadratic_subfields(self) -> frozenset[int]:
-        if self._subfields is None:
-            self._subfields = frozenset(_quadratic_subfields(self))
-        return self._subfields
+        """Squarefree m != 1 with QQ(sqrt m) inside the quartic field."""
+        if self._quadratics is None:
+            raise UnsupportedFieldError("quadratic subfields computed for quartic fields only")
+        return self._quadratics
 
     def sqrt_of_int(self, m: int) -> "FieldElement | None":
         """A canonical square root of the integer m inside the field, if any."""
@@ -566,31 +560,25 @@ def sqrt_in_field(beta, K: NumberField):
 # ---------------------------------------------------------------------------
 
 
-def _classify(K: NumberField) -> GaloisType:
-    if K.degree == 1:
-        return GaloisType.Rational
-    if K.degree == 2:
-        return GaloisType.Quadratic
-    f = K.defining_poly
-    nroots = len(K.defpoly_roots())
-    if nroots == 4:
-        disc = resultant(f, f.derivative())
-        return GaloisType.Biquadratic if is_rational_square(disc) else GaloisType.CyclicQuartic
-    return GaloisType.NonGaloisQuartic
-
-
-def _quadratic_subfields(K: NumberField) -> set[int]:
-    if K.degree != 4:
-        raise UnsupportedFieldError("quadratic subfields computed for quartic fields only")
-    f = K.defining_poly
+def _galois_structure(f: RatPoly) -> tuple[GaloisType, frozenset[int]]:
+    """Galois type and quadratic subfields of QQ[x]/(f), f a monic integral
+    irreducible quartic, from the rational roots y of its resolvent cubic
+    (Kappe and Warren, Amer. Math. Monthly 96, 1989).  Each root y gives
+    d1 = y^2 - 4s and d2 = p^2 - 4q + 4y; the squarefree parts of the
+    nonsquare ones are the subfields.  Three roots: biquadratic.  One root: cyclic quartic iff both
+    of its d's are squares in QQ(sqrt disc f), else D4.  None: A4 or S4."""
     p, q, r, s = f.coeffs[3], f.coeffs[2], f.coeffs[1], f.coeffs[0]
     res_cubic = RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
-    ms: set[int] = set()
-    for y0 in rational_roots(res_cubic):
-        for D in (y0 * y0 - 4 * s, p * p - 4 * q + 4 * y0):
-            if D != 0 and not is_rational_square(D):
-                ms.add(squarefree_part_rational(D))
-    return ms
+    deltas = [(y * y - 4 * s, p * p - 4 * q + 4 * y) for y in rational_roots(res_cubic)]
+    subfields = frozenset(squarefree_part_rational(D) for pair in deltas for D in pair
+                          if not is_rational_square(D))
+    if len(deltas) == 3:
+        return GaloisType.Biquadratic, subfields
+    if len(deltas) == 1:
+        disc = resultant(f, f.derivative())
+        if all(is_rational_square(D) or is_rational_square(D * disc) for D in deltas[0]):
+            return GaloisType.CyclicQuartic, subfields
+    return GaloisType.NonGaloisQuartic, subfields
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .ellcurve import (
     curve_points_y,
     m_preimages,
     short_model,
-    two_torsion,
 )
 from .numfield import (
     FieldElement,
@@ -187,16 +186,15 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
                    g: GaloisType) -> tuple[TorsionStructure, dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
     included, searched up to the cap `p_primary_bound(p, g)`.  The frontier
-    starts as the points of order p (from the 2-division cubic for p = 2, from
-    the roots of psi_p otherwise).  A point found at lift level k has order
-    exactly p^k: the frontier at level k-1 holds every point of order p^(k-1),
-    and a preimage under [p] of such a point has order p^k."""
+    starts as the points of order p: those above the roots of
+    `x_division_poly(p)`.  For p = 2 that is the 2-division cubic, on whose
+    roots the discriminant in y vanishes, so each root gives one point.  A
+    point found at lift level k has order exactly p^k: the frontier at level
+    k-1 holds every point of order p^(k-1), and a preimage under [p] of such a
+    point has order p^k."""
     cap = p_primary_bound(p, g)
-    if p == 2:
-        frontier = {P for P in two_torsion(E, K) if not P.is_infinity()}
-    else:
-        frontier = {P for x in roots_in_field(E.division_polynomial(p), K)
-                    for P in curve_points_y(E, x, K)}
+    frontier = {P for x in roots_in_field(E.x_division_poly(p), K)
+                for P in curve_points_y(E, x, K)}
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
     q = p * p
     while frontier and q <= cap.d2:
@@ -221,9 +219,7 @@ class TorsionReport:
     per_prime: dict[int, tuple[int, int]]
     point_definition_degrees: dict[int, int]
     checks: list[tuple[str, bool]]
-    assumptions: tuple[str, ...] = (
-        "prime support of torsion over degree <= 4 fields taken as {2,3,5,7,13}",
-    )
+    assumptions: tuple[str, ...]
     # every point of E(K)_tors with its order; not part of the JSON record
     points: dict[Point, int] = field(default_factory=dict, repr=False)
 
@@ -327,6 +323,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
             d = definition_degree([P.x, P.y], K)
             defdeg[n] = min(defdeg.get(n, K.degree), d)
     checks = _validate_report(E, K, g, st, parts, points)
+    primes = ",".join(map(str, search_primes(g)))
     return TorsionReport(
         curve=E,
         field_=K,
@@ -336,6 +333,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         per_prime={p: stp.as_pair() for p, (stp, _) in parts.items() if stp != TRIVIAL},
         point_definition_degrees=defdeg,
         checks=checks,
+        assumptions=(f"prime support of torsion over degree <= 4 fields taken as {{{primes}}}",),
         points=points,
     )
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from quartic_torsion import numfield
 from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
-from quartic_torsion.exactmath import RatPoly, is_rational_square, resultant
+from quartic_torsion.exactmath import RatPoly, is_irreducible, is_rational_square, resultant
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -137,9 +138,54 @@ class TestGaloisType:
     def test_splitting_consistency(self):
         for K in (ZETA5, F_10_5, NumberField(RatPoly([1, 0, 0, 0, 1])),
                   NumberField(RatPoly([-2, 0, 0, 0, 1]))):
-            nroots = len(K.defpoly_roots())
+            nroots = len(roots_in_field(K.defining_poly, K))
             galois = K.galois_type in (GaloisType.CyclicQuartic, GaloisType.Biquadratic)
             assert galois == (nroots == 4)
+
+    def test_splitting_consistency_random(self):
+        # K is Galois iff f has all four roots in K, counted by Trager solves.
+        # Random quartics are nearly all non-Galois; the Galois side is drawn
+        # in TestPresentationInvariance.test_random_generators_of_galois_fields.
+        rng = random.Random(17)
+        checked = 0
+        while checked < 20:
+            f = RatPoly([rng.randrange(-9, 10) for _ in range(4)] + [1])
+            if not is_irreducible(f):
+                continue
+            K = NumberField(f)
+            galois = K.galois_type in (GaloisType.CyclicQuartic, GaloisType.Biquadratic)
+            assert galois == (len(roots_in_field(K.defining_poly, K)) == 4), f
+            checked += 1
+
+    # Each input catches one wrong rule in the resolvent-cubic classifier.
+    @pytest.mark.parametrize("coeffs, galois_type, subfields", [
+        ([12, 8, 0, 0, 1], GaloisType.NonGaloisQuartic, set()),   # A4: no resolvent root
+        ([1, 1, 0, 0, 1], GaloisType.NonGaloisQuartic, set()),    # S4: no resolvent root
+        # D4 x^4-5x^3-x^2-5x+1: resolvent root 2, (d1, d2) = (0, 37), only d2 fails
+        ([1, -5, -1, -5, 1], GaloisType.NonGaloisQuartic, {37}),
+        # C4 x^4-4x^2+2: d1 = 8 is no square, only disc(f) times one
+        ([2, 0, -4, 0, 1], GaloisType.CyclicQuartic, {2}),
+    ], ids=["A4", "S4", "D4", "C4"])
+    def test_resolvent_rule(self, coeffs, galois_type, subfields):
+        K = NumberField(RatPoly(coeffs))
+        assert (K.galois_type, K.quadratic_subfields()) == (galois_type, subfields)
+
+    def test_setup_runs_no_root_finding(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("root finding during field set-up")
+
+        monkeypatch.setattr(numfield, "roots_in_field", forbidden)
+        monkeypatch.setattr(numfield, "_trager_roots", forbidden)
+        expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
+                    "-1,5": (GaloisType.Biquadratic, {-5, -1, 5}),
+                    "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2})}
+        for spec, (gt, subfields) in expected.items():
+            K = parse_field_spec(spec)
+            assert (K.galois_type, K.quadratic_subfields()) == (gt, subfields)
+
+    def test_subfields_need_a_quartic(self):
+        with pytest.raises(UnsupportedFieldError):
+            SQRT5.quadratic_subfields()
 
 
 class TestCyclicCriterion:
@@ -260,6 +306,38 @@ class TestFieldConstruction:
 
     def test_tower_field_matches(self):
         assert cyclic_criterion(5, 5, 2)[1] == F_10_5
+
+
+class TestPresentationInvariance:
+    """Type and subfields do not depend on the defining polynomial of K."""
+
+    @pytest.mark.parametrize("spec", ["-1,5", "-5,5", "-1,-5"])
+    def test_biquadratic_i_sqrt5(self, spec):
+        K = parse_field_spec(spec)
+        assert K.galois_type is GaloisType.Biquadratic
+        assert K.quadratic_subfields() == {-5, -1, 5}
+
+    @pytest.mark.parametrize("spec", ["1,1,1,1", "5,10,10,5"])  # zeta5, zeta5 - 1
+    def test_cyclotomic_zeta5(self, spec):
+        K = parse_field_spec(spec)
+        assert K.galois_type is GaloisType.CyclicQuartic
+        assert K.quadratic_subfields() == {5}
+
+    def test_random_generators_of_galois_fields(self):
+        # K = QQ(alpha) for a random alpha in a Galois field L, presented by
+        # the characteristic polynomial of alpha, N(x - alpha)
+        rng = random.Random(18)
+        checked = 0
+        while checked < 10:
+            L = rng.choice([ZETA5, F_10_5, biquadratic_field(-1, 5)])
+            alpha = L.element([rng.randrange(-2, 3) for _ in range(4)])
+            f = numfield._interpolate([(x, (L.element(x) - alpha).norm()) for x in range(5)])
+            if not is_irreducible(f):
+                continue
+            K = NumberField(f)
+            assert (K.galois_type, K.quadratic_subfields()) == (L.galois_type, L.quadratic_subfields()), f
+            assert len(roots_in_field(K.defining_poly, K)) == 4
+            checked += 1
 
 
 class TestDefinitionDegree:

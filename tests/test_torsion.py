@@ -14,7 +14,13 @@ import pytest
 from quartic_torsion import grouptables as gt
 from quartic_torsion.ellcurve import Curve, quadratic_twist
 from quartic_torsion.errors import InconsistentCountsError
-from quartic_torsion.numfield import cyclic_criterion, parse_field_spec, quadratic_field, rational_field
+from quartic_torsion.numfield import (
+    GaloisType,
+    cyclic_criterion,
+    parse_field_spec,
+    quadratic_field,
+    rational_field,
+)
 from quartic_torsion.torsion import (
     count_torsion_in_field,
     structure_of_orders,
@@ -44,6 +50,12 @@ class TestWitnesses:
         report, expected = witness
         assert report.structure == expected
         assert len(report.points) == report.structure_obj.order
+
+    def test_assumption_names_searched_primes(self, witness):
+        report, _ = witness
+        primes = "{2,3,5,7,13}" if report.galois_type is GaloisType.CyclicQuartic else "{2,3,5,7}"
+        assert report.assumptions == (
+            f"prime support of torsion over degree <= 4 fields taken as {primes}",)
 
     def test_growth_chain_recorded(self, witness):
         report, _ = witness
@@ -132,3 +144,20 @@ class TestTwistDecomposition:
     def test_37a1_three_torsion(self):
         E = Curve.from_str("0,0,1,-1,0")
         assert twist_decomposition_check(E, quadratic_field(5), [5, 2], 3)  # 5 + 2 sqrt5
+
+
+class TestPresentationInvariance:
+    """The report does not depend on the defining polynomial chosen for K."""
+
+    def test_15a1_over_two_models_of_i_sqrt5(self):
+        E = Curve.from_str("1,1,1,-10,-10")
+        a, b = (torsion_over_field(E, parse_field_spec(spec)) for spec in ("-5,5", "-1,-5"))
+        assert a.structure == b.structure == (4, 8)
+        assert a.point_definition_degrees == b.point_definition_degrees
+
+    def test_11a1_over_shifted_zeta5(self):
+        # x -> x + 1 in the cyclotomic polynomial; the witness table has 1,1,1,1
+        report = torsion_over_field(Curve.from_str("0,-1,1,-10,-20"), parse_field_spec("5,10,10,5"))
+        assert report.galois_type is GaloisType.CyclicQuartic
+        assert report.structure == (5, 5)
+        assert report.point_definition_degrees == {5: 1}
