@@ -15,6 +15,7 @@ of the full exponential Zassenhaus search.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import gcd, isqrt
 
 from sympy import nextprime
@@ -456,8 +457,8 @@ def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> tuple[list[list[int
     def try_subsets() -> bool:
         nonlocal cur, alive
         lc_cur = cur[-1]
-        from itertools import combinations
-        for size in range(1, len(alive) + 1):
+        # every modular factor has degree >= 1, so no larger subset fits in dmax
+        for size in range(1, min(len(alive), dmax) + 1):
             for combo in combinations(alive, size):
                 degsum = sum(len(lifted[i]) - 1 for i in combo)
                 if degsum > dmax or degsum >= len(cur) - 1:

@@ -166,6 +166,8 @@ class RatPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return RatPoly([])
+        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
+            return RatPoly(zp.zz_mul([c.numerator for c in a], [c.numerator for c in b]))
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

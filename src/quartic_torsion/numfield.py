@@ -11,6 +11,19 @@ deg(h) is large, and at degree <= 16 for the common case of a quartic solve.
 A quartic field's Galois type and quadratic subfields are both read off the
 rational roots of the resolvent cubic of f at construction, so setting up a
 field finds no roots in it.
+
+Most root searches of the engine find nothing, and most of those end before
+any norm is taken.  `NumberField.split_primes` lists, on first use, the first
+few primes p > 50 at which f has deg f distinct roots r mod p (so p does not
+divide disc f).  Each r gives a ring map from the p-integral elements of K
+onto F_p, theta -> r.  If h has p-integral coefficients and a leading
+coefficient that does not map to 0, every root of h in K is p-integral and
+maps to a root of the image of h in F_p[x].  So if gcd(x^p - x, h mod
+(p, theta - r)) = 1 for some such (p, r), h has no root in K (the modular test
+of PARI's nfroots; Belabas, J. Symb. Comp. 37, 2004).  A pair (p, r) at which
+some coefficient has p in a denominator, or the leading coefficient maps to 0,
+proves nothing and is skipped.  The test only ever answers "no root": roots
+are still found by the norm method and verified by substitution.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from fractions import Fraction
 
 from sympy import factorint
 
+from . import _intpoly as zp
 from .errors import DataFormatError, DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
     RatPoly,
@@ -65,7 +79,7 @@ class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
     __slots__ = ("defining_poly", "degree", "galois_type", "_powers",
-                 "_quadratics", "_sqrt_cache")
+                 "_quadratics", "_sqrt_cache", "_split_primes")
 
     def __init__(self, poly: RatPoly):
         if poly.is_zero() or poly.degree not in (1, 2, 4):
@@ -100,6 +114,7 @@ class NumberField:
             self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
             self._quadratics = None
         self._sqrt_cache: dict[int, "FieldElement"] = {}
+        self._split_primes: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.defining_poly == other.defining_poly
@@ -150,6 +165,14 @@ class NumberField:
         if m not in self._sqrt_cache:
             self._sqrt_cache[m] = sqrt_in_field(self.element(m), self)
         return self._sqrt_cache[m]
+
+    def split_primes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(p, (r_1, ..., r_d)) for the first SPLIT_PRIME_COUNT primes p >
+        SPLIT_PRIME_FLOOR at which f has d = [K:QQ] distinct roots r_i mod p.
+        Built on first use, never at construction."""
+        if self._split_primes is None:
+            self._split_primes = _split_prime_table(self.defining_poly)
+        return self._split_primes
 
 
 class FieldElement:
@@ -504,16 +527,64 @@ def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     return roots
 
 
+SPLIT_PRIME_FLOOR = 50
+SPLIT_PRIME_COUNT = 3
+
+
+def _split_prime_table(f: RatPoly) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    fi = [int(c) for c in f.coeffs]
+    table = []
+    for p in zp._prime_stream(SPLIT_PRIME_FLOOR):
+        roots = tuple(r for r in range(p) if sum(c * r**k for k, c in enumerate(fi)) % p == 0)
+        if len(roots) == f.degree:
+            table.append((p, roots))
+            if len(table) == SPLIT_PRIME_COUNT:
+                return tuple(table)
+    raise InvariantViolationError("unreachable")
+
+
+def _residue(c: Fraction, p: int) -> int | None:
+    """c mod p, or None when p divides the denominator of c."""
+    if c.denominator % p == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _rootless_mod_p(hp: list[int], p: int) -> bool:
+    """Has hp in F_p[x] (lc nonzero mod p) no root in F_p?"""
+    xp = zp.gf_pow_mod([0, 1], p, hp, p)
+    return len(zp.gf_gcd(hp, zp.gf_sub(xp, [0, 1], p), p)) == 1
+
+
+def _no_root_certified(h, K: NumberField) -> bool:
+    """True when some split prime proves that h has no root in K (see the
+    module docstring); False proves nothing."""
+    coeffs = [(c,) for c in h.coeffs] if isinstance(h, RatPoly) else [c.coeffs for c in h.coeffs]
+    for p, roots in K.split_primes():
+        coords = [[_residue(x, p) for x in cs] for cs in coeffs]
+        if any(None in cs for cs in coords):
+            continue
+        images = {tuple(sum(x * r**k for k, x in enumerate(cs)) % p for cs in coords) for r in roots}
+        if any(hp[-1] and _rootless_mod_p(list(hp), p) for hp in images):
+            return True
+    return False
+
+
 def roots_in_field(h, K: NumberField) -> set[FieldElement]:
     """Exactly the roots of h lying in K, verified by exact substitution.
 
-    h may be a RatPoly (rational coefficients) or a KPoly over K.  For
-    rational h the factorization happens over QQ first, so only factors whose
-    degree divides [K:QQ] ever reach the norm machinery.
+    h may be a RatPoly (rational coefficients) or a KPoly over K.  An h that
+    some split prime proves rootless returns at once.  For rational h the
+    factorization happens over QQ first, so only factors whose degree divides
+    [K:QQ] ever reach the norm machinery.
     """
+    if h.is_zero():
+        raise ValueError("roots of zero polynomial")
+    if isinstance(h, KPoly) and h.field != K:
+        raise ValueError("polynomial over a different field")
+    if _no_root_certified(h, K):
+        return set()
     if isinstance(h, RatPoly):
-        if h.is_zero():
-            raise ValueError("roots of zero polynomial")
         if K.degree == 1:
             roots = {K.element(r) for r in rational_roots(h)}
         else:
@@ -525,10 +596,6 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
                     roots |= _trager_roots(KPoly.from_ratpoly(K, q), K)
         hK = KPoly.from_ratpoly(K, h)
     else:
-        if h.field != K:
-            raise ValueError("polynomial over a different field")
-        if h.is_zero():
-            raise ValueError("roots of zero polynomial")
         if K.degree == 1:
             return {K.element(r) for r in rational_roots(h.to_ratpoly())}
         hK = h
@@ -614,22 +681,28 @@ def cyclic_criterion(m, a, b) -> tuple[GaloisType, NumberField]:
 
     The Galois type is read off the norm t = a^2 - m b^2 of a + b*sqrt(m):
     t/m a nonzero rational square gives a cyclic quartic, t itself a rational
-    square gives a biquadratic field, anything else is not Galois.
+    square gives a biquadratic field, anything else is not Galois.  The tower
+    is degenerate exactly when alpha = a + b*sqrt(m) is a square in
+    QQ(sqrt(m)): for b != 0 that is when x^4 - 2a x^2 + (a^2 - m b^2) is
+    reducible, and for b = 0 when a is 0, a square, or m times a square.
     """
     m, a, b = Fraction(m), Fraction(a), Fraction(b)
     if m == 0 or is_rational_square(m):
         raise DegenerateTowerError("m must be a nonsquare")
     if squarefree_part_rational(m) != m:
         raise DegenerateTowerError("m must be a squarefree integer")
-    F = quadratic_field(m)
-    alpha = F.element([a, b])
-    if sqrt_in_field(alpha, F) is not None:
-        raise DegenerateTowerError("alpha is a square in QQ(sqrt(m)); the tower is not quartic")
+    degenerate = "alpha is a square in QQ(sqrt(m)); the tower is not quartic"
     if b == 0:
-        n = squarefree_part_rational(a)
-        K = biquadratic_field(int(m), n)
-        return GaloisType.Biquadratic, K
-    K = NumberField(RatPoly([a * a - b * b * m, 0, -2 * a, 0, 1]))
+        if a == 0:
+            raise DegenerateTowerError(degenerate)
+        try:
+            return GaloisType.Biquadratic, biquadratic_field(int(m), squarefree_part_rational(a))
+        except UnsupportedFieldError:
+            raise DegenerateTowerError(degenerate) from None
+    try:
+        K = NumberField(RatPoly([a * a - b * b * m, 0, -2 * a, 0, 1]))
+    except UnsupportedFieldError:
+        raise DegenerateTowerError(degenerate) from None
     t = a * a - m * b * b
     if is_rational_square(t / m):
         return GaloisType.CyclicQuartic, K

@@ -91,6 +91,76 @@ class TestRootsInField:
         assert roots_in_field(h, F_10_5) == {th, -th}
 
 
+SPLIT_PRIME_SPECS = ("1,1,1,1", "-1,5", "5;5;2", "-3", "q")
+
+
+class TestSplitPrimeCertificate:
+    """Reduction of K at completely split primes proves "no root in K"."""
+
+    @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS + ("-2,0,0,0",))
+    def test_split_prime_table(self, spec):
+        K = parse_field_spec(spec)
+        f = K.defining_poly
+        disc = resultant(f, f.derivative()) if K.degree > 1 else 1
+        table = K.split_primes()
+        assert len(table) == numfield.SPLIT_PRIME_COUNT
+        for p, roots in table:
+            assert p > numfield.SPLIT_PRIME_FLOOR and disc % p != 0
+            assert len(set(roots)) == len(roots) == K.degree
+            assert all(f(r) % p == 0 for r in roots)
+
+    def test_table_not_built_at_construction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("split-prime table built during field set-up")
+
+        monkeypatch.setattr(numfield, "_split_prime_table", forbidden)
+        for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
+            parse_field_spec(spec)
+
+    @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
+    def test_planted_roots_are_found(self, spec):
+        # h = (x - alpha) * g for random alpha and g, some with a split prime
+        # in a denominator of alpha or g, or in the leading coefficient
+        K = parse_field_spec(spec)
+        primes = [p for p, _ in K.split_primes()]
+        rng = random.Random(19)
+        for _ in range(12):
+            den = rng.choice(primes + [1, 1])
+            alpha = K.element([Fraction(rng.randrange(-9, 10), rng.choice((1, den)))
+                               for _ in range(K.degree)])
+            g = KPoly(K, [K.element([Fraction(rng.randrange(-5, 6), rng.choice((1, den)))
+                                     for _ in range(K.degree)])
+                          for _ in range(rng.randrange(1, 4))] + [rng.choice((1, den))])
+            h = KPoly(K, [-alpha, 1]) * g
+            assert alpha in roots_in_field(h, K)
+
+    @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
+    def test_root_with_split_prime_denominator(self, spec):
+        K = parse_field_spec(spec)
+        for p, _ in K.split_primes():
+            root = K.element(Fraction(1, p))
+            # (x - 1/p)(x + p*k) = x^2 + (p*k - 1/p) x - k: dropping the
+            # x-coefficient would leave x^2 - k, which has no root mod p
+            k = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+            for h, roots in ((RatPoly([-1, p]), {root}),
+                             (RatPoly([-Fraction(1, p), 1]), {root}),
+                             (RatPoly([-Fraction(1, p), 1]) * RatPoly([p * k, 1]),
+                              {root, K.element(-p * k)})):
+                assert roots_in_field(h, K) == roots
+                assert roots_in_field(KPoly.from_ratpoly(K, h), K) == roots
+
+    def test_rootless_search_runs_no_norm(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("norm method reached for a polynomial with no root")
+
+        monkeypatch.setattr(numfield, "_trager_roots", forbidden)
+        monkeypatch.setattr(numfield, "factor_bounded", forbidden)
+        th = ZETA5.gen()
+        assert roots_in_field(RatPoly([-3, 0, 1]), ZETA5) == set()
+        assert roots_in_field(KPoly(ZETA5, [-(th + 2), 0, 1]), ZETA5) == set()
+        assert sqrt_in_field(th * 2, ZETA5) is None
+
+
 class TestSqrtInField:
     def test_sqrt_of_5(self):
         assert sqrt_in_field(5, SQRT5) == SQRT5.gen()
@@ -178,7 +248,9 @@ class TestGaloisType:
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
         expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
                     "-1,5": (GaloisType.Biquadratic, {-5, -1, 5}),
-                    "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2})}
+                    "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2}),
+                    "5;5;2": (GaloisType.CyclicQuartic, {5}),
+                    "13;13;3": (GaloisType.CyclicQuartic, {13})}
         for spec, (gt, subfields) in expected.items():
             K = parse_field_spec(spec)
             assert (K.galois_type, K.quadratic_subfields()) == (gt, subfields)

@@ -146,6 +146,13 @@ class TestTwistDecomposition:
         assert twist_decomposition_check(E, quadratic_field(5), [5, 2], 3)  # 5 + 2 sqrt5
 
 
+def test_rootless_division_polynomials_settled_without_factoring():
+    # Without the split-prime certificate every searched prime factors a
+    # division polynomial with no root in K, and this case takes minutes.
+    report = torsion_over_field(Curve.from_str("5,-1,-2,1,-3"), parse_field_spec("13;13;3"))
+    assert report.structure == (1, 1)
+
+
 class TestPresentationInvariance:
     """The report does not depend on the defining polynomial chosen for K."""
 
