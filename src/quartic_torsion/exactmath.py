@@ -14,8 +14,7 @@ threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd as int_gcd, isqrt
+from math import isqrt, lcm
 
 from sympy import factorint
 
@@ -163,17 +162,10 @@ class RatPoly:
     def __mul__(self, other) -> "RatPoly":
         if not isinstance(other, RatPoly):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly([])
-        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            return RatPoly(zp.zz_mul([c.numerator for c in a], [c.numerator for c in b]))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly(out)
+        da, fa = self.cleared()
+        db, fb = other.cleared()
+        d = da * db
+        return RatPoly([Fraction(c, d) for c in zp.zz_mul(fa, fb)])
 
     __rmul__ = __mul__
 
@@ -240,13 +232,17 @@ class RatPoly:
 
     # -- integer form ------------------------------------------------------
 
+    def cleared(self) -> tuple[int, list[int]]:
+        """Return (d, P) with self = P / d, P in ZZ[x], d the lcm of the
+        denominators."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
+
     def to_int_poly(self) -> tuple[Fraction, list[int]]:
         """Return (c, P) with self = c * P, P primitive in ZZ[x], lc(P) > 0."""
         if self.is_zero():
             return Fraction(0), []
-        den = reduce(lambda a, b: a * b // int_gcd(a, b),
-                     (c.denominator for c in self.coeffs), 1)
-        ints = [int(c * den) for c in self.coeffs]
+        den, ints = self.cleared()
         cont, prim = zp.zz_primitive(ints)
         return Fraction(cont, den), prim
 

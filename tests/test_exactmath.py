@@ -58,6 +58,16 @@ class TestPolyBasics:
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
 
+    def test_product_is_the_convolution(self):
+        rng = random.Random(2)
+        for _ in range(60):
+            a, b = (RatPoly([Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 6, 35]))
+                             for _ in range(rng.randrange(0, 6))]) for _ in range(2))
+            conv = [sum((x * b.coeffs[k - i] for i, x in enumerate(a.coeffs)
+                         if 0 <= k - i < len(b.coeffs)), Fraction(0))
+                    for k in range(len(a.coeffs) + len(b.coeffs) - 1)]
+            assert a * b == RatPoly(conv)
+
 
 class TestPolyGcd:
     def test_shared_root(self):
