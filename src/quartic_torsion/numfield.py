@@ -3,33 +3,62 @@
 Elements are coefficient vectors in the power basis 1, theta, ..., theta^(d-1).
 The defining polynomial is normalized to a monic integral form at construction
 (via x -> x/c) and certified irreducible once, so every downstream argument may
-assume it.  Root-finding inside the field goes through element norms: the norm
-of h(x - s*theta) is a rational polynomial whose factors of degree <= [K:QQ]
-pin down the candidate minimal polynomials, and a gcd over K recovers each
-root.  This keeps all rational factorization at degree <= 4 * deg(h) even when
-deg(h) is large, and at degree <= 16 for the common case of a quartic solve.
-A quartic field's Galois type and quadratic subfields are both read off the
-rational roots of the resolvent cubic of f at construction, so setting up a
-field finds no roots in it.
+assume it.  A quartic field's Galois type and quadratic subfields are both read
+off the rational roots of the resolvent cubic of f at construction, so setting
+up a field finds no roots in it.
 
-Most root searches of the engine find nothing, and most of those end before
-any norm is taken.  `NumberField.split_primes` lists, on first use, the first
-few primes p > 50 at which f has deg f distinct roots r mod p (so p does not
-divide disc f).  Each r gives a ring map from the p-integral elements of K
-onto F_p, theta -> r.  If h has p-integral coefficients and a leading
-coefficient that does not map to 0, every root of h in K is p-integral and
-maps to a root of the image of h in F_p[x].  So if gcd(x^p - x, h mod
-(p, theta - r)) = 1 for some such (p, r), h has no root in K (the modular test
+Root-finding works at completely split primes.  `NumberField.iter_split_primes`
+lists, on first use and never at construction, the primes p > 50 at which f
+has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
+gives a ring map from the p-integral elements of K onto F_p, theta -> r.
+
+Most root searches of the engine find nothing, and most of those end at once.
+If h has p-integral coefficients and a leading coefficient that does not map to
+0, every root of h in K is p-integral and maps to a root of the image of h in
+F_p[x].  So if gcd(x^p - x, h mod (p, theta - r)) = 1 for some such (p, r)
+among the first SPLIT_PRIME_COUNT primes, h has no root in K (the modular test
 of PARI's nfroots; Belabas, J. Symb. Comp. 37, 2004).  A pair (p, r) at which
 some coefficient has p in a denominator, or the leading coefficient maps to 0,
-proves nothing and is skipped.  The test only ever answers "no root": roots
-are still found by the norm method and verified by substitution.
+proves nothing and is skipped.
+
+Roots that do exist are found by lifting them at a split prime (Belabas 2004;
+Cohen, A Course in Computational Algebraic Number Theory, 3.6).  A squarefree h
+of degree n is made monic and scaled: h~(y) = D^n h(y/D), D the lcm of its
+coordinate denominators, is monic over Z[theta], so its roots beta = D*alpha
+are algebraic integers, and Delta*beta lies in Z[theta] for Delta = |disc f|
+(the index [O_K : Z[theta]] divides disc f).  At the first split prime p at
+which every image h~_i = h~(theta -> r_i) mod p is squarefree, each root of
+h~_i mod p lifts to exactly one root in Z/p^N, and each r_i to a root rho_i of
+f.  A root beta of h~ maps to one root of every h~_i; the Vandermonde system in
+the rho_i turns those images into its coordinates c_j mod p^N, and Delta*c_j is
+their symmetric residue once p^N > 2L, where
+
+    L = d * M * B * F^(d-1),   R = 1 + max_k |f_k|,   ||g|| = sum_j |g_j| R^j,
+    M = 1 + max_k ||a_k||  (a_k the coefficients of h~),
+    B = max_j ||b_j||      (f(x)/(x - theta) = sum_j b_j(theta) x^j),
+    F = ||f'||.
+
+Proof: every conjugate of theta has absolute value <= R and every conjugate of
+beta <= M (Cauchy's bound); c_j = Tr(beta * b_j(theta) / f'(theta)) (Euler's
+dual basis); and |f'(theta_i)| >= |disc f| / F^(d-1), because disc f is
++-prod_i f'(theta_i).  So |c_j| <= L / Delta.  Every matching of one root per
+image is tried; two extra p-adic digits keep wrong matchings from passing the
+bound, and a candidate is kept only if it passes exact substitution.  An image
+with no root mod p proves h rootless.  The bound makes the search complete, so
+there is no other method to fall back on.
+
+The norm method (Trager: factor Norm_{K/QQ} h(x - s*theta) over QQ and take a
+gcd over K per factor) stays in this module only as the independent oracle the
+tests compare the lift against; the engine never runs it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice, product
+from math import lcm
 
 from sympy import factorint
 
@@ -78,8 +107,8 @@ def _integral_scale(poly: RatPoly) -> int:
 class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
-    __slots__ = ("defining_poly", "degree", "galois_type", "_powers",
-                 "_quadratics", "_sqrt_cache", "_split_primes")
+    __slots__ = ("defining_poly", "degree", "galois_type", "_powers", "_quadratics",
+                 "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants")
 
     def __init__(self, poly: RatPoly):
         if poly.is_zero() or poly.degree not in (1, 2, 4):
@@ -114,7 +143,9 @@ class NumberField:
             self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
             self._quadratics = None
         self._sqrt_cache: dict[int, "FieldElement"] = {}
-        self._split_primes: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+        self._split_primes: list[tuple[int, tuple[int, ...]]] = []
+        self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
+        self._lift_constants: tuple[int, int, int, int] | None = None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.defining_poly == other.defining_poly
@@ -166,13 +197,23 @@ class NumberField:
             self._sqrt_cache[m] = sqrt_in_field(self.element(m), self)
         return self._sqrt_cache[m]
 
+    def iter_split_primes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(p, (r_1, ..., r_d)) for every prime p > SPLIT_PRIME_FLOOR at which
+        f has d = [K:QQ] distinct roots r_i mod p, in increasing order.  Found
+        on first use and cached, never at construction."""
+        i = 0
+        while True:
+            if i == len(self._split_primes):
+                if self._split_stream is None:
+                    self._split_stream = _split_prime_stream(self.defining_poly)
+                self._split_primes.append(next(self._split_stream))
+            yield self._split_primes[i]
+            i += 1
+
     def split_primes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(p, (r_1, ..., r_d)) for the first SPLIT_PRIME_COUNT primes p >
-        SPLIT_PRIME_FLOOR at which f has d = [K:QQ] distinct roots r_i mod p.
-        Built on first use, never at construction."""
-        if self._split_primes is None:
-            self._split_primes = _split_prime_table(self.defining_poly)
-        return self._split_primes
+        """The first SPLIT_PRIME_COUNT split primes, which the "no root"
+        certificate reads."""
+        return tuple(islice(self.iter_split_primes(), SPLIT_PRIME_COUNT))
 
 
 class FieldElement:
@@ -464,6 +505,10 @@ class KPoly:
 # ---------------------------------------------------------------------------
 
 
+# The norm method.  The engine does not run it; the tests use it as the oracle
+# for `_hensel_roots`.
+
+
 def _interpolate(points: list[tuple[int, Fraction]]) -> RatPoly:
     """Newton interpolation through distinct integer sample points."""
     xs = [Fraction(x) for x, _ in points]
@@ -508,7 +553,7 @@ def _shifted_ratpoly(p: RatPoly, s: int, K: NumberField) -> KPoly:
 
 
 def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
-    """Roots in K of a squarefree h in K[x]."""
+    """Roots in K of a squarefree h in K[x], by the norm method."""
     if h.degree == 0:
         return set()
     for s in (0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13, -13):
@@ -531,16 +576,22 @@ SPLIT_PRIME_FLOOR = 50
 SPLIT_PRIME_COUNT = 3
 
 
-def _split_prime_table(f: RatPoly) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(p, (r_1, ..., r_d)) for each prime p > SPLIT_PRIME_FLOOR, in increasing
+    order, at which f has d = deg f distinct roots r_i mod p."""
     fi = [int(c) for c in f.coeffs]
-    table = []
     for p in zp._prime_stream(SPLIT_PRIME_FLOOR):
-        roots = tuple(r for r in range(p) if sum(c * r**k for k, c in enumerate(fi)) % p == 0)
+        roots = tuple(r for r in range(p) if _eval_mod(fi, r, p) == 0)
         if len(roots) == f.degree:
-            table.append((p, roots))
-            if len(table) == SPLIT_PRIME_COUNT:
-                return tuple(table)
-    raise InvariantViolationError("unreachable")
+            yield p, roots
+
+
+def _eval_mod(g: list[int], x: int, m: int) -> int:
+    """g(x) mod m, g in Z[x]."""
+    v = 0
+    for c in reversed(g):
+        v = (v * x + c) % m
+    return v
 
 
 def _residue(c: Fraction, p: int) -> int | None:
@@ -564,10 +615,135 @@ def _no_root_certified(h, K: NumberField) -> bool:
         coords = [[_residue(x, p) for x in cs] for cs in coeffs]
         if any(None in cs for cs in coords):
             continue
-        images = {tuple(sum(x * r**k for k, x in enumerate(cs)) % p for cs in coords) for r in roots}
+        images = {tuple(_eval_mod(cs, r, p) for cs in coords) for r in roots}
         if any(hp[-1] and _rootless_mod_p(list(hp), p) for hp in images):
             return True
     return False
+
+
+# Roots by lifting at a split prime (see the module docstring).  Polynomials
+# over Z[theta] are lists of coordinate vectors, constant term first.
+
+
+def _weighted_norm(g: list[int], R: int) -> int:
+    """||g|| = sum_j |g_j| R^j, a bound on |g(z)| for |z| <= R."""
+    return sum(abs(c) * R**j for j, c in enumerate(g))
+
+
+def _lift_constants(K: NumberField) -> tuple[int, int, int, int]:
+    """(R, B, F, Delta) of the coordinate bound, computed on first use."""
+    if K._lift_constants is None:
+        f = [int(c) for c in K.defining_poly.coeffs]
+        R = 1 + max(abs(c) for c in f[:-1])
+        B = max(_weighted_norm(f[j + 1:], R) for j in range(K.degree))
+        F = _weighted_norm([k * f[k] for k in range(1, len(f))], R)
+        Delta = abs(int(resultant(K.defining_poly, K.defining_poly.derivative())))
+        K._lift_constants = (R, B, F, Delta)
+    return K._lift_constants
+
+
+def _scaled_monic(h: KPoly) -> tuple[int, list[list[int]]]:
+    """(D, h~): D is the lcm of the coordinate denominators of monic h, and
+    h~(y) = D^n h(y/D) is monic with coefficients in Z[theta]."""
+    if h.lc != 1:
+        h = h.monic()
+    n = h.degree
+    D = lcm(*(c.denominator for a in h.coeffs for c in a.coeffs))
+    return D, [[c.numerator * (D ** (n - k) // c.denominator) for c in a.coeffs]
+               for k, a in enumerate(h.coeffs)]
+
+
+def _coordinate_bound(K: NumberField, ht: list[list[int]]) -> int:
+    """L with |Delta * c_j| <= L for each coordinate c_j of each root of h~."""
+    R, B, F, _ = _lift_constants(K)
+    M = 1 + max(_weighted_norm(a, R) for a in ht[:-1])
+    return K.degree * M * B * F ** (K.degree - 1)
+
+
+def _lift_root(g: list[int], x: int, p: int, q: int) -> int:
+    """The root mod q = p^N of g in Z[x] above x, a simple root of g mod p."""
+    dg = [k * c for k, c in enumerate(g)][1:]
+    m = p
+    while m < q:
+        m = min(m * m, q)
+        x = (x - _eval_mod(g, x, m) * pow(_eval_mod(dg, x, m), -1, m)) % m
+    return x
+
+
+def _mul_mod_f(a: list[int], b: list[int], f: list[int]) -> list[int]:
+    """a * b in Z[theta], f monic."""
+    d = len(f) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(d):
+                prod[k - d + i] -= c * f[i]
+    return prod[:d]
+
+
+def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]) -> bool:
+    """Is h~(gamma / Delta) = 0?  Exact: Horner on Delta^n h~(gamma / Delta)
+    over Z[theta]."""
+    v = ht[-1]
+    scale = 1
+    for a in reversed(ht[:-1]):
+        scale *= Delta
+        v = [x + scale * c for x, c in zip(_mul_mod_f(v, gamma, f), a)]
+    return not any(v)
+
+
+def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
+    """Roots in K of a squarefree h in K[x], lifted at a split prime.  Every
+    root returned has passed exact substitution."""
+    if h.degree == 0:
+        return set()
+    D, ht = _scaled_monic(h)
+    f = [int(c) for c in K.defining_poly.coeffs]
+    # h squarefree: only the finitely many p dividing Norm(disc h~) fail
+    for p, rs in K.iter_split_primes():
+        images = [[_eval_mod(a, r, p) for a in ht] for r in rs]
+        if all(zp.gf_is_squarefree(img, p) for img in images):
+            break
+    root_lists = [[x for x in range(p) if _eval_mod(img, x, p) == 0] for img in images]
+    if not all(root_lists):
+        return set()
+    L = _coordinate_bound(K, ht)
+    q = p
+    while q <= 2 * L * p * p:
+        q *= p
+    rho = [_lift_root(f, r, p, q) for r in rs]
+    # vecs[i][k]: Delta * (k-th root of h~_i mod q) * (i-th Lagrange basis
+    # polynomial at the rho), so that summing one per i gives Delta * c mod q
+    Delta = _lift_constants(K)[3]
+    vecs = []
+    for i, (rho_i, rts) in enumerate(zip(rho, root_lists)):
+        basis, den = [1], 1
+        for k, rho_k in enumerate(rho):
+            if k != i:
+                basis = zp.zz_mul(basis, [-rho_k, 1])
+                den = den * (rho_i - rho_k) % q
+        w = Delta * pow(den, -1, q)
+        hi = [_eval_mod(a, rho_i, q) for a in ht]
+        vecs.append([[b * w * c % q for c in basis] for b in (_lift_root(hi, x, p, q) for x in rts)])
+    roots = set()
+    half = q // 2
+    for choice in product(*vecs):
+        gamma = []
+        for j in range(K.degree):
+            v = sum(vec[j] for vec in choice) % q
+            v = v - q if v > half else v
+            if abs(v) > L:
+                break
+            gamma.append(v)
+        else:
+            if _vanishes_at(ht, gamma, Delta, f):
+                roots.add(K.element([Fraction(c, Delta * D) for c in gamma]))
+    return roots
 
 
 def roots_in_field(h, K: NumberField) -> set[FieldElement]:
@@ -576,7 +752,7 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
     h may be a RatPoly (rational coefficients) or a KPoly over K.  An h that
     some split prime proves rootless returns at once.  For rational h the
     factorization happens over QQ first, so only factors whose degree divides
-    [K:QQ] ever reach the norm machinery.
+    [K:QQ] are lifted.
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
@@ -593,13 +769,13 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
                 if q.degree == 1:
                     roots.add(K.element(-q.coeffs[0]))
                 elif K.degree % q.degree == 0:
-                    roots |= _trager_roots(KPoly.from_ratpoly(K, q), K)
+                    roots |= _hensel_roots(KPoly.from_ratpoly(K, q), K)
         hK = KPoly.from_ratpoly(K, h)
     else:
         if K.degree == 1:
             return {K.element(r) for r in rational_roots(h.to_ratpoly())}
         hK = h
-        roots = _trager_roots(h.squarefree(), K)
+        roots = _hensel_roots(h.squarefree(), K)
     for r in roots:
         if not hK(r).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quartic_torsion import numfield
+from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
 from quartic_torsion.exactmath import RatPoly, is_irreducible, is_rational_square, resultant
 from quartic_torsion.numfield import (
@@ -113,7 +114,7 @@ class TestSplitPrimeCertificate:
         def forbidden(*args):
             raise AssertionError("split-prime table built during field set-up")
 
-        monkeypatch.setattr(numfield, "_split_prime_table", forbidden)
+        monkeypatch.setattr(numfield, "_split_prime_stream", forbidden)
         for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
             parse_field_spec(spec)
 
@@ -155,10 +156,113 @@ class TestSplitPrimeCertificate:
 
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
         monkeypatch.setattr(numfield, "factor_bounded", forbidden)
+        monkeypatch.setattr(numfield, "_hensel_roots", forbidden)
         th = ZETA5.gen()
         assert roots_in_field(RatPoly([-3, 0, 1]), ZETA5) == set()
         assert roots_in_field(KPoly(ZETA5, [-(th + 2), 0, 1]), ZETA5) == set()
         assert sqrt_in_field(th * 2, ZETA5) is None
+
+
+# (w, Tr w) for an algebraic integer w of degree 2 outside Z[theta]: its
+# power-basis coordinates have denominators, and (x - w)(x - Tr w + w) is in ZZ[x].
+OUTSIDE_Z_THETA = {
+    "-1,5": ([Fraction(1, 2), Fraction(7, 12), 0, Fraction(-1, 24)], 1),  # (1 + sqrt5)/2
+    "5;5;2": ([Fraction(-3, 4), 0, Fraction(1, 4), 0], 1),                # (1 + sqrt5)/2
+    "-3": ([Fraction(-1, 2), Fraction(1, 2)], -1),                        # (-1 + sqrt-3)/2
+}
+
+
+def _random_element(K, rng, dens=(1,)):
+    return K.element([Fraction(rng.randrange(-9, 10), rng.choice(dens)) for _ in range(K.degree)])
+
+
+def _planted(K, roots, cofactor):
+    h = cofactor
+    for alpha in roots:
+        h = h * KPoly(K, [-alpha, 1])
+    return h
+
+
+class TestHenselRoots:
+    """The lift at a split prime against the norm method as oracle."""
+
+    @pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5", "5;5;2", "-3", "-2,0,0,0"))
+    def test_agrees_with_norm_method(self, spec):
+        K = parse_field_spec(spec)
+        primes = [p for p, _ in K.split_primes()]
+        rng = random.Random(29)
+        sizes = []
+        for kind in ("integral", "split_denominators", "not_monic", "random") * 2:
+            dens = (1, 2, 3) + tuple(primes) if kind != "integral" else (1,)
+            if kind == "random":
+                h = KPoly(K, [_random_element(K, rng, dens) for _ in range(rng.randrange(3, 5))])
+                planted = []
+            else:
+                cofactor = KPoly(K, [_random_element(K, rng, dens) for _ in range(rng.randrange(1, 3))]
+                             + [_random_element(K, rng, dens) if kind == "not_monic" else 1])
+                planted = [_random_element(K, rng, dens)]
+                if kind == "integral" and spec in OUTSIDE_Z_THETA:
+                    coords, trace = OUTSIDE_Z_THETA[spec]
+                    w = K.element(coords)
+                    planted = [w, trace - w]
+                h = _planted(K, planted, cofactor)
+                if kind == "integral":
+                    assert numfield._scaled_monic(h)[0] == 1
+            if h.gcd(h.derivative()).degree != 0:
+                continue
+            got = numfield._hensel_roots(h, K)
+            assert got == numfield._trager_roots(h, K), (kind, h.coeffs)
+            assert set(planted) <= got
+            sizes.append(len(got))
+        assert 0 in sizes and max(sizes) >= 2
+
+    def test_root_outside_z_theta_needs_disc(self):
+        # x^2 - x - 1 is monic integral (D = 1), and its roots have power-basis
+        # denominators 24 over QQ(i, sqrt5)
+        K = parse_field_spec("-1,5")
+        phi = K.element(OUTSIDE_Z_THETA["-1,5"][0])
+        h = KPoly.from_ratpoly(K, RatPoly([-1, -1, 1]))
+        assert numfield._scaled_monic(h)[0] == 1
+        assert numfield._hensel_roots(h, K) == {phi, 1 - phi} == numfield._trager_roots(h, K)
+
+    @pytest.mark.parametrize("spec", ("-1,5", "6,105", "1,1,1,1"))
+    def test_coordinate_bound(self, spec):
+        # |Delta * c_j| <= L for the coordinates c_j of each root beta = D * alpha
+        K = parse_field_spec(spec)
+        f = K.defining_poly
+        Delta = numfield._lift_constants(K)[3]
+        assert Delta == abs(resultant(f, f.derivative()))
+        conjugates = list(numfield._trager_roots(KPoly.from_ratpoly(K, f), K))
+        assert len(conjugates) == 4
+        rng = random.Random(31)
+        for _ in range(12):
+            roots = {rng.choice(conjugates) * rng.choice((1, Fraction(1, 2), -3))
+                     + _random_element(K, rng, (1, 2, 3, 7)) * rng.randrange(2)
+                     for _ in range(rng.randrange(1, 4))}
+            h = _planted(K, roots, KPoly(K, [rng.choice((1, 5, Fraction(1, 3)))]))
+            D, ht = numfield._scaled_monic(h)
+            L = numfield._coordinate_bound(K, ht)
+            for alpha in roots:
+                for c in (alpha * D).coeffs:
+                    assert (Delta * c).denominator == 1 and abs(Delta * c) <= L, (alpha, L)
+
+    @pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5", "-3"))
+    def test_walks_past_the_table_primes(self, spec):
+        # (x - theta)(x - theta - P) has a double root mod every table prime
+        K = parse_field_spec(spec)
+        table = K.split_primes()
+        P = 1
+        for p, _ in table:
+            P *= p
+        th = K.gen()
+        h = _planted(K, [th, th + P], KPoly(K, [1]))
+        for p, rs in table:
+            for r in rs:
+                image = [sum(int(x) * r**j for j, x in enumerate(c.coeffs)) % p for c in h.coeffs]
+                assert not gf_is_squarefree(image, p)
+        assert numfield._hensel_roots(h, K) == {th, th + P}
+        assert roots_in_field(h, K) == {th, th + P}
+        assert len(K._split_primes) > numfield.SPLIT_PRIME_COUNT
 
 
 class TestSqrtInField:
@@ -213,7 +317,7 @@ class TestGaloisType:
             assert galois == (nroots == 4)
 
     def test_splitting_consistency_random(self):
-        # K is Galois iff f has all four roots in K, counted by Trager solves.
+        # K is Galois iff f has all four roots in K, counted by roots_in_field.
         # Random quartics are nearly all non-Galois; the Galois side is drawn
         # in TestPresentationInvariance.test_random_generators_of_galois_fields.
         rng = random.Random(17)
@@ -246,6 +350,7 @@ class TestGaloisType:
 
         monkeypatch.setattr(numfield, "roots_in_field", forbidden)
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
+        monkeypatch.setattr(numfield, "_hensel_roots", forbidden)
         expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
                     "-1,5": (GaloisType.Biquadratic, {-5, -1, 5}),
                     "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2}),

@@ -12,6 +12,7 @@ from math import gcd, lcm
 import pytest
 
 from quartic_torsion import grouptables as gt
+from quartic_torsion import numfield
 from quartic_torsion.ellcurve import Curve, quadratic_twist
 from quartic_torsion.errors import InconsistentCountsError
 from quartic_torsion.numfield import (
@@ -151,6 +152,21 @@ def test_rootless_division_polynomials_settled_without_factoring():
     # division polynomial with no root in K, and this case takes minutes.
     report = torsion_over_field(Curve.from_str("5,-1,-2,1,-3"), parse_field_spec("13;13;3"))
     assert report.structure == (1, 1)
+
+
+@pytest.mark.parametrize("curve, field, expected", [
+    ("1,1,1,-10,-10", "-1,5", (4, 8)),     # 15a1 over QQ(i, sqrt5)
+    ("0,-1,1,-10,-20", "1,1,1,1", (5, 5)),  # 11a1 over QQ(zeta5)
+    ("0,0,0,-1,0", "-1,2", (4, 4)),        # y^2 = x^3 - x over QQ(i, sqrt2)
+])
+def test_engine_takes_no_norm(monkeypatch, curve, field, expected):
+    # roots in K are lifted at a split prime; the norm method is the tests' oracle
+    def forbidden(*args):
+        raise AssertionError("norm method reached from the engine")
+
+    monkeypatch.setattr(numfield, "_trager_roots", forbidden)
+    monkeypatch.setattr(numfield, "_norm_poly_shifted", forbidden)
+    assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == expected
 
 
 class TestPresentationInvariance:
