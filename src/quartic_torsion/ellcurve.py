@@ -297,18 +297,12 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     return out
 
 
-def two_preimages(E: Curve, P: Point, K: NumberField) -> set[Point]:
-    """All Q in E(K) with [2]Q = P."""
-    if P.is_infinity():
-        return two_torsion(E, K)
-    return m_preimages(E, P, K, 2)
-
-
 def knapp_preimages(E: Curve, P: Point, K: NumberField) -> set[Point]:
     """Halving via the square criterion on y^2 = (x-r1)(x-r2)(x-r3).
 
     Requires the 2-division cubic of E to split over K.  Implemented as an
-    independent cross-check of two_preimages: the curve is rescaled to
+    independent cross-check of m_preimages(E, P, K, 2), which the engine's
+    lift loop runs: the curve is rescaled to
     Y^2 = X^3 + b2 X^2 + 8 b4 X + 16 b6 with X = 4x, Y = 8y + 4(a1 x + a3),
     whose cubic has the same splitting behaviour.
     """

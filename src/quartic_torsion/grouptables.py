@@ -1,5 +1,5 @@
 """The classification lists as plain data: the one source of the engine's
-search caps and primes and of its isogeny degrees.
+search caps and primes.
 
 Groups are pairs (d1, d2) with d1 | d2 meaning Z/d1 + Z/d2; (1, 1) is the
 trivial group.  Each table is hard-coded to match its published list line by
@@ -39,16 +39,6 @@ THM_BIQUADRATIC = (_cyclic([*range(1, 11), 12, 15, 16])
                    | _family(3, (1, 2)) | _family(4, (1, 2))
                    | frozenset({(6, 6)}))
 
-# groups that never embed in E(K) for K quartic (any E over K)
-BN_EXCLUDED_QUARTIC = frozenset({
-    (3, 12), (3, 18), (3, 27), (3, 33), (3, 39),
-    (4, 12), (4, 16), (4, 28), (4, 44), (4, 52), (4, 68),
-    (8, 8),
-})
-
-# all torsion over the fifth cyclotomic field (any E over that field)
-ZETA5_LIST = MAZUR | frozenset({(1, 15), (1, 16), (5, 5)})
-
 # how rational torsion can grow in one quadratic step: the printed table
 # (indexed by E(QQ); absent keys, e.g. C9, are outside the table's scope)
 GROWTH_QUADRATIC: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
@@ -67,12 +57,3 @@ GROWTH_QUADRATIC: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
     (2, 6): frozenset({(2, 6), (2, 12)}),
     (2, 8): frozenset({(2, 8)}),
 }
-
-# Landau function g(n): the largest order of an element of S_n
-LANDAU_G = {1: 1, 2: 2, 3: 3, 4: 4, 5: 6, 6: 6, 7: 12, 8: 15}
-
-# degrees of cyclic rational isogenies: n <= 19 or one of the sporadic values.
-# An exact membership set; no divisibility closure is assumed.  CM status is
-# unknown to the engine, so the set includes the CM degrees, which can only
-# under-report violations, never fabricate one.
-ISOGENY_DEGREES = frozenset(range(1, 20)) | {21, 25, 27, 37, 43, 67, 163}

@@ -698,8 +698,14 @@ def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]
 
 
 def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
-    """Roots in K of a squarefree h in K[x], lifted at a split prime.  Every
-    root returned has passed exact substitution."""
+    """Roots in K of h in K[x], lifted at a split prime.  Every root returned
+    has passed exact substitution.
+
+    One squarefree image proves h squarefree: if h = g^2 k with deg g > 0, the
+    monic g~ has algebraic-integer roots, so its coefficients are p-integral
+    (p does not divide disc f), and g~(theta -> r)^2 divides every image.
+    So h is reduced to its squarefree part only at a split prime where no
+    image is squarefree."""
     if h.degree == 0:
         return set()
     D, ht = _scaled_monic(h)
@@ -707,8 +713,12 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     # h squarefree: only the finitely many p dividing Norm(disc h~) fail
     for p, rs in K.iter_split_primes():
         images = [[_eval_mod(a, r, p) for a in ht] for r in rs]
-        if all(zp.gf_is_squarefree(img, p) for img in images):
+        squarefree = [zp.gf_is_squarefree(img, p) for img in images]
+        if all(squarefree):
             break
+        if not any(squarefree):
+            h = h.squarefree()
+            D, ht = _scaled_monic(h)
     root_lists = [[x for x in range(p) if _eval_mod(img, x, p) == 0] for img in images]
     if not all(root_lists):
         return set()
@@ -775,7 +785,7 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
         if K.degree == 1:
             return {K.element(r) for r in rational_roots(h.to_ratpoly())}
         hK = h
-        roots = _hensel_roots(h.squarefree(), K)
+        roots = _hensel_roots(h, K)
     for r in roots:
         if not hK(r).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")

@@ -11,12 +11,13 @@ from quartic_torsion.ellcurve import (
     curve_points_y,
     knapp_preimages,
     lutz_nagell_torsion,
+    m_preimages,
     quadratic_twist,
     short_model,
-    two_preimages,
     two_torsion,
 )
 from quartic_torsion.numfield import biquadratic_field, quadratic_field, rational_field
+from quartic_torsion.torsion import torsion_over_field
 
 Q = rational_field()
 E_X3_1 = Curve([0, 0, 0, 0, 1])      # y^2 = x^3 + 1
@@ -201,19 +202,19 @@ class TestTwoPreimages:
     def test_knapp_fails_over_q(self):
         # P = (0,0) on y^2 = x^3 - x: x - alpha values {0, 1, -1}; -1 not a square
         P = Point(E_X3_X, Q, (0, 0))
-        assert two_preimages(E_X3_X, P, Q) == set()
+        assert m_preimages(E_X3_X, P, Q, 2) == set()
         assert knapp_preimages(E_X3_X, P, Q) == set()
 
     def test_preimages_of_infinity(self):
         O = Point.infinity(E_X3_X, Q)
-        pre = two_preimages(E_X3_X, O, Q)
-        assert pre == two_torsion(E_X3_X, Q)
+        pre = two_torsion(E_X3_X, Q)
         assert len(pre) == 4
+        assert all(R.scalar_mul(2) == O for R in pre)
 
     def test_halving_over_q(self):
         # on y^2 = x^3 + 1: [2](2,3) = (0,1), so (0,1) halves to (2,+-3) etc.
         P = Point(E_X3_1, Q, (0, 1))
-        pre = two_preimages(E_X3_1, P, Q)
+        pre = m_preimages(E_X3_1, P, Q, 2)
         assert Point(E_X3_1, Q, (2, 3)) in pre
         for R in pre:
             assert R.scalar_mul(2) == P
@@ -222,18 +223,18 @@ class TestTwoPreimages:
         # curves with full rational 2-torsion: Knapp path == phi_2 root path
         K = quadratic_field(6)
         for E in (E_X3_X, Curve([0, 1, 0, -2, 0])):
-            for P in two_torsion(E, K):
-                assert two_preimages(E, P, K) == knapp_preimages(E, P, K)
+            for P in two_torsion(E, K) - {Point.infinity(E, K)}:
+                assert m_preimages(E, P, K, 2) == knapp_preimages(E, P, K)
 
     def test_cross_path_agreement_off_two_torsion(self):
         # halving points of order 4, where P != -P: of the two points above
         # an x-root, either one may be the half of P
         E = Curve([0, -47, 0, 4096, 0])
         K = biquadratic_field(-7, -15)
-        fours = {P for T in two_torsion(E, K) if not T.is_infinity() for P in two_preimages(E, T, K)}
+        fours = {P for T in two_torsion(E, K) if not T.is_infinity() for P in m_preimages(E, T, K, 2)}
         assert fours
         for P in fours:
-            assert two_preimages(E, P, K) == knapp_preimages(E, P, K)
+            assert m_preimages(E, P, K, 2) == knapp_preimages(E, P, K)
 
     def test_fujita_halving_chain(self):
         # y^2 = x(x^2 - 47x + 4096) over QQ(sqrt(-7), sqrt(-15)) has a point
@@ -249,7 +250,7 @@ class TestTwoPreimages:
             for P in pts:
                 if P.is_infinity():
                     continue
-                nxt |= two_preimages(E, P, K)
+                nxt |= m_preimages(E, P, K, 2)
             assert nxt, f"halving chain stopped at order {order}"
             pts = nxt
             order *= 2
@@ -274,13 +275,25 @@ class TestLutzNagell:
         assert st == (1, 5)
 
     def test_mazur_membership(self):
-        rng = random.Random(26)
         allowed = {(1, n) for n in list(range(1, 11)) + [12]} | {(2, 2 * n) for n in range(1, 5)}
-        for _ in range(25):
-            try:
-                E = Curve([rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3),
-                           rng.randrange(-6, 7), rng.randrange(-6, 7)])
-            except SingularCurveError:
-                continue
+        for E in _random_curves():
             st, _ = lutz_nagell_torsion(E)
             assert st in allowed, (E, st)
+
+    def test_engine_agrees_over_q(self):
+        # Lutz-Nagell is the oracle for the engine's lift loop over QQ
+        for E in _random_curves():
+            assert lutz_nagell_torsion(E)[0] == torsion_over_field(E, Q).structure, E
+
+
+def _random_curves():
+    """The nonsingular curves among 25 seeded draws of small a-invariants."""
+    rng = random.Random(26)
+    out = []
+    for _ in range(25):
+        try:
+            out.append(Curve([rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(-2, 3),
+                              rng.randrange(-6, 7), rng.randrange(-6, 7)]))
+        except SingularCurveError:
+            continue
+    return out

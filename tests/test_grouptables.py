@@ -3,15 +3,21 @@
 Each table is compared with a literal copy of its published list, and the
 derived caps and primes with the values the engine searched with when they
 were written by hand.  A change to a table therefore shows up here before it
-changes what the engine searches.
+changes what the engine searches.  The structural constraints that membership
+in a table implies (full level, Landau bound, rational isogeny degrees,
+excluded orders and subgroups) are written out here as literal predicates, and
+every table member must pass them: the engine checks only membership.
 """
 
+from math import gcd
+
 import pytest
+from sympy import divisors, primefactors
 
 from quartic_torsion import grouptables as gt
 from quartic_torsion.errors import UnsupportedFieldError
 from quartic_torsion.numfield import GaloisType
-from quartic_torsion.torsion import TorsionStructure, p_primary_bound, search_primes
+from quartic_torsion.torsion import TorsionStructure, classification_table, p_primary_bound, search_primes
 
 
 def _cyclic(*ns):
@@ -80,3 +86,77 @@ def test_non_galois_quartic_has_no_table():
         search_primes(GaloisType.NonGaloisQuartic)
     with pytest.raises(UnsupportedFieldError):
         p_primary_bound(2, GaloisType.NonGaloisQuartic)
+
+
+# levels n at which full n-torsion can be defined over a field of each type
+FULL_LEVELS = {
+    GaloisType.Rational: {1, 2},
+    GaloisType.Quadratic: {1, 2, 3, 4},
+    GaloisType.Biquadratic: {1, 2, 3, 4, 6},
+    GaloisType.CyclicQuartic: {1, 2, 5, 10},
+}
+DEGREE = {GaloisType.Rational: 1, GaloisType.Quadratic: 2,
+          GaloisType.Biquadratic: 4, GaloisType.CyclicQuartic: 4}
+# Landau's function g(n), the largest order of an element of S_n: full
+# p-torsion over a field of degree n needs p - 1 <= g(n)
+LANDAU_G = {1: 1, 2: 2, 4: 4}
+# degrees of cyclic rational isogenies: n <= 19 or one of the sporadic values
+ISOGENY_DEGREES = set(range(1, 20)) | {21, 25, 27, 37, 43, 67, 163}
+# orders of no point of E(K), E over QQ, K cyclic quartic
+EXCLUDED_ORDERS_CYCLIC_QUARTIC = (11, 14, 18, 20, 21, 22, 24)
+# groups that never embed in E(K) for K quartic (any E over K)
+BN_EXCLUDED_QUARTIC = {
+    (3, 12), (3, 18), (3, 27), (3, 33), (3, 39),
+    (4, 12), (4, 16), (4, 28), (4, 44), (4, 52), (4, 68),
+    (8, 8),
+}
+
+
+def _two_part(n):
+    return n & -n
+
+
+def _violations(g, d1, d2):
+    """Names of the structural constraints that Z/d1 + Z/d2 over a field of
+    type g breaks."""
+    out = set()
+    if d1 not in FULL_LEVELS[g]:
+        out.add("full_level")
+    for p in primefactors(d1):
+        if p - 1 > LANDAU_G[DEGREE[g]]:
+            out.add("landau_bound")
+        if g is GaloisType.CyclicQuartic and p not in (2, 5):
+            out.add("full_p_cyclic_quartic")
+    for n in divisors(d2)[1:]:
+        # the cyclic layers are Galois stable, so they are rational isogenies
+        if gcd(n, d1) == 1 and n not in ISOGENY_DEGREES:
+            out.add("cyclic_layer_isogeny")
+        if g is GaloisType.CyclicQuartic and n % 2 and n % 5 and n not in ISOGENY_DEGREES:
+            out.add("odd_layer_isogeny_cyclic")
+    if _two_part(d1) == 2 and _two_part(d2) >= 4 and _two_part(d2) // 2 not in ISOGENY_DEGREES:
+        out.add("two_power_isogeny")
+    if g is GaloisType.CyclicQuartic and any(d2 % n == 0 for n in EXCLUDED_ORDERS_CYCLIC_QUARTIC):
+        out.add("excluded_order")
+    if DEGREE[g] == 4 and (d1, d2) in BN_EXCLUDED_QUARTIC:
+        out.add("not_bn_excluded")
+    return out
+
+
+@pytest.mark.parametrize("g", list(FULL_LEVELS), ids=lambda g: g.value)
+def test_members_pass_the_structural_constraints(g):
+    broken = {group: v for group in classification_table(g) if (v := _violations(g, *group))}
+    assert not broken
+
+
+@pytest.mark.parametrize("g, group, name", [
+    (GaloisType.Biquadratic, (5, 5), "full_level"),
+    (GaloisType.Biquadratic, (7, 7), "landau_bound"),
+    (GaloisType.CyclicQuartic, (3, 3), "full_p_cyclic_quartic"),
+    (GaloisType.Quadratic, (1, 23), "cyclic_layer_isogeny"),
+    (GaloisType.Biquadratic, (2, 64), "two_power_isogeny"),
+    (GaloisType.CyclicQuartic, (5, 115), "odd_layer_isogeny_cyclic"),
+    (GaloisType.CyclicQuartic, (1, 11), "excluded_order"),
+    (GaloisType.Biquadratic, (4, 16), "not_bn_excluded"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_each_constraint_excludes_a_group(g, group, name):
+    assert name in _violations(g, *group)

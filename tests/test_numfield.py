@@ -265,6 +265,48 @@ class TestHenselRoots:
         assert len(K._split_primes) > numfield.SPLIT_PRIME_COUNT
 
 
+class TestSquarefreeOnDemand:
+    """The lift takes the squarefree part of h only when the images of h at a
+    split prime are not all squarefree."""
+
+    @pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5", "-3"))
+    def test_sqrt_takes_no_squarefree_part(self, monkeypatch, spec):
+        # x^2 - beta has a squarefree image at each split prime p > 50 unless
+        # beta = 0 mod p, and these small betas are not
+        def forbidden(h):
+            raise AssertionError(f"squarefree part taken of {h!r}")
+
+        monkeypatch.setattr(KPoly, "squarefree", forbidden)
+        K = parse_field_spec(spec)
+        rng = random.Random(37)
+        for _ in range(6):
+            x = _random_element(K, rng, (1, 2, 3))
+            g = sqrt_in_field(x * x, K)
+            assert g is not None and g * g == x * x
+            beta = _random_element(K, rng, (1, 2, 3))
+            got = sqrt_in_field(beta, K)
+            if got is None:
+                h = KPoly(K, [-beta, K.zero(), K.one()])
+                assert numfield._trager_roots(h, K) == set()
+            else:
+                assert got * got == beta
+
+    def test_double_root(self, monkeypatch):
+        # (x - theta)^2 (x + 1) over QQ(zeta5)
+        squarefree = KPoly.squarefree
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return squarefree(h)
+
+        monkeypatch.setattr(KPoly, "squarefree", counted)
+        th = ZETA5.gen()
+        h = _planted(ZETA5, [th, th, ZETA5.element(-1)], KPoly(ZETA5, [1]))
+        assert roots_in_field(h, ZETA5) == {th, ZETA5.element(-1)}
+        assert calls == [h]
+
+
 class TestSqrtInField:
     def test_sqrt_of_5(self):
         assert sqrt_in_field(5, SQRT5) == SQRT5.gen()

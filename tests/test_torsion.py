@@ -1,9 +1,9 @@
 """The torsion engine end to end on small witnesses.
 
 Each witness is computed once.  Its subfield torsion, derived from the points
-of E(K)_tors, is compared with a fresh computation over each subfield, and
-the point orders read off the lift levels are compared with brute-force
-multiplication.
+of E(K)_tors, is compared with a fresh computation over each subfield, the
+point orders read off the lift levels with brute-force multiplication, and
+its odd n-torsion with a count that does not run the lift loop.
 """
 
 from fractions import Fraction
@@ -13,10 +13,11 @@ import pytest
 
 from quartic_torsion import grouptables as gt
 from quartic_torsion import numfield
-from quartic_torsion.ellcurve import Curve, quadratic_twist
+from quartic_torsion.ellcurve import Curve, quadratic_twist, short_model
 from quartic_torsion.errors import InconsistentCountsError
 from quartic_torsion.numfield import (
     GaloisType,
+    KPoly,
     cyclic_criterion,
     parse_field_spec,
     quadratic_field,
@@ -27,7 +28,6 @@ from quartic_torsion.torsion import (
     structure_of_orders,
     subfield_torsion,
     torsion_over_field,
-    twist_decomposition_check,
 )
 
 # (curve spec, field spec, E(K)_tors)
@@ -63,6 +63,34 @@ class TestWitnesses:
         names = [name for name, _ in report.checks]
         assert names.count("growth_chain") >= 1
         assert all(ok for _, ok in report.checks)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_torsion_count(self, witness, n):
+        # |E(K)[n]| from the division polynomial and square roots in K
+        report, _ = witness
+        expected = sum(1 for m in report.points.values() if n % m == 0)
+        assert count_torsion_in_field(report.curve, report.field_, n) == expected
+
+    def test_short_model(self, witness):
+        # the report does not depend on the Weierstrass model of E
+        report, _ = witness
+        other = torsion_over_field(short_model(report.curve), report.field_)
+        assert other.structure == report.structure
+        assert other.point_definition_degrees == report.point_definition_degrees
+
+
+@pytest.mark.parametrize("curve, field, expected", WITNESSES)
+def test_squarefree_part_only_of_repeated_roots(monkeypatch, curve, field, expected):
+    # the lift reduces h to its squarefree part only when h has a repeated root
+    squarefree = KPoly.squarefree
+
+    def only_if_repeated(h):
+        if h.gcd(h.derivative()).degree == 0:
+            raise AssertionError(f"squarefree part taken of squarefree {h!r}")
+        return squarefree(h)
+
+    monkeypatch.setattr(KPoly, "squarefree", only_if_repeated)
+    assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == expected
 
 
 class TestSubfieldTorsion:
@@ -122,7 +150,25 @@ class TestStructureOfOrders:
 
 
 class TestTwistDecomposition:
-    """|E(F(sqrt alpha))[n]| = |E(F)[n]| * |E^alpha(F)[n]| for odd n."""
+    """The odd part of E(QQ(sqrt d))_tors is that of E(QQ)_tors times that of
+    E^d(QQ)_tors, since the odd torsion over QQ(sqrt d) splits into the +1 and
+    -1 eigenspaces of the conjugation, which are E(QQ) and the twist's points."""
+
+    @pytest.mark.parametrize("d", [-1, 2, -3, 5])
+    @pytest.mark.parametrize("curve", ["0,-1,1,-10,-20", "1,0,1,4,-6", "1,1,1,-10,-10", "0,0,1,-1,0"],
+                             ids=["11a1", "14a1", "15a1", "37a1"])
+    def test_odd_part_over_quadratic_field(self, curve, d):
+        E = Curve.from_str(curve)
+        over_q = rational_field()
+        assert (_odd_order(E, quadratic_field(d))
+                == _odd_order(E, over_q) * _odd_order(quadratic_twist(E, d), over_q))
+
+    def test_14a1_over_sqrt_minus_3(self):
+        # (3, 6) over QQ(sqrt -3) from (1, 6) over QQ and (1, 6) for the twist
+        E = Curve.from_str("1,0,1,4,-6")
+        assert torsion_over_field(E, quadratic_field(-3)).structure == (3, 6)
+        assert torsion_over_field(E, rational_field()).structure == (1, 6)
+        assert torsion_over_field(quadratic_twist(E, -3), rational_field()).structure == (1, 6)
 
     def test_11a1_five_torsion_over_cyclic_quartic(self):
         E = Curve.from_str("0,-1,1,-10,-20")
@@ -132,19 +178,22 @@ class TestTwistDecomposition:
         assert K == parse_field_spec("5,0,5,0,1")
         assert count_torsion_in_field(E, K, 5) == 25
         assert count_torsion_in_field(E, F, 5) == 5
-        assert twist_decomposition_check(E, F, alpha, 5)
 
     def test_11a1_five_torsion_over_biquadratic(self):
         # the twist by -1 has no 5-torsion over QQ(sqrt5): 5 = 5 * 1
         E = Curve.from_str("0,-1,1,-10,-20")
         F = quadratic_field(5)
         assert count_torsion_in_field(E, parse_field_spec("5,-1"), 5) == 5
+        assert count_torsion_in_field(E, F, 5) == 5
         assert count_torsion_in_field(quadratic_twist(E, -1), F, 5) == 1
-        assert twist_decomposition_check(E, F, -1, 5)
 
-    def test_37a1_three_torsion(self):
-        E = Curve.from_str("0,0,1,-1,0")
-        assert twist_decomposition_check(E, quadratic_field(5), [5, 2], 3)  # 5 + 2 sqrt5
+
+def _odd_order(E, K):
+    d1, d2 = torsion_over_field(E, K).structure
+    n = d1 * d2
+    while n % 2 == 0:
+        n //= 2
+    return n
 
 
 def test_rootless_division_polynomials_settled_without_factoring():
