@@ -264,7 +264,10 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
 
 
 def poly_xgcd(f: RatPoly, g: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended gcd over QQ: returns (d, u, v), d monic, u*f + v*g = d."""
+    """Extended gcd over QQ: returns (d, u, v), d monic, u*f + v*g = d.
+
+    The engine does not run it; the tests use it as the independent oracle
+    for `FieldElement.inverse` (u = 1/a mod f when d = 1)."""
     r0, r1 = f, g
     s0, s1 = RatPoly([1]), RatPoly([])
     t0, t1 = RatPoly([]), RatPoly([1])

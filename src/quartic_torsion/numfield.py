@@ -1,9 +1,20 @@
 """Number fields QQ[theta]/(f) of degree 1, 2, and 4.
 
-Elements are coefficient vectors in the power basis 1, theta, ..., theta^(d-1).
 The defining polynomial is normalized to a monic integral form at construction
 (via x -> x/c) and certified irreducible once, so every downstream argument may
-assume it.  A quartic field's Galois type and quadratic subfields are both read
+assume it.  An element is stored as one integer vector over Z[theta] and one
+denominator (Cohen, A Course in Computational Algebraic Number Theory, 4.2):
+num in the power basis 1, theta, ..., theta^(d-1) and den > 0 with
+gcd(den, *num) = 1, so each element has exactly one (num, den).  Sums and
+products are integer arithmetic, a product reduced modulo the monic integral f
+(`_mul_mod_f`, the multiply the root lift uses too).  The inverse solves
+M x = e_0, M the integer matrix of multiplication by num, by fraction-free
+Gaussian elimination (Bareiss, Math. Comp. 22, 1968); by Cramer's rule
+det(M) * x is integral, so the inverse is den * (det(M) * x) / det(M) with no
+fraction on the way.  `FieldElement.coeffs` gives the coordinates as Fractions
+for reports, sorting and the tests.
+
+A quartic field's Galois type and quadratic subfields are both read
 off the rational roots of the resolvent cubic of f at construction, so setting
 up a field finds no roots in it.
 
@@ -55,10 +66,10 @@ tests compare the lift against; the engine never runs it.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm
+from math import gcd, lcm
 
 from sympy import factorint
 
@@ -70,7 +81,6 @@ from .exactmath import (
     is_irreducible,
     is_rational_square,
     poly_gcd,
-    poly_xgcd,
     rat_from_str,
     rational_roots,
     rational_sqrt,
@@ -107,7 +117,7 @@ def _integral_scale(poly: RatPoly) -> int:
 class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
-    __slots__ = ("defining_poly", "degree", "galois_type", "_powers", "_quadratics",
+    __slots__ = ("defining_poly", "degree", "galois_type", "_f_int", "_quadratics",
                  "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants")
 
     def __init__(self, poly: RatPoly):
@@ -121,22 +131,8 @@ class NumberField:
         if poly.degree > 1 and not is_irreducible(poly):
             raise UnsupportedFieldError(f"defining polynomial is reducible: {poly!r}")
         self.defining_poly = poly
-        self.degree = poly.degree
-        d = self.degree
-        # reduction table: theta^k for k in [d, 2d-2]
-        powers = []
-        if d > 1:
-            red = [-c for c in poly.coeffs[:-1]]
-            powers.append(tuple(red))
-            for _ in range(d - 2):
-                prev = powers[-1]
-                nxt = [Fraction(0)] + list(prev[: d - 1])
-                top = prev[d - 1]
-                if top:
-                    for i in range(d):
-                        nxt[i] += top * red[i]
-                powers.append(tuple(nxt))
-        self._powers = tuple(powers)
+        self.degree = d = poly.degree
+        self._f_int = tuple(int(c) for c in poly.coeffs)
         if d == 4:
             self.galois_type, self._quadratics = _galois_structure(poly)
         else:
@@ -160,16 +156,19 @@ class NumberField:
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError("element of a different field")
             return value
-        if isinstance(value, (int, Fraction)):
-            coeffs = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-            return FieldElement(self, coeffs)
+        zeros = (0,) * (self.degree - 1)
+        if isinstance(value, int):
+            return FieldElement(self, (value,) + zeros)
+        if isinstance(value, Fraction):
+            return FieldElement(self, (value.numerator,) + zeros, value.denominator)
         coeffs = [Fraction(v) for v in value]
         if len(coeffs) != self.degree:
             raise ValueError(f"need {self.degree} coordinates")
-        return FieldElement(self, coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return FieldElement(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -217,18 +216,34 @@ class NumberField:
 
 
 class FieldElement:
-    __slots__ = ("field", "coeffs")
+    """num / den, num a tuple of ints in the power basis and den > 0 an int
+    with gcd(den, *num) = 1, so that each element has one (num, den)."""
 
-    def __init__(self, field: NumberField, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den: int = 1):
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != field.degree:
+        self.num = tuple(num)
+        self.den = den
+        if len(self.num) != field.degree:
             raise InvariantViolationError(
-                f"{len(self.coeffs)} coordinates for a field of degree {field.degree}")
+                f"{len(self.num)} coordinates for a field of degree {field.degree}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            return other if other.field == self.field else None
+            return other if other.field is self.field or other.field == self.field else None
         if isinstance(other, (int, Fraction)):
             return self.field.element(other)
         return None
@@ -237,7 +252,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        return FieldElement(self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
@@ -245,7 +261,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        return FieldElement(self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -254,29 +271,17 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(self.field, [a * other.numerator for a in self.num],
+                                self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        if d == 1:
-            return FieldElement(self.field, (self.coeffs[0] * o.coeffs[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                red = self.field._powers[k - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return FieldElement(self.field, out)
+        return FieldElement(self.field, _mul_mod_f(self.num, o.num, self.field._f_int),
+                            self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -306,55 +311,81 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
+        """den * x / det, where M x = e_0 and M is the integer matrix of
+        multiplication by num, solved by Bareiss elimination."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
-        # u * self + v * f = 1 in QQ[x]
-        d, u, _ = poly_xgcd(RatPoly(self.coeffs), self.field.defining_poly)
-        if d.degree != 0:
-            raise InvariantViolationError(f"{self!r} shares a factor with the defining polynomial")
-        u = u.scale(1 / d.coeffs[0]) if d.coeffs[0] != 1 else u
-        red = u % self.field.defining_poly
-        cs = list(red.coeffs) + [Fraction(0)] * (self.field.degree - len(red.coeffs))
-        return FieldElement(self.field, cs)
+        f = self.field._f_int
+        d = len(f) - 1
+        # column j of M is num * theta^j; the rows are augmented with e_0
+        cols = [self.num]
+        for _ in range(d - 1):
+            c = cols[-1]
+            cols.append([-c[-1] * f[0]] + [c[i - 1] - c[-1] * f[i] for i in range(1, d)])
+        rows = [list(r) + [int(i == 0)] for i, r in enumerate(zip(*cols))]
+        prev = 1
+        for k in range(d):
+            if rows[k][k] == 0:
+                swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
+                if swap is None:
+                    raise InvariantViolationError(f"{self!r} has a singular multiplication matrix")
+                rows[k], rows[swap] = rows[swap], rows[k]
+            pivot = rows[k]
+            for row in rows[k + 1:]:
+                a = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (row[j] * pivot[k] - a * pivot[j]) // prev
+                row[k] = 0
+            prev = pivot[k]
+        # U y = det * b with det = prev: y = det * x is integral (Cramer)
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            y[i] = (prev * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))) // row[i]
+        return FieldElement(self.field, [self.den * c for c in y], prev)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return ((other.field is self.field or other.field == self.field)
+                    and other.num == self.num and other.den == self.den)
         if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
-        return (isinstance(other, FieldElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self.is_rational())
+        return False
 
     def __hash__(self):
-        return hash((self.field.defining_poly.coeffs, self.coeffs))
+        # a rational element hashes as its value, because it equals it
+        if self.is_rational():
+            return hash(self.num[0] if self.den == 1 else Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"FieldElement{self.coeffs}"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def norm(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if self.field.degree == 1:
-            return self.coeffs[0]
+            return self.rational_value()
         return resultant(self.field.defining_poly, RatPoly(self.coeffs))
 
     def sort_key(self):
-        return tuple(self.coeffs)
+        return self.coeffs
 
     def canonical_sign(self) -> "FieldElement":
         """Among {self, -self} the one whose first nonzero coordinate is > 0."""
-        for c in self.coeffs:
+        for c in self.num:
             if c > 0:
                 return self
             if c < 0:
@@ -386,7 +417,7 @@ class KPoly:
     def to_ratpoly(self) -> RatPoly:
         if not all(c.is_rational() for c in self.coeffs):
             raise ValueError("polynomial has irrational coefficients")
-        return RatPoly([c.coeffs[0] for c in self.coeffs])
+        return RatPoly([c.rational_value() for c in self.coeffs])
 
     @property
     def degree(self):
@@ -594,13 +625,6 @@ def _eval_mod(g: list[int], x: int, m: int) -> int:
     return v
 
 
-def _residue(c: Fraction, p: int) -> int | None:
-    """c mod p, or None when p divides the denominator of c."""
-    if c.denominator % p == 0:
-        return None
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
 def _rootless_mod_p(hp: list[int], p: int) -> bool:
     """Has hp in F_p[x] (lc nonzero mod p) no root in F_p?"""
     xp = zp.gf_pow_mod([0, 1], p, hp, p)
@@ -610,11 +634,17 @@ def _rootless_mod_p(hp: list[int], p: int) -> bool:
 def _no_root_certified(h, K: NumberField) -> bool:
     """True when some split prime proves that h has no root in K (see the
     module docstring); False proves nothing."""
-    coeffs = [(c,) for c in h.coeffs] if isinstance(h, RatPoly) else [c.coeffs for c in h.coeffs]
+    if isinstance(h, RatPoly):
+        coeffs = [((c.numerator,), c.denominator) for c in h.coeffs]
+    else:
+        coeffs = [(c.num, c.den) for c in h.coeffs]
     for p, roots in K.split_primes():
-        coords = [[_residue(x, p) for x in cs] for cs in coeffs]
-        if any(None in cs for cs in coords):
+        if any(den % p == 0 for _, den in coeffs):
             continue
+        coords = []
+        for num, den in coeffs:
+            inv = pow(den, -1, p)
+            coords.append([x * inv % p for x in num])
         images = {tuple(_eval_mod(cs, r, p) for cs in coords) for r in roots}
         if any(hp[-1] and _rootless_mod_p(list(hp), p) for hp in images):
             return True
@@ -633,7 +663,7 @@ def _weighted_norm(g: list[int], R: int) -> int:
 def _lift_constants(K: NumberField) -> tuple[int, int, int, int]:
     """(R, B, F, Delta) of the coordinate bound, computed on first use."""
     if K._lift_constants is None:
-        f = [int(c) for c in K.defining_poly.coeffs]
+        f = K._f_int
         R = 1 + max(abs(c) for c in f[:-1])
         B = max(_weighted_norm(f[j + 1:], R) for j in range(K.degree))
         F = _weighted_norm([k * f[k] for k in range(1, len(f))], R)
@@ -648,9 +678,8 @@ def _scaled_monic(h: KPoly) -> tuple[int, list[list[int]]]:
     if h.lc != 1:
         h = h.monic()
     n = h.degree
-    D = lcm(*(c.denominator for a in h.coeffs for c in a.coeffs))
-    return D, [[c.numerator * (D ** (n - k) // c.denominator) for c in a.coeffs]
-               for k, a in enumerate(h.coeffs)]
+    D = lcm(*(a.den for a in h.coeffs))
+    return D, [[c * (D ** (n - k) // a.den) for c in a.num] for k, a in enumerate(h.coeffs)]
 
 
 def _coordinate_bound(K: NumberField, ht: list[list[int]]) -> int:
@@ -670,7 +699,7 @@ def _lift_root(g: list[int], x: int, p: int, q: int) -> int:
     return x
 
 
-def _mul_mod_f(a: list[int], b: list[int], f: list[int]) -> list[int]:
+def _mul_mod_f(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list[int]:
     """a * b in Z[theta], f monic."""
     d = len(f) - 1
     prod = [0] * (2 * d - 1)
@@ -709,7 +738,7 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     if h.degree == 0:
         return set()
     D, ht = _scaled_monic(h)
-    f = [int(c) for c in K.defining_poly.coeffs]
+    f = K._f_int
     # h squarefree: only the finitely many p dividing Norm(disc h~) fail
     for p, rs in K.iter_split_primes():
         images = [[_eval_mod(a, r, p) for a in ht] for r in rs]
@@ -752,7 +781,7 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
             gamma.append(v)
         else:
             if _vanishes_at(ht, gamma, Delta, f):
-                roots.add(K.element([Fraction(c, Delta * D) for c in gamma]))
+                roots.add(FieldElement(K, gamma, Delta * D))
     return roots
 
 
@@ -799,7 +828,7 @@ def sqrt_in_field(beta, K: NumberField):
     if beta.is_zero():
         return K.zero()
     if K.degree == 1:
-        r = rational_sqrt(beta.coeffs[0])
+        r = rational_sqrt(beta.rational_value())
         return None if r is None else K.element(r)
     h = KPoly(K, [-beta, K.zero(), K.one()])
     roots = roots_in_field(h, K)
@@ -951,17 +980,11 @@ def definition_degree(elements, K: NumberField) -> int:
 
 
 def _in_quadratic_span(e: FieldElement, w: FieldElement) -> bool:
-    """Is e in QQ + QQ*w?  (Only the theta-coordinates constrain this: the
-    rational coordinate is absorbed by the QQ*1 part.)"""
-    c1 = None
-    for ei, wi in zip(e.coeffs[1:], w.coeffs[1:]):
-        if wi == 0:
-            if ei != 0:
-                return False
-        else:
-            v = ei / wi
-            if c1 is None:
-                c1 = v
-            elif c1 != v:
-                return False
-    return True
+    """Is e in QQ + QQ*w?  Only the theta-coordinates constrain this (the
+    rational coordinate is absorbed by the QQ*1 part): they must be
+    proportional to those of w, which the denominators do not change."""
+    es, ws = e.num[1:], w.num[1:]
+    k = next((i for i, c in enumerate(ws) if c), None)
+    if k is None:
+        return not any(es)
+    return all(ei * ws[k] == es[k] * wi for ei, wi in zip(es, ws))

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from quartic_torsion import numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
-from quartic_torsion.exactmath import RatPoly, is_irreducible, is_rational_square, resultant
+from quartic_torsion.exactmath import RatPoly, is_irreducible, is_rational_square, poly_xgcd, resultant
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -58,6 +59,122 @@ class TestElementArithmetic:
             x = F_10_5.element([rng.randrange(-4, 5) for _ in range(4)])
             y = F_10_5.element([rng.randrange(-4, 5) for _ in range(4)])
             assert (x * y).norm() == x.norm() * y.norm()
+
+
+def _reference_mul(a, b, f):
+    """a * b for Fraction coordinate vectors a, b modulo the monic f: the
+    schoolbook product, then theta^k for k >= d replaced from a table of
+    Fraction vectors."""
+    d, fc = f.degree, f.coeffs
+    table = [[-c for c in fc[:-1]]]  # theta^d, theta^(d+1), ..., theta^(2d-2)
+    for _ in range(d - 2):
+        prev = table[-1]
+        table.append([x - prev[-1] * c for x, c in zip([0] + prev[:-1], fc)])
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    out = prod[:d]
+    for k in range(d, 2 * d - 1):
+        out = [o + prod[k] * t for o, t in zip(out, table[k - d])]
+    return tuple(out)
+
+
+def _reference_inverse(a, f):
+    """1/a from u*a + v*f = 1 (`poly_xgcd` over QQ), reduced mod f."""
+    g, u, _ = poly_xgcd(RatPoly(a), f)
+    assert g == RatPoly([1])
+    u = list((u % f).coeffs)
+    return tuple(u + [Fraction(0)] * (f.degree - len(u)))
+
+
+def _reference_pow(a, n, f):
+    if n < 0:
+        a, n = _reference_inverse(a, f), -n
+    out = (Fraction(1),) + (Fraction(0),) * (f.degree - 1)
+    for _ in range(n):
+        out = _reference_mul(out, a, f)
+    return out
+
+
+def _is_canonical(x):
+    return (all(type(c) is int for c in x.num) and type(x.den) is int and x.den > 0
+            and gcd(x.den, *x.num) == 1)
+
+
+class TestFieldElementArithmetic:
+    """Elements as (num, den) over Z[theta] against Fraction coordinate
+    vectors, and the inverse against the extended gcd over QQ."""
+
+    SPECS = ("q", "-3", "1,1,1,1", "-1,5", "5;5;2", "-2,0,0,0")
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_against_fraction_vectors(self, spec):
+        K = parse_field_spec(spec)
+        f = K.defining_poly
+        rng = random.Random(41)
+        for _ in range(40):
+            x, y = (_random_element(K, rng, (1, 2, 3, 4, 9, 10)) for _ in range(2))
+            a, b = x.coeffs, y.coeffs
+            results = {
+                "+": (x + y, tuple(s + t for s, t in zip(a, b))),
+                "-": (x - y, tuple(s - t for s, t in zip(a, b))),
+                "*": (x * y, _reference_mul(a, b, f)),
+                "**": (x ** 3, _reference_pow(a, 3, f)),
+            }
+            if not y.is_zero():
+                results["/"] = (x / y, _reference_mul(a, _reference_inverse(b, f), f))
+                results["inverse"] = (y.inverse(), _reference_inverse(b, f))
+                results["**-2"] = (y ** -2, _reference_pow(b, -2, f))
+            for op, (got, want) in results.items():
+                assert got.coeffs == want, (op, a, b)
+                assert _is_canonical(got), (op, got.num, got.den)
+                assert got == K.element(want) and hash(got) == hash(K.element(want))
+
+    @pytest.mark.parametrize("spec", SPECS[1:])
+    def test_inverse_of_theta_swaps_pivot(self, spec):
+        # the first column of the multiplication matrix of theta is e_1, so
+        # elimination must swap rows before its first step
+        K = parse_field_spec(spec)
+        theta = K.gen()
+        assert theta.num[0] == 0
+        inv = theta.inverse()
+        assert inv.coeffs == _reference_inverse(theta.coeffs, K.defining_poly)
+        assert theta * inv == 1 and _is_canonical(inv)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_inverse_of_zero_raises(self, spec):
+        with pytest.raises(ZeroDivisionError):
+            parse_field_spec(spec).zero().inverse()
+
+    @pytest.mark.parametrize("value", (0, 3, Fraction(-1, 2)))
+    def test_rational_element_hashes_as_its_value(self, value):
+        x = parse_field_spec("-1,5").element(value)
+        assert x == value and hash(x) == hash(value)
+        assert x in {value} and value in {x}
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        rng = random.Random(43)
+        fields = [parse_field_spec(s) for s in ("1,1,1,1", "-1,5", "5;5;2")]
+        elements = [[_random_element(K, rng, (1, 2, 3, 7)) for _ in range(6)] for K in fields]
+        built = []
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        ops = 0
+        for _ in range(25):
+            x, y = rng.sample(rng.choice(elements), 2)
+            x * y, x + y, x - y
+            if not x.is_zero():
+                x.inverse()
+            ops += 4
+        assert ops == 100 and built == []
+        fields[0].gen().coeffs  # the counter sees a Fraction when one is built
+        assert built
 
 
 class TestRootsInField:

@@ -6,8 +6,10 @@ point orders read off the lift levels with brute-force multiplication, and
 its odd n-torsion with a count that does not run the lift loop.
 """
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +235,15 @@ class TestPresentationInvariance:
         assert report.galois_type is GaloisType.CyclicQuartic
         assert report.structure == (5, 5)
         assert report.point_definition_degrees == {5: 1}
+
+
+# The full report of each known_groups benchmark row, with its curve and field specs.
+# The benchmark's correctness gate compares only the structure; this also pins
+# the generators and definition degrees, which follow the sort order of points.
+PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "known_groups_reports.json").read_text())
+
+
+@pytest.mark.parametrize("row", PINNED_REPORTS, ids=lambda row: f"{row['curve']}@{row['field']}")
+def test_full_report_pinned(row):
+    report = torsion_over_field(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
+    assert json.loads(json.dumps(report.to_json_dict())) == row["report"]
