@@ -228,6 +228,13 @@ def gf_is_squarefree(a: list[int], p: int) -> bool:
     return len(gf_gcd(a, d, p)) == 1
 
 
+def gf_rootless(a: list[int], p: int) -> bool:
+    """Has a in F_p[x] (lc nonzero mod p) no root in F_p, that is,
+    gcd(x^p - x, a) = 1?"""
+    xp = gf_pow_mod([0, 1], p, a, p)
+    return len(gf_gcd(a, gf_sub(xp, [0, 1], p), p)) == 1
+
+
 # ---------------------------------------------------------------------------
 # Distinct-degree / equal-degree factorization, capped at dmax
 # ---------------------------------------------------------------------------

@@ -123,6 +123,31 @@ class Curve:
         g = self.division_polynomial(n)
         return g if n % 2 else g * self.two_division_poly()
 
+    # -- reduction -------------------------------------------------------------
+
+    def reduction_order(self, p: int, f: int) -> int | None:
+        """#E~(F_q), q = p^f, for an odd prime p at which this model has good
+        reduction (every a-invariant p-integral and p not dividing disc);
+        None at any other p.  The affine points over F_p are counted on
+        (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 from a table of the
+        squares mod p, which gives a_p = p + 1 - #E~(F_p).  Then
+        #E~(F_q) = q + 1 - s_f with s_0 = 2, s_1 = a_p and
+        s_k = a_p s_(k-1) - p s_(k-2), the power sums of Frobenius."""
+        if any(a.denominator % p == 0 for a in self.a_invariants) or self.disc.numerator % p == 0:
+            return None
+        b2, b4, b6 = (b.numerator * pow(b.denominator, -1, p) % p
+                      for b in (self.b2, self.b4, self.b6))
+        # chi[v] = (number of square roots of v mod p) - 1
+        chi = [-1] * p
+        chi[0] = 0
+        for y in range(1, (p + 1) // 2):
+            chi[y * y % p] = 1
+        ap = -sum(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+        s_prev, s = 2, ap
+        for _ in range(f - 1):
+            s_prev, s = s, ap * s - p * s_prev
+        return p**f + 1 - s
+
     def mult_by_m_xmap(self, m: int) -> tuple[RatPoly, RatPoly]:
         """(phi_m, psi_m^2) with x([m]P) = phi_m(x)/psi_m^2(x)."""
         if m < 1:
@@ -142,7 +167,9 @@ class Curve:
 
 
 class Point:
-    """Point on E with coordinates in a designated field (None = infinity)."""
+    """Point on E with coordinates in a designated field (None = infinity).
+    The constructor checks the curve equation; the sums and negatives of the
+    group law lie on the curve by construction and skip it."""
 
     __slots__ = ("curve", "field", "xy")
 
@@ -164,6 +191,13 @@ class Point:
     def infinity(cls, curve: Curve, field: NumberField) -> "Point":
         return cls(curve, field, None)
 
+    @classmethod
+    def _on_curve(cls, curve: Curve, field: NumberField, x: FieldElement, y: FieldElement) -> "Point":
+        """The affine point (x, y), elements of field known to lie on curve."""
+        P = cls.__new__(cls)
+        P.curve, P.field, P.xy = curve, field, (x, y)
+        return P
+
     def is_infinity(self) -> bool:
         return self.xy is None
 
@@ -180,7 +214,8 @@ class Point:
                 and self.field == other.field and self.xy == other.xy)
 
     def __hash__(self):
-        return hash((self.curve.a_invariants, self.field.defining_poly.coeffs, self.xy))
+        # the points of one search share a curve and a field; == still compares them
+        return hash(self.xy)
 
     def __repr__(self):
         if self.is_infinity():
@@ -196,7 +231,7 @@ class Point:
         if self.is_infinity():
             return self
         x, y = self.xy
-        return Point(self.curve, self.field, (x, -y - x * self.curve.a1 - self.curve.a3))
+        return Point._on_curve(self.curve, self.field, x, -y - x * self.curve.a1 - self.curve.a3)
 
     def __add__(self, other: "Point") -> "Point":
         if self.curve != other.curve or self.field != other.field:
@@ -220,7 +255,7 @@ class Point:
         nu = y1 - lam * x1
         x3 = lam * lam + lam * E.a1 - E.a2 - x1 - x2
         y3 = -(lam + E.a1) * x3 - nu - E.a3
-        return Point(E, self.field, (x3, y3))
+        return Point._on_curve(E, self.field, x3, y3)
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)

@@ -14,6 +14,7 @@ threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 
 from sympy import factorint
@@ -361,10 +362,28 @@ def factor_bounded(h: RatPoly, dmax: int) -> dict[RatPoly, int]:
     return out
 
 
+ROOT_TEST_FLOOR = 50
+ROOT_TEST_PRIMES = 3
+
+
+def _rootless_mod_primes(h: RatPoly) -> bool:
+    """True when P = d * h, cleared of denominators, has no root modulo one of
+    the first ROOT_TEST_PRIMES primes p > ROOT_TEST_FLOOR with p not dividing
+    lc(P).  That proves h has no rational root: a root a/b in lowest terms has
+    b | lc(P), so it reduces to a root of P mod p.  False proves nothing."""
+    _, P = h.cleared()
+    primes = (p for p in zp._prime_stream(ROOT_TEST_FLOOR) if P[-1] % p)
+    return any(zp.gf_rootless(zp.gf_from_zz(P, p), p)
+               for p in islice(primes, ROOT_TEST_PRIMES))
+
+
 def rational_roots(h: RatPoly) -> set[Fraction]:
-    """Exactly the rational roots of a nonzero polynomial, each once."""
+    """Exactly the rational roots of a nonzero polynomial, each once.  A
+    polynomial with no root modulo some small prime returns at once."""
     if h.is_zero():
         raise ValueError("rational_roots of zero polynomial")
+    if _rootless_mod_primes(h):
+        return set()
     roots = set()
     for fac in factor_bounded(h, 1):
         # monic linear factor x - r

@@ -22,6 +22,8 @@ Root-finding works at completely split primes.  `NumberField.iter_split_primes`
 lists, on first use and never at construction, the primes p > 50 at which f
 has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
 gives a ring map from the p-integral elements of K onto F_p, theta -> r.
+`NumberField.residue_degree` gives, also lazily, the residue degree at any
+prime p not dividing disc f.
 
 Most root searches of the engine find nothing, and most of those end at once.
 If h has p-integral coefficients and a leading coefficient that does not map to
@@ -118,7 +120,8 @@ class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
     __slots__ = ("defining_poly", "degree", "galois_type", "_f_int", "_quadratics",
-                 "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants")
+                 "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants",
+                 "_residue_degrees")
 
     def __init__(self, poly: RatPoly):
         if poly.is_zero() or poly.degree not in (1, 2, 4):
@@ -142,6 +145,7 @@ class NumberField:
         self._split_primes: list[tuple[int, tuple[int, ...]]] = []
         self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
         self._lift_constants: tuple[int, int, int, int] | None = None
+        self._residue_degrees: dict[int, int | None] = {}
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.defining_poly == other.defining_poly
@@ -213,6 +217,14 @@ class NumberField:
         """The first SPLIT_PRIME_COUNT split primes, which the "no root"
         certificate reads."""
         return tuple(islice(self.iter_split_primes(), SPLIT_PRIME_COUNT))
+
+    def residue_degree(self, p: int) -> int | None:
+        """The residue degree of the primes of K above the prime p, or None
+        when f is not squarefree mod p (p | disc f).  Computed on first use
+        for each p and cached."""
+        if p not in self._residue_degrees:
+            self._residue_degrees[p] = _residue_degree(list(self._f_int), p)
+        return self._residue_degrees[p]
 
 
 class FieldElement:
@@ -617,18 +629,34 @@ def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield p, roots
 
 
+def _residue_degree(f: list[int], p: int) -> int | None:
+    """The least k with x^(p^k) = x mod (f, p), for f monic and squarefree
+    mod p; None if f is not.  That k is the lcm of the degrees of the
+    irreducible factors of f mod p.  Since p does not divide disc f, it does
+    not divide the index of Z[theta], so those factors give the primes above
+    p and their residue degrees (Dedekind); in a Galois K all are equal, and k
+    is the residue degree.  Frobenius is a ring map of F_p[x]/(f), so
+    x^(p^(k+1)) = xp(x^(p^k)) with xp = x^p: one power, then compositions."""
+    fp = zp.gf_from_zz(f, p)
+    if not zp.gf_is_squarefree(fp, p):
+        return None
+    x = zp.gf_rem([0, 1], fp, p)
+    xp = xq = zp.gf_pow_mod(x, p, fp, p)
+    k = 1
+    while xq != x:
+        composed: list[int] = []
+        for c in reversed(xp):
+            composed = zp.gf_rem(zp.gf_sub(zp.gf_mul(composed, xq, p), [-c % p], p), fp, p)
+        xq, k = composed, k + 1
+    return k
+
+
 def _eval_mod(g: list[int], x: int, m: int) -> int:
     """g(x) mod m, g in Z[x]."""
     v = 0
     for c in reversed(g):
         v = (v * x + c) % m
     return v
-
-
-def _rootless_mod_p(hp: list[int], p: int) -> bool:
-    """Has hp in F_p[x] (lc nonzero mod p) no root in F_p?"""
-    xp = zp.gf_pow_mod([0, 1], p, hp, p)
-    return len(zp.gf_gcd(hp, zp.gf_sub(xp, [0, 1], p), p)) == 1
 
 
 def _no_root_certified(h, K: NumberField) -> bool:
@@ -646,7 +674,7 @@ def _no_root_certified(h, K: NumberField) -> bool:
             inv = pow(den, -1, p)
             coords.append([x * inv % p for x in num])
         images = {tuple(_eval_mod(cs, r, p) for cs in coords) for r in roots}
-        if any(hp[-1] and _rootless_mod_p(list(hp), p) for hp in images):
+        if any(hp[-1] and zp.gf_rootless(list(hp), p) for hp in images):
             return True
     return False
 

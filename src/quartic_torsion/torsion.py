@@ -9,6 +9,17 @@ off the classification table of K's Galois type (`classification_table`): a
 prime is searched when it divides the order of some group in the table, and
 its cap is the largest p-primary part of those groups.
 
+Each curve also gets its own bound B (`reduction_bound`).  For a prime p >= 5
+at which E has good reduction and p does not divide disc f, every prime v of K
+above p has ramification index 1 < p - 1, so E(K)_tors injects into the
+points of the reduction over the residue field k_v = F_(p^f), f the residue
+degree (Silverman, The Arithmetic of Elliptic Curves, VII.3.1 with IV.6.1;
+Katz 1981).  B, the gcd of #E~(F_(p^f)) over the first BOUND_PRIMES such
+primes, is thus a multiple of #E(K)_tors.  A searched prime that does not
+divide B is skipped (its part is trivial), and the lift for a prime p stops
+as soon as one more level would exceed the p-part of B.  An order that does
+not divide B aborts the run.
+
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
 the p-primary part) times the coprime orders of the other primes' summands.
@@ -32,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, lcm
 
-from sympy import primefactors
+from sympy import nextprime, primefactors
 
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
@@ -170,10 +181,36 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
     return out
 
 
-def p_primary_part(E: Curve, K: NumberField, p: int,
-                   g: GaloisType) -> tuple[TorsionStructure, dict[Point, int]]:
+BOUND_PRIMES = 12
+
+
+def reduction_bound(E: Curve, K: NumberField) -> int:
+    """B, a multiple of #E(K)_tors: the gcd of #E~(F_(p^f)) over the first
+    BOUND_PRIMES primes p >= 5 at which E has good reduction and the defining
+    polynomial of K is squarefree mod p, f the residue degree at p (see the
+    module docstring).  Stops early once B = 1."""
+    bound = used = 0
+    p = 3
+    while True:
+        p = nextprime(p)
+        f = K.residue_degree(p)
+        n = None if f is None else E.reduction_order(p, f)
+        if n is None:
+            continue
+        bound = gcd(bound, n)
+        used += 1
+        if bound == 1 or used == BOUND_PRIMES:
+            return bound
+
+
+def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
+                   bound: int) -> tuple[TorsionStructure, dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
-    included, searched up to the cap `p_primary_bound(p, g)`.  The frontier
+    included, searched up to the cap `p_primary_bound(p, g)` and up to
+    `bound`, a power of p that the order of that subgroup divides (the p-part
+    of `reduction_bound`).  The lift from E(K)[p^k] stops once
+    |E(K)[p^k]| * p exceeds `bound`: a point of order p^(k+1) would multiply
+    the group's order by at least p.  The frontier
     starts as the points of order p: those above the roots of
     `x_division_poly(p)`.  For p = 2 that is the 2-division cubic, on whose
     roots the discriminant in y vanishes, so each root gives one point.  A
@@ -185,7 +222,7 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
                 for P in curve_points_y(E, x, K)}
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
     q = p * p
-    while frontier and q <= cap.d2:
+    while frontier and q <= cap.d2 and len(pts) * p <= bound:
         frontier = _lift_once(E, K, frontier, p)
         pts.update(dict.fromkeys(frontier, q))
         q *= p
@@ -293,7 +330,13 @@ def _multiples(P: Point, n: int) -> list[Point]:
 def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     """E(K)_tors with generators, per-prime parts and validated invariants."""
     g = K.galois_type
-    parts = {p: p_primary_part(E, K, p, g) for p in search_primes(g)}
+    bound = reduction_bound(E, K)
+    parts = {}
+    for p in search_primes(g):
+        if bound % p:
+            parts[p] = (TRIVIAL, {Point.infinity(E, K): 1})
+        else:
+            parts[p] = p_primary_part(E, K, p, g, _p_part(bound, p))
     d1 = d2 = 1
     for st, _ in parts.values():
         d1 *= st.d1
@@ -304,6 +347,9 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     if len(points) != st.order:
         raise InvariantViolationError(
             f"assembled group has {len(points)} points, structure says {st.order}")
+    if bound % st.order:
+        raise InvariantViolationError(
+            f"order {st.order} of {st} does not divide the reduction bound {bound}")
     generators = _choose_generators(points, st)
     defdeg: dict[int, int] = {}
     for P, n in points.items():

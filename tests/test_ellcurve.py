@@ -83,6 +83,19 @@ class TestGroupLaw:
             for n in range(0, 7):
                 assert P.scalar_mul(m + n) == P.scalar_mul(m) + P.scalar_mul(n)
 
+    def test_off_curve_point_raises(self):
+        with pytest.raises(ValueError):
+            Point(E_X3_1, Q, (2, 4))
+        K = quadratic_field(-1)
+        with pytest.raises(ValueError):
+            Point(E_X3_X, K, (K.gen(), K.one()))
+
+    def test_points_on_two_curves_differ(self):
+        # the hash reads only the coordinates; equality also compares curves
+        P = Point(E_X3_X, Q, (0, 0))
+        R = Point(Curve([0, 0, 0, 1, 0]), Q, (0, 0))
+        assert P != R and len({P, R}) == 2
+
     def test_long_form_arithmetic(self):
         # 11a1 has a rational 5-torsion point (5, 5)
         P = Point(E11A1, Q, (5, 5))
@@ -297,3 +310,52 @@ def _random_curves():
         except SingularCurveError:
             continue
     return out
+
+
+def _count_fp2(E, p, n):
+    """#E~(F_(p^2)), F_(p^2) = F_p[t]/(t^2 - n) for a nonsquare n, by trying
+    every affine (x, y) in the long Weierstrass equation."""
+    a1, a2, a3, a4, a6 = (int(a) % p for a in E.a_invariants)
+
+    def mul(u, v):
+        return ((u[0] * v[0] + n * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)
+
+    def add(*us):
+        return (sum(u[0] for u in us) % p, sum(u[1] for u in us) % p)
+
+    def lin(c, u):
+        return (c * u[0] % p, c * u[1] % p)
+
+    field = [(a, b) for a in range(p) for b in range(p)]
+    count = 1
+    for x in field:
+        x2 = mul(x, x)
+        rhs = add(mul(x2, x), lin(a2, x2), lin(a4, x), (a6, 0))
+        c = add(lin(a1, x), (a3, 0))
+        count += sum(1 for y in field if add(mul(y, y), mul(c, y)) == rhs)
+    return count
+
+
+class TestReductionOrder:
+    """#E~(F_(p^f)) from a_p and the Frobenius recurrence, against counting."""
+
+    CURVES = {"11a1": E11A1, "37a1": Curve([0, 0, 1, -1, 0]), "x^3-x": E_X3_X}
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_against_brute_force(self, name, p):
+        E = self.CURVES[name]
+        if name == "11a1" and p == 11:
+            assert E.reduction_order(p, 1) is None
+            return
+        a1, a2, a3, a4, a6 = (int(a) for a in E.a_invariants)
+        over_fp = 1 + sum(1 for x in range(p) for y in range(p)
+                          if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0)
+        assert E.reduction_order(p, 1) == over_fp
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        assert E.reduction_order(p, 2) == _count_fp2(E, p, n)
+
+    def test_bad_primes(self):
+        E = Curve([Fraction(1, 5), 0, 0, 1, 0])
+        assert E.reduction_order(5, 1) is None
+        assert E.reduction_order(7, 1) is not None

@@ -5,6 +5,7 @@ import pytest
 
 from quartic_torsion.exactmath import (
     RatPoly,
+    _rootless_mod_primes,
     factor_bounded,
     is_irreducible,
     is_rational_square,
@@ -178,6 +179,24 @@ class TestRationalRoots:
             f = rand_poly(rng, rng.randrange(1, 7))
             for r in rational_roots(f):
                 assert f(r) == 0
+
+    @pytest.mark.parametrize("h", [
+        RatPoly([-2, 0, 1]),                          # 2 is no square mod 53
+        RatPoly([Fraction(-1, 3), 0, 0, 53]),         # 53 | lc, so 53 is skipped
+        RatPoly([-1, 2]) * RatPoly([5, 3]) * RatPoly([-2, 0, 1]),
+        RatPoly([0, 12, 0, 0, 3]),
+    ])
+    def test_agrees_with_linear_factors(self, h):
+        assert rational_roots(h) == {-f.coeffs[0] for f in factor_bounded(h, 1)}
+
+    def test_modular_check_settles_only_rootless(self):
+        assert _rootless_mod_primes(RatPoly([-2, 0, 1]))
+        rng = random.Random(8)
+        for _ in range(20):
+            r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+            h = RatPoly([-r, 1]) * rand_poly(rng, rng.randrange(0, 4))
+            assert not _rootless_mod_primes(h)
+            assert rational_roots(h) == {-f.coeffs[0] for f in factor_bounded(h, 1)}
 
 
 class TestFactorBounded:

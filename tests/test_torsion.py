@@ -8,15 +8,16 @@ its odd n-torsion with a count that does not run the lift loop.
 
 import json
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 from quartic_torsion import grouptables as gt
-from quartic_torsion import numfield
+from quartic_torsion import numfield, torsion
 from quartic_torsion.ellcurve import Curve, quadratic_twist, short_model
-from quartic_torsion.errors import InconsistentCountsError
+from quartic_torsion.errors import InconsistentCountsError, InvariantViolationError
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -27,6 +28,7 @@ from quartic_torsion.numfield import (
 )
 from quartic_torsion.torsion import (
     count_torsion_in_field,
+    reduction_bound,
     structure_of_orders,
     subfield_torsion,
     torsion_over_field,
@@ -59,6 +61,10 @@ class TestWitnesses:
         primes = "{2,3,5,7,13}" if report.galois_type is GaloisType.CyclicQuartic else "{2,3,5,7}"
         assert report.assumptions == (
             f"prime support of torsion over degree <= 4 fields taken as {primes}",)
+
+    def test_order_divides_reduction_bound(self, witness):
+        report, _ = witness
+        assert reduction_bound(report.curve, report.field_) % report.structure_obj.order == 0
 
     def test_growth_chain_recorded(self, witness):
         report, _ = witness
@@ -243,7 +249,66 @@ class TestPresentationInvariance:
 PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "known_groups_reports.json").read_text())
 
 
-@pytest.mark.parametrize("row", PINNED_REPORTS, ids=lambda row: f"{row['curve']}@{row['field']}")
+ROW_IDS = [f"{row['curve']}@{row['field']}" for row in PINNED_REPORTS]
+
+
+@cache
+def _pinned_report(curve: str, field: str):
+    return torsion_over_field(Curve.from_str(curve), parse_field_spec(field))
+
+
+@pytest.mark.parametrize("row", PINNED_REPORTS, ids=ROW_IDS)
 def test_full_report_pinned(row):
-    report = torsion_over_field(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
+    report = _pinned_report(row["curve"], row["field"])
     assert json.loads(json.dumps(report.to_json_dict())) == row["report"]
+
+
+@pytest.mark.parametrize("row", PINNED_REPORTS, ids=ROW_IDS)
+def test_every_point_on_the_curve(row):
+    # sums and negatives skip the constructor's check; verify them here
+    report = _pinned_report(row["curve"], row["field"])
+    E = report.curve
+    for P in report.points:
+        if not P.is_infinity():
+            x, y = P.xy
+            assert (y * y + x * y * E.a1 + y * E.a3
+                    == x * x * x + x * x * E.a2 + x * E.a4 + E.a6)
+
+
+class TestReductionBound:
+    def test_known_groups_rows(self):
+        # B is the order of E(K)_tors on every row
+        bounds = [reduction_bound(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
+                  for row in PINNED_REPORTS]
+        assert bounds == [25, 32, 16, 1, 32, 32, 32, 32, 36, 36]
+        assert bounds == [a * b for a, b in (row["report"]["structure"] for row in PINNED_REPORTS)]
+
+    def test_trivial_bound_searches_nothing(self, monkeypatch):
+        # 37a1 over a cyclic quartic has B = 1, so no prime is searched
+        def forbidden(*args):
+            raise AssertionError("a prime was searched although B = 1")
+
+        monkeypatch.setattr(Curve, "x_division_poly", forbidden)
+        monkeypatch.setattr(torsion, "m_preimages", forbidden)
+        report = torsion_over_field(Curve.from_str("0,0,1,-1,0"), parse_field_spec("5;5;2"))
+        assert report.structure == (1, 1)
+
+    def test_order_not_dividing_the_bound_raises(self, monkeypatch):
+        # E(QQ(zeta5))_tors = Z/5+Z/5; with B = 5 the 25 points of order 5 are found anyway
+        monkeypatch.setattr(torsion, "reduction_bound", lambda E, K: 5)
+        with pytest.raises(InvariantViolationError):
+            torsion_over_field(Curve.from_str("0,-1,1,-10,-20"), parse_field_spec("1,1,1,1"))
+
+    def test_no_empty_lift_on_known_groups_rows(self, monkeypatch):
+        # B is exact on these rows, so a lift runs only when it finds points
+        lift_once = torsion._lift_once
+
+        def nonempty(*args):
+            out = lift_once(*args)
+            assert out, "a lift found no point"
+            return out
+
+        monkeypatch.setattr(torsion, "_lift_once", nonempty)
+        for row in PINNED_REPORTS:
+            report = torsion_over_field(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
+            assert list(report.structure) == row["report"]["structure"]
