@@ -1,13 +1,14 @@
-"""The classification lists as plain data: the one source of the engine's
-search caps and primes.
+"""The classification lists as plain data, against which every result is
+validated.
 
 Groups are pairs (d1, d2) with d1 | d2 meaning Z/d1 + Z/d2; (1, 1) is the
 trivial group.  Each table is hard-coded to match its published list line by
-line; nothing here is derived from another table.  The engine derives from
-the table of K's Galois type which primes it searches and how deep it lifts
-for each (`torsion.search_primes`, `torsion.p_primary_bound`), so
-`tests/test_grouptables.py` pins every table and every derived cap to literal
-copies: a transcription error fails there instead of changing the search.
+line; nothing here is derived from another table.  The engine searches the
+primes and lift depths that its per-curve bound B allows
+(`torsion.reduction_bound`), never a table; a table only decides the
+`classification_membership` and `growth_chain` checks of a report.
+`tests/test_grouptables.py` pins the four classification tables to literal
+copies, so a transcription error there fails a test rather than a report.
 """
 
 from __future__ import annotations

@@ -1,24 +1,21 @@
 """The torsion engine: E(K)_tors for E/QQ and K of degree 1, 2, or 4 Galois.
 
-The computation is per prime.  The points of order p come from the roots in K
-of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
-with y recovered by a square root in K.  Points of order p^k come from one
-lift loop for every p: solving phi_p(x) = x_P psi_p^2(x) over K for each point
-P of order p^(k-1).  The primes searched and the lift depth per prime are read
-off the classification table of K's Galois type (`classification_table`): a
-prime is searched when it divides the order of some group in the table, and
-its cap is the largest p-primary part of those groups.
-
-Each curve also gets its own bound B (`reduction_bound`).  For a prime p >= 5
+Each curve first gets its own bound B (`reduction_bound`).  For a prime p >= 5
 at which E has good reduction and p does not divide disc f, every prime v of K
 above p has ramification index 1 < p - 1, so E(K)_tors injects into the
 points of the reduction over the residue field k_v = F_(p^f), f the residue
 degree (Silverman, The Arithmetic of Elliptic Curves, VII.3.1 with IV.6.1;
 Katz 1981).  B, the gcd of #E~(F_(p^f)) over the first BOUND_PRIMES such
-primes, is thus a multiple of #E(K)_tors.  A searched prime that does not
-divide B is skipped (its part is trivial), and the lift for a prime p stops
+primes, is thus a multiple of #E(K)_tors, and it alone decides the search:
+exactly the primes dividing B are searched, and the lift for a prime p stops
 as soon as one more level would exceed the p-part of B.  An order that does
 not divide B aborts the run.
+
+The computation is per prime.  The points of order p come from the roots in K
+of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
+with y recovered by a square root in K.  Points of order p^k come from one
+lift loop for every p: solving phi_p(x) = x_P psi_p^2(x) over K for each point
+P of order p^(k-1).
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -26,21 +23,22 @@ the p-primary part) times the coprime orders of the other primes' summands.
 For a subfield F of K, E(F)_tors = E(K)_tors meet E(F): the points whose
 coordinates lie in F, found with the membership test of `definition_degree`.
 
-Every run revalidates what the curve, the field and the points decide:
-membership of E(K)_tors in the table of K's type, full 5-torsion only over a
-field containing zeta5, 2-torsion rigidity, points of order 7 defined over a
-quadratic subfield of a quartic K, and quadratic growth-chain consistency.
-The tables' other structural constraints (the full-level restriction, the
-Landau bound, the rational isogeny degrees and the excluded orders and
-subgroups) hold for every table member, so membership implies them;
-`tests/test_grouptables.py` pins that implication.  A violation aborts the
-computation: the engine never returns a best guess.
+The classification tables do not steer the search; they only validate its
+result.  Every run checks what the curve, the field and the points decide:
+membership of E(K)_tors in the table of K's type (`classification_table`,
+which also rejects a non-Galois quartic K before any work), full 5-torsion
+only over a field containing zeta5, 2-torsion rigidity, points of order 7
+defined over a quadratic subfield of a quartic K, and quadratic growth-chain
+consistency.  The tables' other structural constraints (the full-level
+restriction, the Landau bound, the rational isogeny degrees and the excluded
+orders and subgroups) hold for every table member, so membership implies
+them; `tests/test_grouptables.py` pins that implication.  A violation aborts
+the computation: the engine never returns a best guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import gcd, lcm
 
 from sympy import nextprime, primefactors
@@ -122,7 +120,7 @@ def structure_of_orders(orders) -> TorsionStructure:
 
 
 # ---------------------------------------------------------------------------
-# search caps and primes, read off the classification tables
+# the classification tables
 # ---------------------------------------------------------------------------
 
 
@@ -137,28 +135,6 @@ def classification_table(g: GaloisType) -> frozenset[tuple[int, int]]:
         GaloisType.CyclicQuartic: gt.THM_CYCLIC_QUARTIC,
         GaloisType.Biquadratic: gt.THM_BIQUADRATIC,
     }[g]
-
-
-def _p_part(n: int, p: int) -> int:
-    q = 1
-    while n % (q * p) == 0:
-        q *= p
-    return q
-
-
-@cache
-def p_primary_bound(p: int, g: GaloisType) -> TorsionStructure:
-    """Largest p-primary part of any group in the classification table of g:
-    the search cap for p."""
-    table = classification_table(g)
-    return TorsionStructure(max(_p_part(d1, p) for d1, _ in table),
-                            max(_p_part(d2, p) for _, d2 in table))
-
-
-@cache
-def search_primes(g: GaloisType) -> tuple[int, ...]:
-    """The primes dividing the order of some group in the table of g."""
-    return tuple(sorted({p for _, d2 in classification_table(g) for p in primefactors(d2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +155,13 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
         out |= pre
         out |= {-Q for Q in pre}
     return out
+
+
+def _p_part(n: int, p: int) -> int:
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
 
 
 BOUND_PRIMES = 12
@@ -203,26 +186,23 @@ def reduction_bound(E: Curve, K: NumberField) -> int:
             return bound
 
 
-def p_primary_part(E: Curve, K: NumberField, p: int, g: GaloisType,
+def p_primary_part(E: Curve, K: NumberField, p: int,
                    bound: int) -> tuple[TorsionStructure, dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
-    included, searched up to the cap `p_primary_bound(p, g)` and up to
-    `bound`, a power of p that the order of that subgroup divides (the p-part
-    of `reduction_bound`).  The lift from E(K)[p^k] stops once
-    |E(K)[p^k]| * p exceeds `bound`: a point of order p^(k+1) would multiply
-    the group's order by at least p.  The frontier
-    starts as the points of order p: those above the roots of
-    `x_division_poly(p)`.  For p = 2 that is the 2-division cubic, on whose
-    roots the discriminant in y vanishes, so each root gives one point.  A
-    point found at lift level k has order exactly p^k: the frontier at level
-    k-1 holds every point of order p^(k-1), and a preimage under [p] of such a
-    point has order p^k."""
-    cap = p_primary_bound(p, g)
+    included, given `bound`, a power of p that the order of that subgroup
+    divides (the p-part of `reduction_bound`).  The lift from E(K)[p^k] stops
+    once |E(K)[p^k]| * p exceeds `bound`: a point of order p^(k+1) would
+    multiply the group's order by at least p.  The frontier starts as the
+    points of order p: those above the roots of `x_division_poly(p)`.  For
+    p = 2 that is the 2-division cubic, on whose roots the discriminant in y
+    vanishes, so each root gives one point.  A point found at lift level k has
+    order exactly p^k: the frontier at level k-1 holds every point of order
+    p^(k-1), and a preimage under [p] of such a point has order p^k."""
     frontier = {P for x in roots_in_field(E.x_division_poly(p), K)
                 for P in curve_points_y(E, x, K)}
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
     q = p * p
-    while frontier and q <= cap.d2 and len(pts) * p <= bound:
+    while frontier and len(pts) * p <= bound:
         frontier = _lift_once(E, K, frontier, p)
         pts.update(dict.fromkeys(frontier, q))
         q *= p
@@ -244,7 +224,6 @@ class TorsionReport:
     per_prime: dict[int, tuple[int, int]]
     point_definition_degrees: dict[int, int]
     checks: list[tuple[str, bool]]
-    assumptions: tuple[str, ...]
     # every point of E(K)_tors with its order; not part of the JSON record
     points: dict[Point, int] = field(default_factory=dict, repr=False)
 
@@ -267,7 +246,6 @@ class TorsionReport:
             "per_prime": {str(p): list(v) for p, v in sorted(self.per_prime.items())},
             "point_definition_degrees": {str(k): v for k, v in sorted(self.point_definition_degrees.items())},
             "checks": [{"name": n, "passed": ok} for n, ok in self.checks],
-            "assumptions": list(self.assumptions),
         }
         if self.curve.label:
             out["label"] = self.curve.label
@@ -330,13 +308,9 @@ def _multiples(P: Point, n: int) -> list[Point]:
 def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     """E(K)_tors with generators, per-prime parts and validated invariants."""
     g = K.galois_type
+    table = classification_table(g)
     bound = reduction_bound(E, K)
-    parts = {}
-    for p in search_primes(g):
-        if bound % p:
-            parts[p] = (TRIVIAL, {Point.infinity(E, K): 1})
-        else:
-            parts[p] = p_primary_part(E, K, p, g, _p_part(bound, p))
+    parts = {p: p_primary_part(E, K, p, _p_part(bound, p)) for p in primefactors(bound)}
     d1 = d2 = 1
     for st, _ in parts.values():
         d1 *= st.d1
@@ -356,8 +330,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         if not P.is_infinity():
             d = definition_degree([P.x, P.y], K)
             defdeg[n] = min(defdeg.get(n, K.degree), d)
-    checks = _validate_report(E, K, g, st, parts, points)
-    primes = ",".join(map(str, search_primes(g)))
+    checks = _validate_report(E, K, table, st, points)
     return TorsionReport(
         curve=E,
         field_=K,
@@ -367,7 +340,6 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         per_prime={p: stp.as_pair() for p, (stp, _) in parts.items() if stp != TRIVIAL},
         point_definition_degrees=defdeg,
         checks=checks,
-        assumptions=(f"prime support of torsion over degree <= 4 fields taken as {{{primes}}}",),
         points=points,
     )
 
@@ -376,10 +348,10 @@ def _fail(name: str, msg: str):
     raise InvariantViolationError(f"{name}: {msg}")
 
 
-def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructure,
-                     parts, points: dict[Point, int]) -> list[tuple[str, bool]]:
-    """Check E(K)_tors, given as {point: order}, for membership in the table
-    of g and against what the curve, the field and the points decide."""
+def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]],
+                     st: TorsionStructure, points: dict[Point, int]) -> list[tuple[str, bool]]:
+    """Check E(K)_tors, given as {point: order}, for membership in `table`
+    and against what the curve, the field and the points decide."""
     checks: list[tuple[str, bool]] = []
 
     def record(name, ok, msg=""):
@@ -390,10 +362,10 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
     # full 5-torsion needs zeta5 in K (Weil pairing)
     if st.d1 % 5 == 0:
         record("full_five_needs_zeta5", bool(roots_in_field(CYCLOTOMIC5, K)))
-    # 2-torsion rigidity: irreducible division cubic keeps E(K)[2] trivial
-    cubic = E.two_division_poly()
-    if not rational_roots(cubic):
-        record("two_torsion_rigidity", parts[2][0] == TRIVIAL)
+    # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
+    # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
+    if st.order % 2 == 0:
+        record("two_torsion_rigidity", bool(rational_roots(E.two_division_poly())))
     # points of order 7 = 3 mod 4 over a quartic field are defined over a
     # quadratic subfield
     if K.degree == 4:
@@ -402,7 +374,7 @@ def _validate_report(E: Curve, K: NumberField, g: GaloisType, st: TorsionStructu
                 record("order_p_defined_in_quadratic",
                        definition_degree([P.x, P.y], K) <= 2,
                        f"order-{n} point defined only over the full quartic")
-    record("classification_membership", st.as_pair() in classification_table(g))
+    record("classification_membership", st.as_pair() in table)
     # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
         gq = subfield_torsion(points, None).as_pair()

@@ -53,3 +53,10 @@ def test_bad_spec_exits_2():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "1/0" in out.stderr
+
+
+def test_non_galois_field_exits_2():
+    out = _run("0,0,0,-1,0", "-2,0,0,0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "non-Galois" in out.stderr

@@ -1,12 +1,13 @@
-"""The classification tables and the search caps and primes derived from them.
+"""The classification tables, which the engine uses only to validate.
 
-Each table is compared with a literal copy of its published list, and the
-derived caps and primes with the values the engine searched with when they
-were written by hand.  A change to a table therefore shows up here before it
-changes what the engine searches.  The structural constraints that membership
-in a table implies (full level, Landau bound, rational isogeny degrees,
-excluded orders and subgroups) are written out here as literal predicates, and
-every table member must pass them: the engine checks only membership.
+The engine's search is driven by the per-curve bound B, so the tables decide
+no prime and no lift depth; they decide the `classification_membership`
+check.  Each table is compared with a literal copy of its published list, so a
+transcription error shows up here rather than as a failing check.  The
+structural constraints that membership in a table implies (full level, Landau
+bound, rational isogeny degrees, excluded orders and subgroups) are written
+out here as literal predicates, and every table member must pass them: the
+engine checks only membership.
 """
 
 from math import gcd
@@ -17,7 +18,7 @@ from sympy import divisors, primefactors
 from quartic_torsion import grouptables as gt
 from quartic_torsion.errors import UnsupportedFieldError
 from quartic_torsion.numfield import GaloisType
-from quartic_torsion.torsion import TorsionStructure, classification_table, p_primary_bound, search_primes
+from quartic_torsion.torsion import classification_table
 
 
 def _cyclic(*ns):
@@ -56,36 +57,9 @@ def test_table_is_the_published_list(table, expected, size):
     assert set(table) == expected
 
 
-# the per-prime caps as they were written by hand before being derived
-CAPS = {
-    GaloisType.CyclicQuartic: {2: (2, 16), 3: (1, 9), 5: (5, 5), 7: (1, 7), 13: (1, 13)},
-    GaloisType.Biquadratic: {2: (4, 16), 3: (3, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-    GaloisType.Quadratic: {2: (4, 16), 3: (3, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-    GaloisType.Rational: {2: (2, 8), 3: (1, 9), 5: (1, 5), 7: (1, 7), 13: (1, 1)},
-}
-
-
-@pytest.mark.parametrize("g", list(CAPS), ids=lambda g: g.value)
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
-def test_p_primary_bound(g, p):
-    assert p_primary_bound(p, g) == TorsionStructure(*CAPS[g][p])
-
-
-@pytest.mark.parametrize("g, primes", [
-    (GaloisType.Rational, (2, 3, 5, 7)),
-    (GaloisType.Quadratic, (2, 3, 5, 7)),
-    (GaloisType.Biquadratic, (2, 3, 5, 7)),
-    (GaloisType.CyclicQuartic, (2, 3, 5, 7, 13)),
-], ids=lambda v: v.value if isinstance(v, GaloisType) else None)
-def test_search_primes(g, primes):
-    assert search_primes(g) == primes
-
-
 def test_non_galois_quartic_has_no_table():
     with pytest.raises(UnsupportedFieldError):
-        search_primes(GaloisType.NonGaloisQuartic)
-    with pytest.raises(UnsupportedFieldError):
-        p_primary_bound(2, GaloisType.NonGaloisQuartic)
+        classification_table(GaloisType.NonGaloisQuartic)
 
 
 # levels n at which full n-torsion can be defined over a field of each type

@@ -17,7 +17,11 @@ import pytest
 from quartic_torsion import grouptables as gt
 from quartic_torsion import numfield, torsion
 from quartic_torsion.ellcurve import Curve, quadratic_twist, short_model
-from quartic_torsion.errors import InconsistentCountsError, InvariantViolationError
+from quartic_torsion.errors import (
+    InconsistentCountsError,
+    InvariantViolationError,
+    UnsupportedFieldError,
+)
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -55,12 +59,6 @@ class TestWitnesses:
         report, expected = witness
         assert report.structure == expected
         assert len(report.points) == report.structure_obj.order
-
-    def test_assumption_names_searched_primes(self, witness):
-        report, _ = witness
-        primes = "{2,3,5,7,13}" if report.galois_type is GaloisType.CyclicQuartic else "{2,3,5,7}"
-        assert report.assumptions == (
-            f"prime support of torsion over degree <= 4 fields taken as {primes}",)
 
     def test_order_divides_reduction_bound(self, witness):
         report, _ = witness
@@ -292,6 +290,31 @@ class TestReductionBound:
         monkeypatch.setattr(torsion, "m_preimages", forbidden)
         report = torsion_over_field(Curve.from_str("0,0,1,-1,0"), parse_field_spec("5;5;2"))
         assert report.structure == (1, 1)
+
+    def test_primes_of_the_bound_are_searched(self, monkeypatch):
+        # B alone picks the primes: a spurious factor 11 of B gets psi_11
+        # searched, which finds no point, so the report does not change
+        E, K = Curve.from_str("0,0,1,-1,0"), parse_field_spec("5;5;2")
+        expected = torsion_over_field(E, K).to_json_dict()
+        bound, part = torsion.reduction_bound, torsion.p_primary_part
+        searched = []
+
+        def recording(E, K, p, pbound):
+            searched.append(p)
+            return part(E, K, p, pbound)
+
+        monkeypatch.setattr(torsion, "reduction_bound", lambda E, K: 11 * bound(E, K))
+        monkeypatch.setattr(torsion, "p_primary_part", recording)
+        assert torsion_over_field(E, K).to_json_dict() == expected
+        assert searched == [11]
+
+    def test_non_galois_field_rejected_before_the_bound(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("reduction_bound ran over a non-Galois quartic")
+
+        monkeypatch.setattr(torsion, "reduction_bound", forbidden)
+        with pytest.raises(UnsupportedFieldError):
+            torsion_over_field(Curve.from_str("0,0,0,-1,0"), parse_field_spec("-2,0,0,0"))
 
     def test_order_not_dividing_the_bound_raises(self, monkeypatch):
         # E(QQ(zeta5))_tors = Z/5+Z/5; with B = 5 the 25 points of order 5 are found anyway
