@@ -3,8 +3,9 @@
 Curves carry their b/c-invariants, discriminant and j-invariant from
 construction.  Points live on a curve with coordinates in a designated
 NumberField; the chord-tangent group law, division polynomials (stored
-y-free), multiplication-by-m x-maps, quadratic twists, halving and a
-Lutz-Nagell enumeration over QQ are all exact.
+y-free), multiplication-by-m x-maps, m-th preimages (y from the formula for
+[m], not from a square root), quadratic twists, halving and a Lutz-Nagell
+enumeration over QQ are all exact.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -311,24 +312,50 @@ def two_torsion(E: Curve, K: NumberField) -> set[Point]:
 
 
 def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
-    """All Q in E(K) with [m]Q = P, for affine P, via the degree-m^2 solve
-    phi_m(x) = x_P * psi_m^2(x) over K.  The points above one x-root are Q
-    and -Q, and [m](-Q) = -[m]Q, so one multiplication settles both."""
+    """All Q in E(K) with [m]Q = P, for affine P and m >= 2.
+
+    x_Q runs over the roots in K of phi_m - x_P psi_m^2, and y_Q comes from
+    the formula for [m], not from a square root in K.  Put
+    eta = y + (a1 x + a3)/2, so that 4 eta^2 = T(x) with T =
+    `two_division_poly`, and -Q has -eta.  With g_n the y-free
+    `division_polynomial(n)` and e = 2 for even m, e = 0 for odd m,
+
+        eta([m]Q) = eta_Q g_2m(x_Q) / (g_m(x_Q)^4 T(x_Q)^e)
+
+    (Silverman, AEC, Ex. 3.7; Washington, Elliptic Curves, Thm 3.6).  Above a
+    root x_Q lie Q and -Q in E(K-bar), and [m] maps one of them to P; neither
+    g_2m nor g_m T^e vanishes at x_Q, or [m]Q = +-P would be O or of order 2.
+    So if eta_P != 0 the preimage has eta_Q = eta_P g_m^4 T^e / g_2m at x_Q,
+    an element of K; the curve equation 4 eta_Q^2 = T(x_Q) is checked
+    exactly.  g_2m(x_Q) comes from g_(m-2)(x_Q), ..., g_(m+2)(x_Q) by the
+    even step of the recurrence in `Curve._psi` (for m = 2, g_0 = 0 leaves
+    the base case g_4), so psi_2m is never expanded.  If eta_P = 0, then
+    P = -P, every point above a root maps to P, and its y is a square root
+    in K (`curve_points_y`)."""
     if P.is_infinity():
         raise ValueError("use the m-torsion kernel for P at infinity")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     phi, psi_sq = E.mult_by_m_xmap(m)
     h = KPoly.from_ratpoly(K, phi) - KPoly.from_ratpoly(K, psi_sq).scale(P.x)
+    xs = roots_in_field(h, K)
+    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
+    eta_P = P.y + P.x * half_a1 + half_a3
+    if eta_P.is_zero():
+        return {Q for x in xs for Q in curve_points_y(E, x, K)}
+    T = E.two_division_poly()
+    gs = [E._psi(n) for n in range(m - 2, m + 3)]
     out = set()
-    for x in roots_in_field(h, K):
-        pts = curve_points_y(E, x, K)
-        if not pts:
-            continue
-        Q = pts[0]
-        R = Q.scalar_mul(m)
-        if R == P:
-            out.add(Q)
-        if R == -P:
-            out.add(-Q)
+    for x in xs:
+        g_lo2, g_lo1, g_m, g_hi1, g_hi2 = (g(x) for g in gs)
+        t = T(x)
+        g_2m = g_m * (g_hi2 * g_lo1 * g_lo1 - g_lo2 * g_hi1 * g_hi1)
+        g_m2 = g_m * g_m
+        scale = g_m2 * g_m2 * (t * t if m % 2 == 0 else 1)
+        eta = eta_P * scale / g_2m
+        if eta * eta * 4 != t:
+            raise InvariantViolationError(f"no point of E(K) above the root {x!r} of [{m}]x = x_P")
+        out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
     return out
 
 

@@ -7,8 +7,9 @@ line; nothing here is derived from another table.  The engine searches the
 primes and lift depths that its per-curve bound B allows
 (`torsion.reduction_bound`), never a table; a table only decides the
 `classification_membership` and `growth_chain` checks of a report.
-`tests/test_grouptables.py` pins the four classification tables to literal
-copies, so a transcription error there fails a test rather than a report.
+`tests/test_grouptables.py` pins the four classification tables and the
+growth table to literal copies, so a transcription error there fails a test
+rather than a report.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ THM_BIQUADRATIC = (_cyclic([*range(1, 11), 12, 15, 16])
                    | _family(3, (1, 2)) | _family(4, (1, 2))
                    | frozenset({(6, 6)}))
 
-# how rational torsion can grow in one quadratic step: the printed table
-# (indexed by E(QQ); absent keys, e.g. C9, are outside the table's scope)
+# how rational torsion can grow in one quadratic step: the printed table,
+# one row for each group of MAZUR (González-Jiménez and Tornero 2014, Thm 2)
 GROWTH_QUADRATIC: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
     (1, 1): _cyclic((1, 3, 5, 7, 9)),
     (1, 2): _cyclic((2, 4, 6, 8, 10, 12, 16)) | frozenset({(2, 2), (2, 6), (2, 10)}),
@@ -51,6 +52,7 @@ GROWTH_QUADRATIC: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
     (1, 6): _cyclic((6, 12)) | frozenset({(2, 6), (3, 6)}),
     (1, 7): _cyclic((7,)),
     (1, 8): _cyclic((8, 16)) | frozenset({(2, 8)}),
+    (1, 9): _cyclic((9,)),
     (1, 10): _cyclic((10,)) | frozenset({(2, 10)}),
     (1, 12): _cyclic((12,)) | frozenset({(2, 12)}),
     (2, 2): frozenset({(2, 2), (2, 4), (2, 6), (2, 8), (2, 12)}),

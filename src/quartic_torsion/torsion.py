@@ -15,7 +15,9 @@ The computation is per prime.  The points of order p come from the roots in K
 of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
 with y recovered by a square root in K.  Points of order p^k come from one
 lift loop for every p: solving phi_p(x) = x_P psi_p^2(x) over K for each point
-P of order p^(k-1).
+P of order p^(k-1).  Above each root, the y of the preimage follows from y_P
+by the formula for [p] (`m_preimages`); a square root in K is taken there only
+for the preimages of a point of order 2, where P = -P.
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -377,16 +379,15 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
     record("classification_membership", st.as_pair() in table)
     # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
+        # a row for each group of Mazur's list; a group without one fails the check
         gq = subfield_torsion(points, None).as_pair()
+        row = gt.GROWTH_QUADRATIC.get(gq, frozenset())
         for m in sorted(K.quadratic_subfields()):
             w = K.sqrt_of_int(m)
             if w is None:
                 _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
             gf = subfield_torsion(points, w).as_pair()
-            row = gt.GROWTH_QUADRATIC.get(gq)
-            if row is not None:
-                record("growth_chain", gf in row,
-                       f"E(QQ)={gq} grows to E(QQ(sqrt {m}))={gf}")
+            record("growth_chain", gf in row, f"E(QQ)={gq} grows to E(QQ(sqrt {m}))={gf}")
     return checks
 
 

@@ -16,7 +16,7 @@ from quartic_torsion.ellcurve import (
     short_model,
     two_torsion,
 )
-from quartic_torsion.numfield import biquadratic_field, quadratic_field, rational_field
+from quartic_torsion.numfield import biquadratic_field, parse_field_spec, quadratic_field, rational_field
 from quartic_torsion.torsion import torsion_over_field
 
 Q = rational_field()
@@ -270,6 +270,33 @@ class TestTwoPreimages:
         R = next(iter(pts))
         assert R.scalar_mul(8).is_infinity() is False
         assert R.scalar_mul(16).is_infinity()
+
+
+class TestPreimagesByFormula:
+    """m_preimages recovers y from [m]; the square-root search is the reference."""
+
+    @pytest.mark.parametrize("field", ["QQ", "5;5;2", "-1,2", "1,1,1,1"])
+    @pytest.mark.parametrize("curve", ["0,0,1,-1,0", "1,0,1,-3,0"], ids=["37a1", "a1_a3"])
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_point_of_infinite_order(self, sqrt_reference, m, curve, field):
+        # R = (0, 0) has infinite order on both curves; the second has a1, a3 != 0
+        E, K = Curve.from_str(curve), parse_field_spec(field)
+        R = Point(E, K, (0, 0))
+        P = R.scalar_mul(m)
+        pre = m_preimages(E, P, K, m)
+        assert R in pre
+        assert pre == sqrt_reference(E, P, K, m)
+
+    def test_psi_2m_never_expanded(self):
+        E, K = Curve.from_str("0,0,1,-1,0"), parse_field_spec("5;5;2")
+        R = Point(E, K, (0, 0))
+        assert R in m_preimages(E, R.scalar_mul(7), K, 7)
+        assert 14 not in E._psi_cache
+
+    def test_m_below_two_rejected(self):
+        P = Point(E_X3_1, Q, (2, 3))
+        with pytest.raises(ValueError):
+            m_preimages(E_X3_1, P, Q, 1)
 
 
 class TestLutzNagell:

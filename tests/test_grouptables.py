@@ -57,6 +57,42 @@ def test_table_is_the_published_list(table, expected, size):
     assert set(table) == expected
 
 
+# González-Jiménez and Tornero 2014, Thm 2: for each E(QQ)_tors, every
+# E(K)_tors over a quadratic field K
+GROWTH_QUADRATIC = {
+    (1, 1): {(1, 1), (1, 3), (1, 5), (1, 7), (1, 9)},
+    (1, 2): {(1, 2), (1, 4), (1, 6), (1, 8), (1, 10), (1, 12), (1, 16),
+             (2, 2), (2, 6), (2, 10)},
+    (1, 3): {(1, 3), (1, 15), (3, 3)},
+    (1, 4): {(1, 4), (1, 8), (1, 12), (2, 4), (2, 8), (2, 12), (4, 4)},
+    (1, 5): {(1, 5), (1, 15)},
+    (1, 6): {(1, 6), (1, 12), (2, 6), (3, 6)},
+    (1, 7): {(1, 7)},
+    (1, 8): {(1, 8), (1, 16), (2, 8)},
+    (1, 9): {(1, 9)},
+    (1, 10): {(1, 10), (2, 10)},
+    (1, 12): {(1, 12), (2, 12)},
+    (2, 2): {(2, 2), (2, 4), (2, 6), (2, 8), (2, 12)},
+    (2, 4): {(2, 4), (2, 8), (4, 4)},
+    (2, 6): {(2, 6), (2, 12)},
+    (2, 8): {(2, 8)},
+}
+
+
+def test_growth_table_is_the_published_table():
+    assert {g: set(row) for g, row in gt.GROWTH_QUADRATIC.items()} == GROWTH_QUADRATIC
+
+
+def test_growth_table_is_consistent_with_the_classifications():
+    for (a, b), row in gt.GROWTH_QUADRATIC.items():
+        assert (a, b) in gt.MAZUR
+        assert (a, b) in row
+        for c, d in row:
+            assert (c, d) in gt.NAJMAN_QUAD_RAT
+            # E(QQ)_tors is a subgroup of E(K)_tors
+            assert c % a == 0 and d % b == 0, ((a, b), (c, d))
+
+
 def test_non_galois_quartic_has_no_table():
     with pytest.raises(UnsupportedFieldError):
         classification_table(GaloisType.NonGaloisQuartic)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from quartic_torsion import grouptables as gt
-from quartic_torsion import numfield, torsion
+from quartic_torsion import ellcurve, numfield, torsion
 from quartic_torsion.ellcurve import Curve, quadratic_twist, short_model
 from quartic_torsion.errors import (
     InconsistentCountsError,
@@ -271,6 +271,36 @@ def test_every_point_on_the_curve(row):
             x, y = P.xy
             assert (y * y + x * y * E.a1 + y * E.a3
                     == x * x * x + x * x * E.a2 + x * E.a4 + E.a6)
+
+
+def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_reference):
+    # every lift of the known_groups rows finds the reference's points, and
+    # takes a square root in K only to lift a point of order 2 (P = -P)
+    sqrt, preimages = ellcurve.sqrt_in_field, torsion.m_preimages
+    forbid = [False]
+    branches = set()
+
+    def guarded_sqrt(*args):
+        if forbid[0]:
+            raise AssertionError("square root taken for a preimage of P != -P")
+        return sqrt(*args)
+
+    def checked(E, P, K, m):
+        forbid[0] = P != -P
+        try:
+            out = preimages(E, P, K, m)
+        finally:
+            forbid[0] = False
+        assert out == sqrt_reference(E, P, K, m)
+        branches.add(P != -P)
+        return out
+
+    monkeypatch.setattr(ellcurve, "sqrt_in_field", guarded_sqrt)
+    monkeypatch.setattr(torsion, "m_preimages", checked)
+    for row in PINNED_REPORTS:
+        report = torsion_over_field(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
+        assert list(report.structure) == row["report"]["structure"]
+    assert branches == {True, False}
 
 
 class TestReductionBound:
