@@ -6,15 +6,28 @@ first, with no trailing zeros (the zero polynomial is the empty list).  The
 Fraction-facing wrappers live in exactmath; nothing here ever sees a
 denominator.
 
+Every x^e mod (h, p) -- the Frobenius powers of the distinct-degree split,
+the equal-degree split and the "no root mod p" tests -- runs through one
+multiply mod (h, p), `gf_mulmod`: from degree 4 on it packs each polynomial
+into one int, one 64-bit slot per coefficient, multiplies once and reduces
+with a table of x^(n+k) mod h (Kronecker substitution; see its docstring for
+the slot bound).  Division with remainder (`gf_divmod`, so `gf_gcd` and
+`gf_xgcd`) reduces mod p only the coefficient it divides out at each step,
+and the remainder once at the end.
+
 Factor search is capped by degree: the engine only ever needs irreducible
 factors whose roots can lie in a field of degree <= 4, so recombination
 enumerates subsets of the modular factors with total degree <= dmax instead
-of the full exponential Zassenhaus search.
+of the full exponential Zassenhaus search.  Its primes start just above
+PRIME_FLOOR = 60.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
+from collections.abc import Callable
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -22,10 +35,12 @@ from sympy import nextprime
 
 from .errors import InvariantViolationError
 
-# Primes used for modular steps start just above 10^3 and are taken in
-# increasing order, skipping any that divide a leading coefficient or the
-# discriminant (detected as loss of squarefreeness mod p).
-PRIME_FLOOR = 1000
+# The primes of the factorization and of the modular gcd are the primes above
+# PRIME_FLOOR in increasing order, skipping any that divide a leading
+# coefficient or the discriminant (seen as loss of squarefreeness mod p).
+# x^p mod h takes about log2 p squarings, so small primes are cheap, and from
+# 61 on few of them divide the discriminant of a polynomial the engine factors.
+PRIME_FLOOR = 60
 
 
 def trim(a: list[int]) -> list[int]:
@@ -129,6 +144,21 @@ def sym_mod(a: list[int], m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# Kronecker packing (see gf_mulmod): coefficient i of a polynomial is slot i of
+# an array("Q") of unsigned 64-bit ints, read as one int in the machine's byte
+# order, so slot i is bits 64i .. 64i + 63.
+_PACKABLE = array("Q").itemsize == 8
+_PACK_MIN_DEGREE = 4
+
+
+def _pack(a: list[int]) -> int:
+    return int.from_bytes(array("Q", a).tobytes(), sys.byteorder)
+
+
+def _unpack(x: int, slots: int) -> array:
+    return array("Q", x.to_bytes(8 * slots, sys.byteorder))
+
+
 def gf_from_zz(a: list[int], p: int) -> list[int]:
     return trim([x % p for x in a])
 
@@ -164,20 +194,25 @@ def gf_monic(a: list[int], p: int) -> list[int]:
 
 
 def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r, deg r < deg b, every coefficient in [0, p).
+    Each step reduces only the leading coefficient it divides out; the rest of
+    the remainder stays unreduced until the end."""
     if not b:
         raise ZeroDivisionError
-    if len(a) < len(b):
+    db = len(b) - 1
+    if len(a) <= db:
         return [], list(a)
     rem = list(a)
     inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - len(b) + 1)
+    low = b[:-1]
+    q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
-        t = rem[k + len(b) - 1] * inv % p
+        t = rem[k + db] * inv % p
         q[k] = t
         if t:
-            for j, y in enumerate(b):
-                rem[k + j] = (rem[k + j] - t * y) % p
-    return trim(q), trim(rem[: len(b) - 1])
+            for j, y in enumerate(low, k):
+                rem[j] -= t * y
+    return trim(q), trim([r % p for r in rem[:db]])
 
 
 def gf_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -206,15 +241,66 @@ def gf_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
     return gf_scale(r0, inv, p), gf_scale(s0, inv, p), gf_scale(t0, inv, p)
 
 
+def gf_mulmod(mod: list[int], p: int) -> Callable[[list[int], list[int]], list[int]]:
+    """The map (a, b) -> a*b mod (mod, p), for a and b of degree < n = deg mod
+    with coefficients in [0, p), and lc(mod) nonzero mod p.
+
+    From degree _PACK_MIN_DEGREE on, a and b are each packed into one int with
+    one 64-bit slot per coefficient and multiplied once (Kronecker
+    substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
+    The product is reduced with a table of x^(n+k) mod `mod`, k < n - 1, built
+    here once and packed the same way: each high coefficient c_(n+k), taken mod
+    p, adds c_(n+k) * row_k to the packed low part, and each low slot is taken
+    mod p once at the end.
+
+    Slot bound: a low slot sums at most n products a_i b_j of the product and
+    n - 1 products c * row_k[j] of the reduction, each at most (p-1)^2, so no
+    slot carries into the next while 2n(p-1)^2 < 2^64.  Past that bound, below
+    degree _PACK_MIN_DEGREE, where packing costs more than it saves, or where
+    array("Q") is not 8 bytes wide, it multiplies and divides as lists."""
+    n = len(mod) - 1
+    if n < _PACK_MIN_DEGREE or 2 * n * (p - 1) ** 2 >= 1 << 64 or not _PACKABLE:
+        return lambda a, b: gf_rem(gf_mul(a, b, p), mod, p)
+    inv = pow(mod[-1], -1, p)
+    x_n = [-c * inv % p for c in mod[:-1]]
+    rows = []
+    row = x_n
+    for _ in range(n - 1):
+        rows.append(_pack(row))
+        top = row[-1]
+        row = [(c + top * r) % p for c, r in zip([0] + row[:-1], x_n)]
+    shift = 64 * n
+    low_mask = (1 << shift) - 1
+
+    def mulmod(a: list[int], b: list[int]) -> list[int]:
+        if not a or not b:
+            return []
+        prod = _pack(a) * _pack(b)
+        length = len(a) + len(b) - 1
+        if length > n:
+            low = prod & low_mask
+            for c, r in zip(_unpack(prod >> shift, length - n), rows):
+                c %= p
+                if c:
+                    low += c * r
+            prod, length = low, n
+        return trim([c % p for c in _unpack(prod, length)])
+
+    return mulmod
+
+
 def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
+    """base^e mod (mod, p), squaring and multiplying with `gf_mulmod`."""
+    mulmod = gf_mulmod(mod, p)
     base = gf_rem(base, mod, p)
-    while e:
+    result = None
+    while True:
         if e & 1:
-            result = gf_rem(gf_mul(result, base, p), mod, p)
-        base = gf_rem(gf_mul(base, base, p), mod, p)
+            result = base if result is None else mulmod(result, base)
         e >>= 1
-    return result
+        if not e:
+            return [1] if result is None else result
+        base = mulmod(base, base)
 
 
 def gf_derivative(a: list[int], p: int) -> list[int]:
@@ -388,7 +474,7 @@ def hensel_lift_blocks(f: list[int], blocks: list[list[int]], p: int, target: in
 # ---------------------------------------------------------------------------
 
 
-def _prime_stream(start: int = PRIME_FLOOR):
+def _prime_stream(start: int):
     p = start
     while True:
         p = int(nextprime(p))
@@ -398,7 +484,7 @@ def _prime_stream(start: int = PRIME_FLOOR):
 def pick_factor_prime(h: list[int], count: int = 3) -> list[int]:
     """First `count` primes > PRIME_FLOOR keeping h squarefree with unit lc."""
     out = []
-    for p in _prime_stream():
+    for p in _prime_stream(PRIME_FLOOR):
         if h[-1] % p == 0:
             continue
         hp = gf_monic(gf_from_zz(h, p), p)
@@ -531,7 +617,7 @@ def zz_gcd(f: list[int], g: list[int], max_primes: int = 64) -> list[int]:
     gamma = gcd(pf[-1], pg[-1])
     acc, m, deg_min = None, 1, None
     used = 0
-    for p in _prime_stream():
+    for p in _prime_stream(PRIME_FLOOR):
         if used >= max_primes:
             break
         if pf[-1] % p == 0 or pg[-1] % p == 0:

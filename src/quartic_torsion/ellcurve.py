@@ -287,7 +287,9 @@ class Point:
 
 
 def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
-    """All points of E(K) above a given x-coordinate."""
+    """All points of E(K) above a given x-coordinate.  Each y is (-B +- g)/2
+    with g^2 = B^2 - 4C exactly, a root of y^2 + By + C, so the points are
+    built without a second check of the curve equation."""
     B, C = E.rhs_quadratic_in_y(x)
     disc = B * B - 4 * C
     g = sqrt_in_field(disc, K)
@@ -296,18 +298,19 @@ def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
     two_inv = Fraction(1, 2)
     y1 = (-B + g) * two_inv
     if g.is_zero():
-        return [Point(E, K, (x, y1))]
+        return [Point._on_curve(E, K, x, y1)]
     y2 = (-B - g) * two_inv
-    return [Point(E, K, (x, y1)), Point(E, K, (x, y2))]
+    return [Point._on_curve(E, K, x, y1), Point._on_curve(E, K, x, y2)]
 
 
 def two_torsion(E: Curve, K: NumberField) -> set[Point]:
     """E(K)[2] including the identity."""
     pts = {Point.infinity(E, K)}
     for x in roots_in_field(E.two_division_poly(), K):
-        # y = -(a1 x + a3)/2 for a 2-torsion point
+        # y = -(a1 x + a3)/2 makes the point its own negative; it lies on E
+        # because (2y + a1 x + a3)^2 = psi_2^2(x) on E and x is a root of psi_2^2
         y = -(x * E.a1 + E.a3) * Fraction(1, 2)
-        pts.add(Point(E, K, (x, y)))
+        pts.add(Point._on_curve(E, K, x, y))
     return pts
 
 

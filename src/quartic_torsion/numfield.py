@@ -642,11 +642,12 @@ def _residue_degree(f: list[int], p: int) -> int | None:
         return None
     x = zp.gf_rem([0, 1], fp, p)
     xp = xq = zp.gf_pow_mod(x, p, fp, p)
+    mulmod = zp.gf_mulmod(fp, p)
     k = 1
     while xq != x:
         composed: list[int] = []
         for c in reversed(xp):
-            composed = zp.gf_rem(zp.gf_sub(zp.gf_mul(composed, xq, p), [-c % p], p), fp, p)
+            composed = zp.gf_sub(mulmod(composed, xq), [-c % p], p)
         xq, k = composed, k + 1
     return k
 

@@ -1,8 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from sympy import QQ, Poly, Rational, symbols
 
+from quartic_torsion import _intpoly
+from quartic_torsion.ellcurve import Curve
 from quartic_torsion.exactmath import (
     RatPoly,
     _rootless_mod_primes,
@@ -18,6 +23,7 @@ from quartic_torsion.exactmath import (
     squarefree_part,
     squarefree_part_rational,
 )
+from quartic_torsion.numfield import parse_field_spec
 
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
@@ -245,6 +251,45 @@ class TestFactorBounded:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             factor_bounded(RatPoly([]), 4)
+
+
+DATA = Path(__file__).parent / "data"
+KNOWN_GROUP_CURVES = [row["curve"] for row in json.loads((DATA / "known_groups_reports.json").read_text())]
+SEED0_FIELDS = sorted({row["field"] for row in json.loads((DATA / "seed0_report_digests.json").read_text())})
+
+
+def sympy_factors(h: RatPoly, dmax: int) -> dict[RatPoly, int]:
+    """sympy's factorization of h over QQ, restricted to degree <= dmax."""
+    coeffs = [Rational(c.numerator, c.denominator) for c in reversed(h.coeffs)]
+    _, factors = Poly(coeffs, symbols("x"), domain=QQ).factor_list()
+    out = {}
+    for g, mult in factors:
+        if g.degree() <= dmax:
+            monic = [Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())]
+            out[RatPoly(monic)] = mult
+    return out
+
+
+class TestFactorBoundedAgainstSympy:
+    """factor_bounded against sympy's factor_list, at the default prime floor
+    and at the old floor of 1000: the primes differ, the factors may not."""
+
+    @staticmethod
+    def check(h, dmaxes, monkeypatch):
+        expected = {d: sympy_factors(h, d) for d in dmaxes}
+        assert {d: factor_bounded(h, d) for d in dmaxes} == expected
+        monkeypatch.setattr(_intpoly, "PRIME_FLOOR", 1000)
+        assert {d: factor_bounded(h, d) for d in dmaxes} == expected
+
+    @pytest.mark.parametrize("n", (3, 5, 7))
+    @pytest.mark.parametrize("curve", KNOWN_GROUP_CURVES)
+    def test_division_polynomials_of_known_groups_curves(self, curve, n, monkeypatch):
+        self.check(Curve.from_str(curve).division_polynomial(n), (1, 2, 4), monkeypatch)
+
+    @pytest.mark.parametrize("field", SEED0_FIELDS)
+    def test_seed0_field_polynomials(self, field, monkeypatch):
+        f = parse_field_spec(field).defining_poly
+        self.check(f, range(1, f.degree + 1), monkeypatch)
 
 
 class TestSquarefreeIntegers:

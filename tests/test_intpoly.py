@@ -1,0 +1,171 @@
+"""The F_p[x] kernels of `_intpoly` against plain schoolbook references.
+
+`gf_mulmod` packs polynomials into ints with one 64-bit slot per coefficient
+from modulus degree 4 on, while 2n(p-1)^2 < 2^64; the primes below cover both
+sides of that bound: 2, 3, 61, 1009 and 65521 pack, and 2^31 - 1 is past it
+from degree 2 on."""
+
+import random
+from math import isqrt
+
+import pytest
+from sympy import nextprime, prevprime
+
+from quartic_torsion import _intpoly as zp
+
+PRIMES = (2, 3, 61, 1009, 65521, 2**31 - 1)
+DEGREES = range(1, 41)
+POW_DEGREES = (1, 2, 3, 4, 5, 7, 12, 24, 40)
+
+
+def ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return ref_trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def ref_mul(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return ref_trim(out)
+
+
+def ref_divmod(a, b, p):
+    """Long division, every coefficient reduced at every step."""
+    rem, q = ref_trim([x % p for x in a]), [0] * max(0, len(a) - len(b) + 1)
+    inv = pow(b[-1], -1, p)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        t = rem[-1] * inv % p
+        q[shift] = t
+        rem = ref_trim([(x - t * (b[i - shift] if 0 <= i - shift < len(b) else 0)) % p
+                        for i, x in enumerate(rem)])
+    return ref_trim(q), rem
+
+
+def ref_pow(base, e, mod, p):
+    """Left-to-right square and multiply with the references above."""
+    out = ref_divmod([1], mod, p)[1]
+    for bit in bin(e)[2:]:
+        out = ref_divmod(ref_mul(out, out, p), mod, p)[1]
+        if bit == "1":
+            out = ref_divmod(ref_mul(out, base, p), mod, p)[1]
+    return out
+
+
+def random_poly(rng, deg, p):
+    """Coefficients in [0, p), leading coefficient nonzero."""
+    return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+
+def moduli(p, degrees):
+    rng = random.Random(f"moduli:{p}")
+    return [random_poly(rng, n, p) for n in degrees]
+
+
+def boundary_primes(n):
+    """The largest prime p with 2n(p-1)^2 < 2^64 and the next prime."""
+    top = isqrt((2**64 - 1) // (2 * n)) + 1  # p fits exactly when p <= top
+    return prevprime(top + 1), nextprime(top)
+
+
+@pytest.fixture
+def pack_calls(monkeypatch):
+    calls = []
+    pack = zp._pack
+
+    def counting(a):
+        calls.append(len(a))
+        return pack(a)
+
+    monkeypatch.setattr(zp, "_pack", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mulmod_matches_schoolbook(p):
+    rng = random.Random(f"mulmod:{p}")
+    for mod in moduli(p, DEGREES):
+        n = len(mod) - 1
+        mulmod = zp.gf_mulmod(mod, p)
+        operands = [
+            ([], random_poly(rng, n - 1, p)),
+            ([p - 1] * n, [p - 1] * n),
+            (ref_trim([rng.randrange(p) for _ in range(n)]), ref_trim([rng.randrange(p) for _ in range(n)])),
+            (random_poly(rng, rng.randrange(n), p), random_poly(rng, rng.randrange(n), p)),
+        ]
+        for a, b in operands:
+            assert mulmod(a, b) == ref_divmod(ref_mul(a, b, p), mod, p)[1], (mod, a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pow_mod_matches_schoolbook(p):
+    rng = random.Random(f"pow:{p}")
+    for mod in moduli(p, POW_DEGREES):
+        n = len(mod) - 1
+        # a base of degree >= n, reduced by gf_pow_mod itself
+        base = random_poly(rng, n + rng.randrange(n + 2), p)
+        reduced = ref_divmod(base, mod, p)[1]
+        for e in (0, 1, p, (p**2 - 1) // 2):
+            assert zp.gf_pow_mod(base, e, mod, p) == ref_pow(reduced, e, mod, p), (mod, base, e)
+        assert zp.gf_pow_mod([0, 1], p, mod, p) == ref_pow([0, 1], p, mod, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_divmod_is_division_with_remainder(p):
+    rng = random.Random(f"divmod:{p}")
+    for b in moduli(p, DEGREES):
+        for deg_a in (0, len(b) - 2, len(b) - 1, 2 * len(b) + 3):
+            a = random_poly(rng, deg_a, p) if deg_a >= 0 else []
+            q, r = zp.gf_divmod(a, b, p)
+            assert (q, r) == ref_divmod(a, b, p)
+            assert len(r) < len(b)
+            assert all(0 <= c < p for c in q + r)
+            assert q == ref_trim(q) and r == ref_trim(r)
+            assert ref_add(ref_mul(q, b, p), r, p) == ref_trim(a)
+
+
+@pytest.mark.parametrize("n", (4, 24))
+def test_slot_bound_boundary(n, pack_calls):
+    # just below the bound the product is packed, just above it is not; both
+    # are exact on operands whose every coefficient is p - 1
+    rng = random.Random(f"boundary:{n}")
+    below, above = boundary_primes(n)
+    assert 2 * n * (below - 1) ** 2 < 2**64 <= 2 * n * (above - 1) ** 2
+    for p, packed in ((below, True), (above, False)):
+        mod = random_poly(rng, n, p)
+        a = b = [p - 1] * n
+        del pack_calls[:]
+        assert zp.gf_mulmod(mod, p)(a, b) == ref_divmod(ref_mul(a, b, p), mod, p)[1]
+        assert bool(pack_calls) is packed
+
+
+@pytest.mark.parametrize("p", (boundary_primes(4)[0], boundary_primes(4)[1], 2**31 - 1))
+def test_worst_case_slots(p):
+    # x^4 = -(x^3 + 2x^2 + 4x + 7) makes the last coefficient of x^4, x^5 and
+    # x^6 mod h equal p - 1, and b_3 = 481 makes the high coefficients of the
+    # product large mod p: at p = 2^31 - 1 the sum in slot 3 is about
+    # 1.5 * 2^64, so packing there, past the bound, would carry a slot
+    mod = [7, 4, 2, 1, 1]
+    a = [p - 1] * 4
+    for t in (1, 481, (p - 1) // 2, p - 2):
+        b = [p - 1] * 3 + [t]
+        assert zp.gf_mulmod(mod, p)(a, b) == ref_divmod(ref_mul(a, b, p), mod, p)[1], t
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_small_moduli_multiply_as_lists(n, pack_calls):
+    mod = moduli(1009, [n])[0]
+    mulmod = zp.gf_mulmod(mod, 1009)
+    a = [1008] * n
+    assert mulmod(a, a) == ref_divmod(ref_mul(a, a, 1009), mod, 1009)[1]
+    assert not pack_calls

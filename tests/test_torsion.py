@@ -6,6 +6,7 @@ point orders read off the lift levels with brute-force multiplication, and
 its odd n-torsion with a count that does not run the lift loop.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from functools import cache
@@ -263,7 +264,8 @@ def test_full_report_pinned(row):
 
 @pytest.mark.parametrize("row", PINNED_REPORTS, ids=ROW_IDS)
 def test_every_point_on_the_curve(row):
-    # sums and negatives skip the constructor's check; verify them here
+    # sums, negatives, lifted preimages, points above an x (curve_points_y) and
+    # the 2-torsion points all skip the constructor's check; verify them here
     report = _pinned_report(row["curve"], row["field"])
     E = report.curve
     for P in report.points:
@@ -271,6 +273,28 @@ def test_every_point_on_the_curve(row):
             x, y = P.xy
             assert (y * y + x * y * E.a1 + y * E.a3
                     == x * x * x + x * x * E.a2 + x * E.a4 + E.a6)
+
+
+# One sha256 of json.dumps(to_json_dict(), sort_keys=True) per distinct
+# (curve, field) case of seed 0 of the three benchmark workloads (138 cases).
+# The benchmark checks only the structure; a change meant to leave every report
+# as it is must keep these digests, and one that alters reports on purpose
+# writes this file again and says why.
+SEED0_DIGESTS = json.loads((Path(__file__).parent / "data" / "seed0_report_digests.json").read_text())
+
+
+def test_seed0_reports_unchanged():
+    assert len(SEED0_DIGESTS) == 138
+    fields = {}
+    changed = []
+    for row in SEED0_DIGESTS:
+        if row["field"] not in fields:
+            fields[row["field"]] = parse_field_spec(row["field"])
+        report = torsion_over_field(Curve.from_str(row["curve"]), fields[row["field"]])
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        if hashlib.sha256(text.encode()).hexdigest() != row["sha256"]:
+            changed.append(f"{row['curve']} over {row['field']}: {text}")
+    assert not changed, "\n".join(changed)
 
 
 def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_reference):
