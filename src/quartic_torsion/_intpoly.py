@@ -316,7 +316,18 @@ def gf_is_squarefree(a: list[int], p: int) -> bool:
 
 def gf_rootless(a: list[int], p: int) -> bool:
     """Has a in F_p[x] (lc nonzero mod p) no root in F_p, that is,
-    gcd(x^p - x, a) = 1?"""
+    gcd(x^p - x, a) = 1?
+
+    Low degrees need no x^p mod a: a line always has a root, and for odd p a
+    quadratic c x^2 + b x + e has one exactly when its discriminant
+    D = b^2 - 4ce is 0 or a square mod p, which Euler's criterion decides:
+    D^((p-1)/2) = 1 mod p for a nonzero square, -1 otherwise."""
+    n = len(a) - 1
+    if n == 1:
+        return False
+    if n == 2 and p != 2:
+        D = (a[1] * a[1] - 4 * a[2] * a[0]) % p
+        return D != 0 and pow(D, (p - 1) // 2, p) != 1
     xp = gf_pow_mod([0, 1], p, a, p)
     return len(gf_gcd(a, gf_sub(xp, [0, 1], p), p)) == 1
 

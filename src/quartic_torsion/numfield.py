@@ -60,6 +60,16 @@ bound, and a candidate is kept only if it passes exact substitution.  An image
 with no root mod p proves h rootless.  The bound makes the search complete, so
 there is no other method to fall back on.
 
+The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
+so each field keeps them per split prime at the highest precision any search
+has needed so far (`_split_prime_lift`), built on first use and never at
+construction.  A search that needs a q dividing that precision reduces them mod
+q, which is exact: rho_i mod q is the one root of f mod q above r_i, since a
+simple root mod p has exactly one lift mod q (Hensel's lemma).  A search that
+needs more continues the Newton iteration from the stored rho_i.  Each lift
+carries the inverse of the derivative by its own Newton step, so it takes one
+modular inverse in all (`_lift_root`).
+
 The norm method (Trager: factor Norm_{K/QQ} h(x - s*theta) over QQ and take a
 gcd over K per factor) stays in this module only as the independent oracle the
 tests compare the lift against; the engine never runs it.
@@ -71,7 +81,7 @@ import enum
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from sympy import factorint
 
@@ -102,7 +112,6 @@ class GaloisType(enum.Enum):
 def _integral_scale(poly: RatPoly) -> int:
     """Smallest c >= 1 such that poly(x/c) * c^deg is integral (poly monic)."""
     d = poly.degree
-    c = 1
     need: dict[int, int] = {}
     for i, coeff in enumerate(poly.coeffs[:-1]):
         den = coeff.denominator
@@ -111,9 +120,7 @@ def _integral_scale(poly: RatPoly) -> int:
         k = d - i
         for p, e in factorint(den).items():
             need[p] = max(need.get(p, 0), -(-e // k))
-    for p, e in need.items():
-        c *= p**e
-    return c
+    return prod(p**e for p, e in need.items())
 
 
 class NumberField:
@@ -121,7 +128,7 @@ class NumberField:
 
     __slots__ = ("defining_poly", "degree", "galois_type", "_f_int", "_quadratics",
                  "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants",
-                 "_residue_degrees")
+                 "_split_lifts", "_residue_degrees")
 
     def __init__(self, poly: RatPoly):
         if poly.is_zero() or poly.degree not in (1, 2, 4):
@@ -145,6 +152,9 @@ class NumberField:
         self._split_primes: list[tuple[int, tuple[int, ...]]] = []
         self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
         self._lift_constants: tuple[int, int, int, int] | None = None
+        # p -> (p^N, rho, weights) at the highest p^N lifted so far; filled by
+        # `_split_prime_lift`
+        self._split_lifts = {}
         self._residue_degrees: dict[int, int | None] = {}
 
     def __eq__(self, other):
@@ -163,11 +173,8 @@ class NumberField:
             if value.field is not self and value.field != self:
                 raise ValueError("element of a different field")
             return value
-        zeros = (0,) * (self.degree - 1)
-        if isinstance(value, int):
-            return FieldElement(self, (value,) + zeros)
-        if isinstance(value, Fraction):
-            return FieldElement(self, (value.numerator,) + zeros, value.denominator)
+        if isinstance(value, (int, Fraction)):
+            return FieldElement(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
         coeffs = [Fraction(v) for v in value]
         if len(coeffs) != self.degree:
             raise ValueError(f"need {self.degree} coordinates")
@@ -277,10 +284,7 @@ class FieldElement:
         return FieldElement(self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __neg__(self):
         return FieldElement(self.field, [-a for a in self.num], self.den)
@@ -304,17 +308,12 @@ class FieldElement:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
-        out = self.field.one()
-        base = self
         if n < 0:
-            base = self.inverse()
-            n = -n
+            return self.inverse() ** -n
+        out, base = self.field.one(), self
         while n:
             if n & 1:
                 out = out * base
@@ -464,10 +463,7 @@ class KPoly:
         return KPoly(self.field, out)
 
     def __sub__(self, other: "KPoly") -> "KPoly":
-        out = list(self.coeffs) + [self.field.zero()] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return KPoly(self.field, out)
+        return self + -other
 
     def __neg__(self) -> "KPoly":
         return KPoly(self.field, [-c for c in self.coeffs])
@@ -495,7 +491,7 @@ class KPoly:
     def divmod(self, other: "KPoly") -> tuple["KPoly", "KPoly"]:
         if other.is_zero():
             raise ZeroDivisionError
-        if self.is_zero() or len(self.coeffs) < len(other.coeffs):
+        if len(self.coeffs) < len(other.coeffs):
             return KPoly(self.field, []), self
         rem = list(self.coeffs)
         b = other.coeffs
@@ -537,10 +533,7 @@ class KPoly:
         return a.monic()
 
     def squarefree(self) -> "KPoly":
-        d = self.gcd(self.derivative())
-        if d.degree == 0:
-            return self.monic()
-        return (self // d).monic()
+        return (self // self.gcd(self.derivative())).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +553,9 @@ def _interpolate(points: list[tuple[int, Fraction]]) -> RatPoly:
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = RatPoly([])
-    basis = RatPoly([1])
-    for i in range(n):
-        poly = poly + basis.scale(coef[i])
-        basis = basis * RatPoly([-xs[i], 1])
+    poly = RatPoly([])  # the Newton form, by Horner's rule
+    for i in reversed(range(n)):
+        poly = poly * RatPoly([-xs[i], 1]) + RatPoly([coef[i]])
     return poly
 
 
@@ -584,14 +575,10 @@ def _norm_poly_shifted(h: KPoly, s: int) -> RatPoly:
 
 
 def _shifted_ratpoly(p: RatPoly, s: int, K: NumberField) -> KPoly:
-    """p(x + s*theta) as a polynomial over K."""
-    theta_s = K.gen() * s
-    out = KPoly(K, [])
-    basis = KPoly(K, [K.one()])
-    lin = KPoly(K, [theta_s, K.one()])
-    for c in p.coeffs:
-        out = out + basis.scale(c)
-        basis = basis * lin
+    """p(x + s*theta) as a polynomial over K, by Horner's rule."""
+    lin, out = KPoly(K, [K.gen() * s, 1]), KPoly(K, [])
+    for c in reversed(p.coeffs):
+        out = out * lin + KPoly(K, [c])
     return out
 
 
@@ -718,14 +705,54 @@ def _coordinate_bound(K: NumberField, ht: list[list[int]]) -> int:
     return K.degree * M * B * F ** (K.degree - 1)
 
 
-def _lift_root(g: list[int], x: int, p: int, q: int) -> int:
-    """The root mod q = p^N of g in Z[x] above x, a simple root of g mod p."""
+def _lift_root(g: Sequence[int], x: int, m: int, q: int) -> int:
+    """The root mod q of g in Z[x] above x, where x is a root of g mod m with
+    g'(x) a unit, and m | q are powers of one prime p.  For a simple root that
+    lift is unique (Hensel), so starting from a root mod some p^k gives the
+    same root mod q as starting from its residue mod p.
+
+    Each quadratic Newton step doubles the precision of x and of s, the
+    inverse of g'(x), which is carried by its own Newton step s <- s(2 - g'(x)s)
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9): if g'(x)s = 1
+    mod m, then g'(x')s' = 1 mod m^2 for x' = x mod m.  So one call takes one
+    modular inverse, mod m."""
     dg = [k * c for k, c in enumerate(g)][1:]
-    m = p
+    s = pow(_eval_mod(dg, x, m), -1, m)
     while m < q:
         m = min(m * m, q)
-        x = (x - _eval_mod(g, x, m) * pow(_eval_mod(dg, x, m), -1, m)) % m
+        x = (x - _eval_mod(g, x, m) * s) % m
+        if m < q:
+            s = s * (2 - _eval_mod(dg, x, m) * s) % m
     return x
+
+
+def _split_prime_lift(K: NumberField, p: int, rs: tuple[int, ...],
+                      q: int) -> tuple[list[int], list[list[int]]]:
+    """(rho, weights) mod q, a power of the split prime p at which f has the
+    roots rs mod p: rho_i is the root of f mod q above r_i, and weights[i]
+    holds the coefficients of Delta * l_i(x), l_i = prod_(k != i) (x - rho_k) /
+    (rho_i - rho_k) the Lagrange basis at the rho.  Since f = prod_k (x - rho_k)
+    mod q, l_i = (f(x) / (x - rho_i)) / f'(rho_i): one synthetic division and
+    one inverse per root.
+
+    Both are kept on K per p, at the highest precision p^N asked for so far,
+    and a q dividing p^N gets them reduced mod q.  That is exact: rho_i mod q
+    is the one root of f mod q above r_i (Hensel), and the weights are
+    polynomials in the rho_k and in inverses of units.  A larger q continues
+    the Newton iteration from the stored rho_i, not from the r_i."""
+    have, rho, weights = K._split_lifts.get(p, (p, rs, None))
+    if have < q or weights is None:
+        rho = [_lift_root(K._f_int, r, have, q) for r in rho]
+        Delta, weights = _lift_constants(K)[3], []
+        for r in rho:
+            g = [1]  # f / (x - r) by synthetic division, leading term first
+            for c in K._f_int[-2:0:-1]:
+                g.append((c + r * g[-1]) % q)
+            g.reverse()
+            w = Delta * pow(_eval_mod(g, r, q), -1, q)
+            weights.append([w * c % q for c in g])
+        K._split_lifts[p] = have, rho, weights = q, rho, weights
+    return [r % q for r in rho], [[c % q for c in w] for w in weights]
 
 
 def _mul_mod_f(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list[int]:
@@ -763,11 +790,15 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     monic g~ has algebraic-integer roots, so its coefficients are p-integral
     (p does not divide disc f), and g~(theta -> r)^2 divides every image.
     So h is reduced to its squarefree part only at a split prime where no
-    image is squarefree."""
+    image is squarefree.
+
+    The roots rho_i of f mod q and the Lagrange weights come from the field's
+    lift context (`_split_prime_lift`), lifted once per field and prime to the
+    highest precision needed so far; only the roots of the images are lifted
+    here, each from its residue mod p."""
     if h.degree == 0:
         return set()
     D, ht = _scaled_monic(h)
-    f = K._f_int
     # h squarefree: only the finitely many p dividing Norm(disc h~) fail
     for p, rs in K.iter_split_primes():
         images = [[_eval_mod(a, r, p) for a in ht] for r in rs]
@@ -784,20 +815,14 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     q = p
     while q <= 2 * L * p * p:
         q *= p
-    rho = [_lift_root(f, r, p, q) for r in rs]
-    # vecs[i][k]: Delta * (k-th root of h~_i mod q) * (i-th Lagrange basis
-    # polynomial at the rho), so that summing one per i gives Delta * c mod q
-    Delta = _lift_constants(K)[3]
+    rho, weights = _split_prime_lift(K, p, rs, q)
+    # vecs[i][k]: (k-th root of h~_i mod q) * Delta * l_i, so that summing
+    # one per i gives Delta * c mod q
     vecs = []
-    for i, (rho_i, rts) in enumerate(zip(rho, root_lists)):
-        basis, den = [1], 1
-        for k, rho_k in enumerate(rho):
-            if k != i:
-                basis = zp.zz_mul(basis, [-rho_k, 1])
-                den = den * (rho_i - rho_k) % q
-        w = Delta * pow(den, -1, q)
+    for rho_i, weight, rts in zip(rho, weights, root_lists):
         hi = [_eval_mod(a, rho_i, q) for a in ht]
-        vecs.append([[b * w * c % q for c in basis] for b in (_lift_root(hi, x, p, q) for x in rts)])
+        vecs.append([[b * c % q for c in weight] for b in (_lift_root(hi, x, p, q) for x in rts)])
+    Delta = _lift_constants(K)[3]
     roots = set()
     half = q // 2
     for choice in product(*vecs):
@@ -809,7 +834,7 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
                 break
             gamma.append(v)
         else:
-            if _vanishes_at(ht, gamma, Delta, f):
+            if _vanishes_at(ht, gamma, Delta, K._f_int):
                 roots.add(FieldElement(K, gamma, Delta * D))
     return roots
 

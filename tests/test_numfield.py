@@ -382,6 +382,106 @@ class TestHenselRoots:
         assert len(K._split_primes) > numfield.SPLIT_PRIME_COUNT
 
 
+def _reference_lift_root(g, x, p, q):
+    """The Newton lift with a fresh modular inverse of g'(x) at every step."""
+    dg = [k * c for k, c in enumerate(g)][1:]
+    m = p
+    while m < q:
+        m = min(m * m, q)
+        x = (x - numfield._eval_mod(g, x, m) * pow(numfield._eval_mod(dg, x, m), -1, m)) % m
+    return x
+
+
+class TestSplitPrimeLift:
+    """The roots of f and the Lagrange weights kept on the field per split
+    prime, at the highest precision asked for so far."""
+
+    def test_context_not_built_at_construction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("split-prime lift built during field set-up")
+
+        monkeypatch.setattr(numfield, "_split_prime_lift", forbidden)
+        monkeypatch.setattr(numfield, "_lift_root", forbidden)
+        for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
+            assert parse_field_spec(spec)._split_lifts == {}
+
+    @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
+    def test_served_roots_and_weights(self, spec, monkeypatch):
+        # precisions up and down, with exponents that are not powers of 2; each
+        # answer must be that of a field that lifts to q alone, and only a q
+        # above the stored precision lifts again, from the stored roots
+        K = parse_field_spec(spec)
+        f, Delta = K._f_int, numfield._lift_constants(K)[3]
+        starts = []
+        lift_root = numfield._lift_root
+        monkeypatch.setattr(numfield, "_lift_root",
+                            lambda g, x, m, q: starts.append(m) or lift_root(g, x, m, q))
+        for p, rs in K.split_primes()[:2]:
+            top = p
+            for N in (2, 7, 3, 7, 12, 5, 1, 13):
+                q = p**N
+                del starts[:]
+                rho, weights = numfield._split_prime_lift(K, p, rs, q)
+                assert starts == ([top] * K.degree if q > top else [])
+                top = max(top, q)
+                have, stored, _ = K._split_lifts[p]
+                assert have == top
+                assert all(s % p == r and numfield._eval_mod(f, s, have) == 0
+                           for s, r in zip(stored, rs))
+                for i, (rho_i, r) in enumerate(zip(rho, rs)):
+                    assert 0 <= rho_i < q and rho_i % p == r
+                    assert numfield._eval_mod(f, rho_i, q) == 0
+                    for k, rho_k in enumerate(rho):
+                        assert numfield._eval_mod(weights[i], rho_k, q) == Delta * (i == k) % q
+                cold = parse_field_spec(spec)
+                assert numfield._split_prime_lift(cold, p, rs, q) == (rho, weights), (p, N)
+
+    def test_small_then_large_then_small_precision(self, monkeypatch):
+        # the coordinate bound of h~ sets q: planted roots with small, large
+        # and again small coordinates lift at one split prime to a small, a
+        # large and again a small power of it.  Roots alpha and alpha + 1 stay
+        # distinct modulo every split prime, so every image is squarefree at
+        # the first one
+        K = parse_field_spec("1,1,1,1")
+        served = []
+        lift = numfield._split_prime_lift
+
+        def spy(K, p, rs, q):
+            served.append((p, q))
+            return lift(K, p, rs, q)
+
+        monkeypatch.setattr(numfield, "_split_prime_lift", spy)
+        rng = random.Random(43)
+        for size in (9, 10**40, 9, 10**40, 9):
+            alpha = K.element([rng.randrange(-size, size + 1) for _ in range(4)])
+            h = _planted(K, [alpha, alpha + 1], KPoly(K, [1]))
+            got = numfield._hensel_roots(h, K)
+            assert got == {alpha, alpha + 1} == numfield._trager_roots(h, K)
+        (p, q0), (_, q1), (_, q2), (_, q3), (_, q4) = served
+        assert {p for p, _ in served} == {p}
+        assert q0 < q1 and q2 < q1 and q3 == q1 and q4 < q3
+        assert K._split_lifts[p][0] == q1
+
+    @pytest.mark.parametrize("p", (3, 5, 61, 1009))
+    def test_lift_root_matches_inverse_per_step(self, p):
+        rng = random.Random(f"lift:{p}")
+        checked = 0
+        for _ in range(40):
+            g = [rng.randrange(-50, 51) for _ in range(rng.randrange(2, 7))] + [rng.choice((1, 1, 3))]
+            dg = [k * c for k, c in enumerate(g)][1:]
+            for x in range(min(p, 200)):
+                if numfield._eval_mod(g, x, p) or not numfield._eval_mod(dg, x, p):
+                    continue
+                for N in (1, 2, 3, 5, 6, 9, 16, 17):
+                    want = _reference_lift_root(g, x, p, p**N)
+                    assert numfield._lift_root(g, x, p, p**N) == want, (g, x, N)
+                    # resumed from the root mod p^k
+                    k = rng.randrange(1, N + 1)
+                    assert numfield._lift_root(g, want % p**k, p**k, p**N) == want, (g, x, k, N)
+                checked += 1
+        assert checked >= 10
+
+
 class TestSquarefreeOnDemand:
     """The lift takes the squarefree part of h only when the images of h at a
     split prime are not all squarefree."""

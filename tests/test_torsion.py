@@ -8,6 +8,7 @@ its odd n-torsion with a count that does not run the lift loop.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -295,6 +296,37 @@ def test_seed0_reports_unchanged():
         if hashlib.sha256(text.encode()).hexdigest() != row["sha256"]:
             changed.append(f"{row['curve']} over {row['field']}: {text}")
     assert not changed, "\n".join(changed)
+
+
+def _curve_sweep_seed0_cases():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.cases("curve_sweep", 0)
+
+
+@pytest.mark.parametrize("order", ("given", "reversed"))
+def test_reports_independent_of_case_order(order):
+    # each field keeps its split-prime lifts from one case to the next, so
+    # the curve_sweep cases of seed 0 run on shared fields, first to last and
+    # last to first, must give the pinned reports either way
+    digests = {(row["curve"], row["field"]): row["sha256"] for row in SEED0_DIGESTS}
+    cases = _curve_sweep_seed0_cases()
+    if order == "reversed":
+        cases.reverse()
+    fields = {}
+    changed = []
+    for curve, field in cases:
+        if field not in fields:
+            fields[field] = parse_field_spec(field)
+        report = torsion_over_field(Curve.from_str(curve), fields[field])
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        if hashlib.sha256(text.encode()).hexdigest() != digests[curve, field]:
+            changed.append(f"{curve} over {field}: {text}")
+    assert not changed, "\n".join(changed)
+    assert len(cases) == 96 and any(K._split_lifts for K in fields.values())
 
 
 def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_reference):
