@@ -21,8 +21,9 @@ from fractions import Fraction
 from sympy import factorint
 
 from .errors import DataFormatError, InvariantViolationError, SingularCurveError
-from .exactmath import RatPoly, rat_from_str, rat_to_str, rational_roots, squarefree_part_rational
-from .numfield import FieldElement, KPoly, NumberField, rational_field, roots_in_field, sqrt_in_field
+from .exactmath import RatPoly, rat_from_str, rat_to_str, squarefree_part_rational
+from .numfield import (FieldElement, KPoly, NumberField, rational_field, rational_roots,
+                       roots_in_field, sqrt_in_field)
 
 
 class Curve:

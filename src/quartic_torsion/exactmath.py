@@ -2,9 +2,11 @@
 
 Rationals are fractions.Fraction (always lowest terms, positive denominator).
 RatPoly is a dense immutable polynomial over Fraction, constant term first.
-On top of the ring operations this module provides the four nontrivial
-primitives everything else consumes: monic gcd, resultant, squarefree part,
-rational roots, and factorization restricted to factors of degree <= dmax.
+On top of the ring operations this module provides the nontrivial
+primitives everything else consumes: monic gcd, resultant, squarefree
+decomposition (Yun), and factorization restricted to factors of degree <= dmax.
+Rational roots are not found here: `numfield.rational_roots` finds them as the
+roots in the degree-1 field, with the one root solver of the package.
 
 All arithmetic is exact; equality of values is decidable and used freely.
 Every value is immutable, so everything here is safe to share between
@@ -14,13 +16,12 @@ threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import isqrt, lcm
 
 from sympy import factorint
 
 from . import _intpoly as zp
-from .errors import DataFormatError, InvariantViolationError
+from .errors import DataFormatError
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -297,16 +298,6 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
     return cf**g.degree * cg**f.degree * r
 
 
-def squarefree_part(h: RatPoly) -> RatPoly:
-    """Monic product of the distinct irreducible factors of h."""
-    if h.is_zero():
-        raise ValueError("squarefree part of zero polynomial")
-    if h.degree == 0:
-        return RatPoly([1])
-    d = poly_gcd(h, h.derivative())
-    return (h // d).monic()
-
-
 def squarefree_decomposition(h: RatPoly) -> list[tuple[RatPoly, int]]:
     """Yun's algorithm: h = lc * prod g_i^i with g_i monic squarefree coprime.
     Returns the list of (g_i, i) with g_i nonconstant."""
@@ -360,38 +351,6 @@ def factor_bounded(h: RatPoly, dmax: int) -> dict[RatPoly, int]:
                 key = RatPoly.from_ints(fac).monic()
                 out[key] = out.get(key, 0) + mult
     return out
-
-
-ROOT_TEST_FLOOR = 50
-ROOT_TEST_PRIMES = 3
-
-
-def _rootless_mod_primes(h: RatPoly) -> bool:
-    """True when P = d * h, cleared of denominators, has no root modulo one of
-    the first ROOT_TEST_PRIMES primes p > ROOT_TEST_FLOOR with p not dividing
-    lc(P).  That proves h has no rational root: a root a/b in lowest terms has
-    b | lc(P), so it reduces to a root of P mod p.  False proves nothing."""
-    _, P = h.cleared()
-    primes = (p for p in zp._prime_stream(ROOT_TEST_FLOOR) if P[-1] % p)
-    return any(zp.gf_rootless(zp.gf_from_zz(P, p), p)
-               for p in islice(primes, ROOT_TEST_PRIMES))
-
-
-def rational_roots(h: RatPoly) -> set[Fraction]:
-    """Exactly the rational roots of a nonzero polynomial, each once.  A
-    polynomial with no root modulo some small prime returns at once."""
-    if h.is_zero():
-        raise ValueError("rational_roots of zero polynomial")
-    if _rootless_mod_primes(h):
-        return set()
-    roots = set()
-    for fac in factor_bounded(h, 1):
-        # monic linear factor x - r
-        roots.add(-fac.coeffs[0])
-    for r in roots:
-        if h(r) != 0:
-            raise InvariantViolationError(f"root verification failed: {r} is not a root")
-    return roots
 
 
 def is_irreducible(h: RatPoly) -> bool:

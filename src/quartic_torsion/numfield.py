@@ -16,7 +16,7 @@ for reports, sorting and the tests.
 
 A quartic field's Galois type and quadratic subfields are both read
 off the rational roots of the resolvent cubic of f at construction, so setting
-up a field finds no roots in it.
+up a field finds no roots in it, only in QQ.
 
 Root-finding works at completely split primes.  `NumberField.iter_split_primes`
 lists, on first use and never at construction, the primes p > 50 at which f
@@ -60,6 +60,11 @@ bound, and a candidate is kept only if it passes exact substitution.  An image
 with no root mod p proves h rootless.  The bound makes the search complete, so
 there is no other method to fall back on.
 
+QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
+own: f = x, every prime p > 50 splits with the root 0, R = B = F = Delta = 1,
+and L = M is Cauchy's bound on the roots of the monic integral h~.
+`rational_roots` searches one such field, built at import.
+
 The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
 so each field keeps them per split prime at the highest precision any search
 has needed so far (`_split_prime_lift`), built on first use and never at
@@ -94,7 +99,6 @@ from .exactmath import (
     is_rational_square,
     poly_gcd,
     rat_from_str,
-    rational_roots,
     rational_sqrt,
     resultant,
     squarefree_part_rational,
@@ -387,8 +391,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
-        if self.field.degree == 1:
-            return self.rational_value()
         return resultant(self.field.defining_poly, RatPoly(self.coeffs))
 
     def sort_key(self):
@@ -424,11 +426,6 @@ class KPoly:
     @classmethod
     def from_ratpoly(cls, field: NumberField, p: RatPoly) -> "KPoly":
         return cls(field, [field.element(c) for c in p.coeffs])
-
-    def to_ratpoly(self) -> RatPoly:
-        if not all(c.is_rational() for c in self.coeffs):
-            raise ValueError("polynomial has irrational coefficients")
-        return RatPoly([c.rational_value() for c in self.coeffs])
 
     @property
     def degree(self):
@@ -840,12 +837,14 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
 
 
 def roots_in_field(h, K: NumberField) -> set[FieldElement]:
-    """Exactly the roots of h lying in K, verified by exact substitution.
+    """Exactly the roots of h lying in K, verified by exact substitution.  The
+    one root solver of the package, for every degree of K, QQ included.
 
     h may be a RatPoly (rational coefficients) or a KPoly over K.  An h that
-    some split prime proves rootless returns at once.  For rational h the
-    factorization happens over QQ first, so only factors whose degree divides
-    [K:QQ] are lifted.
+    some split prime proves rootless returns at once.  A rational h is then
+    factored over QQ once: its roots in QQ are read off the linear factors, and
+    only the other factors whose degree divides [K:QQ] are lifted.  A KPoly is
+    lifted as it is.
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
@@ -854,25 +853,25 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
     if _no_root_certified(h, K):
         return set()
     if isinstance(h, RatPoly):
-        if K.degree == 1:
-            roots = {K.element(r) for r in rational_roots(h)}
-        else:
-            roots = set()
-            for q in factor_bounded(h, K.degree):
-                if q.degree == 1:
-                    roots.add(K.element(-q.coeffs[0]))
-                elif K.degree % q.degree == 0:
-                    roots |= _hensel_roots(KPoly.from_ratpoly(K, q), K)
-        hK = KPoly.from_ratpoly(K, h)
+        roots = set()
+        for q in factor_bounded(h, K.degree):
+            if q.degree == 1:
+                roots.add(K.element(-q.coeffs[0]))
+            elif K.degree % q.degree == 0:
+                roots |= _hensel_roots(KPoly.from_ratpoly(K, q), K)
     else:
-        if K.degree == 1:
-            return {K.element(r) for r in rational_roots(h.to_ratpoly())}
-        hK = h
         roots = _hensel_roots(h, K)
     for r in roots:
-        if not hK(r).is_zero():
+        if not h(r).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")
     return roots
+
+
+def rational_roots(h: RatPoly) -> set[Fraction]:
+    """Exactly the rational roots of a nonzero h, each once: its roots in the
+    degree-1 field `_QQ`, which keeps its split primes and lifts like any
+    other field."""
+    return {r.rational_value() for r in roots_in_field(h, _QQ)}
 
 
 def sqrt_in_field(beta, K: NumberField):
@@ -924,6 +923,9 @@ def _galois_structure(f: RatPoly) -> tuple[GaloisType, frozenset[int]]:
 
 def rational_field() -> NumberField:
     return NumberField(RatPoly([0, 1]))
+
+
+_QQ = rational_field()
 
 
 def quadratic_field(m) -> NumberField:

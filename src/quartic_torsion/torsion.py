@@ -47,7 +47,7 @@ from sympy import nextprime, primefactors
 
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
-from .exactmath import RatPoly, rat_to_str, rational_roots
+from .exactmath import RatPoly, rat_to_str
 from .ellcurve import (
     Curve,
     Point,
@@ -61,6 +61,7 @@ from .numfield import (
     NumberField,
     _in_quadratic_span,
     definition_degree,
+    rational_roots,
     roots_in_field,
     sqrt_in_field,
 )

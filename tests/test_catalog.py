@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quartic_torsion.catalog import family_fujita, family_jkl
-from quartic_torsion.exactmath import rational_roots
+from quartic_torsion.numfield import rational_roots
 from quartic_torsion.torsion import torsion_over_field
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quartic_torsion.errors import SingularCurveError
-from quartic_torsion.exactmath import RatPoly, poly_gcd, rational_roots
+from quartic_torsion.exactmath import RatPoly, poly_gcd
 from quartic_torsion.ellcurve import (
     Curve,
     Point,
@@ -16,7 +16,13 @@ from quartic_torsion.ellcurve import (
     short_model,
     two_torsion,
 )
-from quartic_torsion.numfield import biquadratic_field, parse_field_spec, quadratic_field, rational_field
+from quartic_torsion.numfield import (
+    biquadratic_field,
+    parse_field_spec,
+    quadratic_field,
+    rational_field,
+    rational_roots,
+)
 from quartic_torsion.torsion import torsion_over_field
 
 Q = rational_field()

@@ -10,7 +10,6 @@ from quartic_torsion import _intpoly
 from quartic_torsion.ellcurve import Curve
 from quartic_torsion.exactmath import (
     RatPoly,
-    _rootless_mod_primes,
     factor_bounded,
     is_irreducible,
     is_rational_square,
@@ -18,9 +17,7 @@ from quartic_torsion.exactmath import (
     poly_xgcd,
     rat_from_str,
     rat_to_str,
-    rational_roots,
     resultant,
-    squarefree_part,
     squarefree_part_rational,
 )
 from quartic_torsion.numfield import parse_field_spec
@@ -142,67 +139,6 @@ class TestResultant:
             g = rand_poly(rng, rng.randrange(1, 4))
             h = rand_poly(rng, rng.randrange(1, 4))
             assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
-
-
-class TestSquarefree:
-    def test_strips_multiplicity(self):
-        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])
-        assert squarefree_part(f) == (RatPoly([-1, 1]) * RatPoly([2, 1])).monic()
-
-    def test_already_squarefree(self):
-        f = RatPoly([1, 0, 1])
-        assert squarefree_part(f) == f
-
-    def test_cube(self):
-        f = RatPoly([1, 0, 1]) ** 3
-        assert squarefree_part(f) == RatPoly([1, 0, 1])
-
-    def test_divides_and_no_repeats(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            f = rand_poly(rng, rng.randrange(1, 4)) ** rng.randrange(1, 4) * rand_poly(rng, 2)
-            s = squarefree_part(f)
-            assert s.divides_exactly(f)
-            assert poly_gcd(s, s.derivative()).degree == 0
-
-
-class TestRationalRoots:
-    def test_pm_one(self):
-        assert rational_roots(RatPoly([-1, 0, 1])) == {1, -1}
-
-    def test_cubic_with_x_factor(self):
-        # 3x^4 + 12x = 3x(x^3 + 4); x^3+4 has no rational root
-        assert rational_roots(RatPoly([0, 12, 0, 0, 3])) == {0}
-
-    def test_fractional_roots(self):
-        # (2x-1)(3x+5)
-        f = RatPoly([-1, 2]) * RatPoly([5, 3])
-        assert rational_roots(f) == {Fraction(1, 2), Fraction(-5, 3)}
-
-    def test_every_root_verifies(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            f = rand_poly(rng, rng.randrange(1, 7))
-            for r in rational_roots(f):
-                assert f(r) == 0
-
-    @pytest.mark.parametrize("h", [
-        RatPoly([-2, 0, 1]),                          # 2 is no square mod 53
-        RatPoly([Fraction(-1, 3), 0, 0, 53]),         # 53 | lc, so 53 is skipped
-        RatPoly([-1, 2]) * RatPoly([5, 3]) * RatPoly([-2, 0, 1]),
-        RatPoly([0, 12, 0, 0, 3]),
-    ])
-    def test_agrees_with_linear_factors(self, h):
-        assert rational_roots(h) == {-f.coeffs[0] for f in factor_bounded(h, 1)}
-
-    def test_modular_check_settles_only_rootless(self):
-        assert _rootless_mod_primes(RatPoly([-2, 0, 1]))
-        rng = random.Random(8)
-        for _ in range(20):
-            r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
-            h = RatPoly([-r, 1]) * rand_poly(rng, rng.randrange(0, 4))
-            assert not _rootless_mod_primes(h)
-            assert rational_roots(h) == {-f.coeffs[0] for f in factor_bounded(h, 1)}
 
 
 class TestFactorBounded:

@@ -1,13 +1,23 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from quartic_torsion import numfield
 from quartic_torsion._intpoly import gf_is_squarefree
+from quartic_torsion.ellcurve import Curve
 from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
-from quartic_torsion.exactmath import RatPoly, is_irreducible, is_rational_square, poly_xgcd, resultant
+from quartic_torsion.exactmath import (
+    RatPoly,
+    factor_bounded,
+    is_irreducible,
+    is_rational_square,
+    poly_xgcd,
+    resultant,
+)
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -18,6 +28,7 @@ from quartic_torsion.numfield import (
     parse_field_spec,
     quadratic_field,
     rational_field,
+    rational_roots,
     roots_in_field,
     sqrt_in_field,
 )
@@ -231,6 +242,9 @@ class TestSplitPrimeCertificate:
         def forbidden(*args):
             raise AssertionError("split-prime table built during field set-up")
 
+        # setting up a quartic field searches its resolvent cubic in the one
+        # QQ field of `rational_roots`, which builds its own table on first use
+        rational_roots(RatPoly([-2, 0, 1]))
         monkeypatch.setattr(numfield, "_split_prime_stream", forbidden)
         for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
             parse_field_spec(spec)
@@ -380,6 +394,138 @@ class TestHenselRoots:
         assert numfield._hensel_roots(h, K) == {th, th + P}
         assert roots_in_field(h, K) == {th, th + P}
         assert len(K._split_primes) > numfield.SPLIT_PRIME_COUNT
+
+
+KNOWN_GROUP_CURVES = [row["curve"] for row in json.loads(
+    (Path(__file__).parent / "data" / "known_groups_reports.json").read_text())]
+
+
+def _rand_ratpoly(rng, deg, span=9):
+    cs = [Fraction(rng.randrange(-span, span + 1)) for _ in range(deg)]
+    return RatPoly(cs + [Fraction(rng.randrange(1, span + 1))])
+
+
+def _linear_factor_roots(h):
+    """The rational roots of h read off its linear factors over QQ (Zassenhaus
+    in `factor_bounded`), the oracle for the lift in the degree-1 field."""
+    return {-g.coeffs[0] for g in factor_bounded(h, 1)}
+
+
+class TestDegreeOneLift:
+    """QQ = QQ[theta]/(theta) takes the same lift as every other field: f = x,
+    every split prime has the root 0, and L is Cauchy's bound."""
+
+    @staticmethod
+    def check(h):
+        Q = rational_field()
+        expected = _linear_factor_roots(h)
+        hK = KPoly.from_ratpoly(Q, h)
+        assert {r.rational_value() for r in numfield._hensel_roots(hK, Q)} == expected
+        assert roots_in_field(hK, Q) == roots_in_field(h, Q) == {Q.element(r) for r in expected}
+        assert rational_roots(h) == expected
+        return expected
+
+    def test_lift_constants(self):
+        Q = rational_field()
+        assert numfield._lift_constants(Q) == (1, 1, 1, 1)
+        assert all(rs == (0,) for _, rs in Q.split_primes())
+        # L is Cauchy's bound 1 + max |a_k| of the monic integral h~
+        assert numfield._coordinate_bound(Q, [[-12], [7], [1]]) == 13
+
+    def test_planted_roots_with_denominators(self):
+        rng = random.Random(41)
+        found = 0
+        for _ in range(40):
+            roots = {Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**5))
+                     for _ in range(rng.randrange(1, 4))}
+            h = _rand_ratpoly(rng, rng.randrange(0, 3))
+            for r in roots:
+                h = h * RatPoly([-r.numerator, r.denominator])
+            assert roots <= self.check(h)
+            found += len(roots)
+        assert found > 40
+
+    def test_repeated_roots_take_the_squarefree_part(self, monkeypatch):
+        calls = []
+        squarefree = KPoly.squarefree
+        monkeypatch.setattr(KPoly, "squarefree", lambda h: calls.append(h) or squarefree(h))
+        rng = random.Random(43)
+        for _ in range(12):
+            r = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 100))
+            s = Fraction(rng.randrange(-99, 100), rng.randrange(1, 9))
+            h = RatPoly([-r, 1]) ** rng.randrange(2, 4) * RatPoly([-s, 1]) * _rand_ratpoly(rng, 1)
+            assert {r, s} <= self.check(h)
+        assert len(calls) >= 12
+
+    @pytest.mark.parametrize("root", (10**15, -10**15, 2, -2, Fraction(10**9 + 7, 3),
+                                      Fraction(-10**12, 99991)))
+    def test_root_at_cauchy_bound(self, root):
+        # root = a/b: for x - a/b and (x - a/b)(x + sign(a)/b), h~ is y - a and
+        # y^2 + (sign(a) - a) y - |a|, so the root a of h~ is 1 below
+        # L = 1 + |a|, Cauchy's bound
+        a, b = root.as_integer_ratio()
+        other = Fraction(-1 if a > 0 else 1, b)
+        assert self.check(RatPoly([-root, 1])) == {root}
+        assert self.check(RatPoly([-root, 1]) * RatPoly([-other, 1])) == {root, other}
+
+    def test_degree_zero(self):
+        assert self.check(RatPoly([Fraction(-7, 3)])) == set()
+        assert numfield._hensel_roots(KPoly(rational_field(), [5]), rational_field()) == set()
+
+    @pytest.mark.parametrize("curve", KNOWN_GROUP_CURVES)
+    def test_division_polynomials_of_known_groups_curves(self, curve):
+        E = Curve.from_str(curve)
+        for h in (E.division_polynomial(3), E.division_polynomial(5),
+                  E.division_polynomial(7), E.two_division_poly()):
+            self.check(h)
+
+
+class TestRationalRoots:
+    def test_pm_one(self):
+        assert rational_roots(RatPoly([-1, 0, 1])) == {1, -1}
+
+    def test_cubic_with_x_factor(self):
+        # 3x^4 + 12x = 3x(x^3 + 4); x^3+4 has no rational root
+        assert rational_roots(RatPoly([0, 12, 0, 0, 3])) == {0}
+
+    def test_fractional_roots(self):
+        # (2x-1)(3x+5)
+        f = RatPoly([-1, 2]) * RatPoly([5, 3])
+        assert rational_roots(f) == {Fraction(1, 2), Fraction(-5, 3)}
+
+    def test_every_root_verifies(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            f = _rand_ratpoly(rng, rng.randrange(1, 7))
+            for r in rational_roots(f):
+                assert f(r) == 0
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            rational_roots(RatPoly([]))
+
+    @pytest.mark.parametrize("h", [
+        RatPoly([-2, 0, 1]),                          # 2 is no square mod 53
+        RatPoly([Fraction(-1, 3), 0, 0, 53]),         # 53 | lc, so 53 is skipped
+        RatPoly([1, 53]),                             # 53 | lc: mod 53 a nonzero constant
+        RatPoly([-1, 2]) * RatPoly([5, 3]) * RatPoly([-2, 0, 1]),
+        RatPoly([0, 12, 0, 0, 3]),
+    ])
+    def test_agrees_with_linear_factors(self, h):
+        roots = _linear_factor_roots(h)
+        assert rational_roots(h) == roots
+        if roots:
+            assert not numfield._no_root_certified(h, rational_field())
+
+    def test_modular_check_settles_only_rootless(self):
+        Q = rational_field()
+        assert numfield._no_root_certified(RatPoly([-2, 0, 1]), Q)
+        rng = random.Random(8)
+        for _ in range(20):
+            r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+            h = RatPoly([-r, 1]) * _rand_ratpoly(rng, rng.randrange(0, 4))
+            assert not numfield._no_root_certified(h, Q)
+            assert rational_roots(h) == _linear_factor_roots(h)
 
 
 def _reference_lift_root(g, x, p, q):
@@ -604,10 +750,19 @@ class TestGaloisType:
         assert (K.galois_type, K.quadratic_subfields()) == (galois_type, subfields)
 
     def test_setup_runs_no_root_finding(self, monkeypatch):
+        # set-up searches QQ for the resolvent cubic's roots, and K for none
         def forbidden(*args):
             raise AssertionError("root finding during field set-up")
 
-        monkeypatch.setattr(numfield, "roots_in_field", forbidden)
+        searched_in_qq = []
+
+        def qq_only(h, K):
+            if K.degree > 1:
+                forbidden()
+            searched_in_qq.append(h)
+            return roots_in_field(h, K)
+
+        monkeypatch.setattr(numfield, "roots_in_field", qq_only)
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
         monkeypatch.setattr(numfield, "_hensel_roots", forbidden)
         expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
@@ -616,8 +771,12 @@ class TestGaloisType:
                     "5;5;2": (GaloisType.CyclicQuartic, {5}),
                     "13;13;3": (GaloisType.CyclicQuartic, {13})}
         for spec, (gt, subfields) in expected.items():
+            searched_in_qq.clear()
             K = parse_field_spec(spec)
             assert (K.galois_type, K.quadratic_subfields()) == (gt, subfields)
+            p, q, r, s = K.defining_poly.coeffs[3::-1]
+            resolvent = RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
+            assert searched_in_qq == [resolvent], spec
 
     def test_subfields_need_a_quartic(self):
         with pytest.raises(UnsupportedFieldError):
