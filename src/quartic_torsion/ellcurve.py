@@ -12,6 +12,13 @@ alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
 psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 carried separately.  The roots of the
 order-n primitive part are precisely the x-coordinates of points of exact
 order n.
+
+A Curve keeps, each filled on first use and never at construction, what the
+engine asks of it again for every field it is searched over: the division
+polynomials psi_n by n; the factors over QQ of `x_division_poly(n)` of degree
+<= d by (n, d), d = [K:QQ]; a_p by p for `reduction_order`; and the rational
+roots of the 2-division cubic.  Nothing is keyed by a field, so a curve keeps
+no field alive, and every value is a function of the a-invariants alone.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from sympy import factorint
 
 from .errors import DataFormatError, InvariantViolationError, SingularCurveError
-from .exactmath import RatPoly, rat_from_str, rat_to_str, squarefree_part_rational
+from .exactmath import RatPoly, factor_bounded, rat_from_str, rat_to_str, squarefree_part_rational
 from .numfield import (FieldElement, KPoly, NumberField, rational_field, rational_roots,
                        roots_in_field, sqrt_in_field)
 
@@ -30,7 +37,8 @@ class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "c4", "c6", "disc", "j", "label", "_psi_cache")
+                 "c4", "c6", "disc", "j", "label", "_psi_cache", "_factor_cache",
+                 "_ap_cache", "_two_division_roots")
 
     def __init__(self, a_invariants, label: str | None = None):
         a1, a2, a3, a4, a6 = (Fraction(a) for a in a_invariants)
@@ -48,6 +56,9 @@ class Curve:
         self.j = self.c4**3 / self.disc
         self.label = label
         self._psi_cache: dict[int, RatPoly] = {}
+        self._factor_cache: dict[tuple[int, int], dict[RatPoly, int]] = {}
+        self._ap_cache: dict[int, int | None] = {}
+        self._two_division_roots: frozenset[Fraction] | None = None
 
     @property
     def a_invariants(self):
@@ -125,6 +136,20 @@ class Curve:
         g = self.division_polynomial(n)
         return g if n % 2 else g * self.two_division_poly()
 
+    def x_division_factors(self, n: int, d: int) -> dict[RatPoly, int]:
+        """factor_bounded(x_division_poly(n), d), factored on first use for
+        each (n, d) and kept."""
+        if (n, d) not in self._factor_cache:
+            self._factor_cache[n, d] = factor_bounded(self.x_division_poly(n), d)
+        return self._factor_cache[n, d]
+
+    def two_division_roots(self) -> frozenset[Fraction]:
+        """The rational roots of the 2-division cubic, found on first use and
+        kept."""
+        if self._two_division_roots is None:
+            self._two_division_roots = frozenset(rational_roots(self.two_division_poly()))
+        return self._two_division_roots
+
     # -- reduction -------------------------------------------------------------
 
     def reduction_order(self, p: int, f: int) -> int | None:
@@ -134,7 +159,20 @@ class Curve:
         (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 from a table of the
         squares mod p, which gives a_p = p + 1 - #E~(F_p).  Then
         #E~(F_q) = q + 1 - s_f with s_0 = 2, s_1 = a_p and
-        s_k = a_p s_(k-1) - p s_(k-2), the power sums of Frobenius."""
+        s_k = a_p s_(k-1) - p s_(k-2), the power sums of Frobenius.  a_p is
+        counted on first use for each p and kept."""
+        if p not in self._ap_cache:
+            self._ap_cache[p] = self._frobenius_trace(p)
+        ap = self._ap_cache[p]
+        if ap is None:
+            return None
+        s_prev, s = 2, ap
+        for _ in range(f - 1):
+            s_prev, s = s, ap * s - p * s_prev
+        return p**f + 1 - s
+
+    def _frobenius_trace(self, p: int) -> int | None:
+        """a_p = p + 1 - #E~(F_p), or None at a bad p (see `reduction_order`)."""
         if any(a.denominator % p == 0 for a in self.a_invariants) or self.disc.numerator % p == 0:
             return None
         b2, b4, b6 = (b.numerator * pow(b.denominator, -1, p) % p
@@ -144,11 +182,7 @@ class Curve:
         chi[0] = 0
         for y in range(1, (p + 1) // 2):
             chi[y * y % p] = 1
-        ap = -sum(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
-        s_prev, s = 2, ap
-        for _ in range(f - 1):
-            s_prev, s = s, ap * s - p * s_prev
-        return p**f + 1 - s
+        return -sum(chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
 
     def mult_by_m_xmap(self, m: int) -> tuple[RatPoly, RatPoly]:
         """(phi_m, psi_m^2) with x([m]P) = phi_m(x)/psi_m^2(x)."""

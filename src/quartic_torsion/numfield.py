@@ -63,7 +63,12 @@ there is no other method to fall back on.
 QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
 own: f = x, every prime p > 50 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
-`rational_roots` searches one such field, built at import.
+`rational_roots` searches one such field, built at import.  A RatPoly over QQ
+is lifted directly, with no factorization: its one image leaves no matchings
+to prune.  The factorizer serves only [K:QQ] > 1, where a rational h is
+factored over QQ first and only factors of degree dividing [K:QQ] are lifted;
+a caller that meets one h over many fields may hand its factors in
+(`roots_in_field`).
 
 The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
 so each field keeps them per split prime at the highest precision any search
@@ -85,6 +90,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from math import gcd, lcm, prod
 
@@ -836,15 +842,19 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     return roots
 
 
-def roots_in_field(h, K: NumberField) -> set[FieldElement]:
+def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
     """Exactly the roots of h lying in K, verified by exact substitution.  The
     one root solver of the package, for every degree of K, QQ included.
 
     h may be a RatPoly (rational coefficients) or a KPoly over K.  An h that
-    some split prime proves rootless returns at once.  A rational h is then
-    factored over QQ once: its roots in QQ are read off the linear factors, and
-    only the other factors whose degree divides [K:QQ] are lifted.  A KPoly is
-    lifted as it is.
+    some split prime proves rootless returns at once.  A KPoly is then lifted
+    as it is, and so is a RatPoly over QQ: there is one image, so there are no
+    matchings for a factorization to prune.  A RatPoly over K != QQ is
+    factored over QQ: its roots in QQ are read off the linear factors, and only
+    the other factors whose degree divides [K:QQ] are lifted.  `factors`, if
+    given, is a function d -> factor_bounded(h, d) for a caller that keeps
+    them (`Curve.x_division_factors`); it is called only there, after the
+    certificate has failed, with d = [K:QQ].
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
@@ -852,15 +862,15 @@ def roots_in_field(h, K: NumberField) -> set[FieldElement]:
         raise ValueError("polynomial over a different field")
     if _no_root_certified(h, K):
         return set()
-    if isinstance(h, RatPoly):
+    if isinstance(h, KPoly) or K.degree == 1:
+        roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly.from_ratpoly(K, h), K)
+    else:
         roots = set()
-        for q in factor_bounded(h, K.degree):
+        for q in (factors or partial(factor_bounded, h))(K.degree):
             if q.degree == 1:
                 roots.add(K.element(-q.coeffs[0]))
             elif K.degree % q.degree == 0:
                 roots |= _hensel_roots(KPoly.from_ratpoly(K, q), K)
-    else:
-        roots = _hensel_roots(h, K)
     for r in roots:
         if not h(r).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")

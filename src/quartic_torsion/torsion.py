@@ -41,6 +41,7 @@ the computation: the engine never returns a best guess.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, lcm
 
 from sympy import nextprime, primefactors
@@ -61,7 +62,6 @@ from .numfield import (
     NumberField,
     _in_quadratic_span,
     definition_degree,
-    rational_roots,
     roots_in_field,
     sqrt_in_field,
 )
@@ -198,11 +198,14 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     multiply the group's order by at least p.  The frontier starts as the
     points of order p: those above the roots of `x_division_poly(p)`.  For
     p = 2 that is the 2-division cubic, on whose roots the discriminant in y
-    vanishes, so each root gives one point.  A point found at lift level k has
-    order exactly p^k: the frontier at level k-1 holds every point of order
-    p^(k-1), and a preimage under [p] of such a point has order p^k."""
-    frontier = {P for x in roots_in_field(E.x_division_poly(p), K)
-                for P in curve_points_y(E, x, K)}
+    vanishes, so each root gives one point.  Over K != QQ the roots come from
+    the curve's own factors of that polynomial (`Curve.x_division_factors`),
+    factored once per [K:QQ] and only when no split prime proves it rootless
+    in K.  A point found at lift level k has order exactly p^k: the frontier
+    at level k-1 holds every point of order p^(k-1), and a preimage under [p]
+    of such a point has order p^k."""
+    xs = roots_in_field(E.x_division_poly(p), K, partial(E.x_division_factors, p))
+    frontier = {P for x in xs for P in curve_points_y(E, x, K)}
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
     q = p * p
     while frontier and len(pts) * p <= bound:
@@ -368,7 +371,7 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
     # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
     # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
     if st.order % 2 == 0:
-        record("two_torsion_rigidity", bool(rational_roots(E.two_division_poly())))
+        record("two_torsion_rigidity", bool(E.two_division_roots()))
     # points of order 7 = 3 mod 4 over a quartic field are defined over a
     # quadratic subfield
     if K.degree == 4:

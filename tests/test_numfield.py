@@ -411,6 +411,13 @@ def _linear_factor_roots(h):
     return {-g.coeffs[0] for g in factor_bounded(h, 1)}
 
 
+def _resolvent_cubic(f):
+    """The resolvent cubic of the monic quartic f, whose rational roots
+    classify QQ[x]/(f)."""
+    p, q, r, s = f.coeffs[3::-1]
+    return RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
+
+
 class TestDegreeOneLift:
     """QQ = QQ[theta]/(theta) takes the same lift as every other field: f = x,
     every split prime has the root 0, and L is Cauchy's bound."""
@@ -479,6 +486,26 @@ class TestDegreeOneLift:
                   E.division_polynomial(7), E.two_division_poly()):
             self.check(h)
 
+    # `rational_roots` lifts these cubics directly, without factoring them:
+    # every case's 2-division cubic, for `two_torsion_rigidity`, and every
+    # field_sweep field's resolvent cubic, at set-up
+
+    def test_two_division_cubics_of_seed0_curves(self, benchmark_cases):
+        curves = {c for w in ("known_groups", "curve_sweep", "field_sweep")
+                  for c, _ in benchmark_cases(w, 0)}
+        found = 0
+        for curve in sorted(curves):
+            found += len(self.check(Curve.from_str(curve).two_division_poly()))
+        assert len(curves) > 100 and found > 20
+
+    def test_resolvent_cubics_of_field_sweep_seed0_fields(self, benchmark_cases):
+        fields = {f for _, f in benchmark_cases("field_sweep", 0)}
+        found = 0
+        for field in sorted(fields):
+            found += len(self.check(_resolvent_cubic(parse_field_spec(field).defining_poly)))
+        # a Galois quartic has at least one rational resolvent root
+        assert len(fields) > 25 and found >= len(fields)
+
 
 class TestRationalRoots:
     def test_pm_one(self):
@@ -543,13 +570,23 @@ class TestSplitPrimeLift:
     prime, at the highest precision asked for so far."""
 
     def test_context_not_built_at_construction(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("split-prime lift built during field set-up")
+        # set-up lifts the resolvent cubic's roots in QQ (`_QQ`), and builds no
+        # lift context for K; `_lift_root` is reached only through these two
+        lifted = []
+        split_prime_lift, hensel_roots = numfield._split_prime_lift, numfield._hensel_roots
 
-        monkeypatch.setattr(numfield, "_split_prime_lift", forbidden)
-        monkeypatch.setattr(numfield, "_lift_root", forbidden)
+        def qq_only(K):
+            if K is not numfield._QQ:
+                raise AssertionError("split-prime lift built during field set-up")
+            lifted.append(K)
+
+        monkeypatch.setattr(numfield, "_split_prime_lift",
+                            lambda K, *args: qq_only(K) or split_prime_lift(K, *args))
+        monkeypatch.setattr(numfield, "_hensel_roots",
+                            lambda h, K: qq_only(K) or hensel_roots(h, K))
         for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
             assert parse_field_spec(spec)._split_lifts == {}
+        assert lifted and all(K is numfield._QQ for K in lifted)
 
     @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
     def test_served_roots_and_weights(self, spec, monkeypatch):
@@ -762,9 +799,19 @@ class TestGaloisType:
             searched_in_qq.append(h)
             return roots_in_field(h, K)
 
+        # the resolvent cubic's roots are lifted in `_QQ`, never in K
+        lifted = []
+        hensel_roots = numfield._hensel_roots
+
+        def hensel_in_qq(h, K):
+            if K is not numfield._QQ:
+                forbidden()
+            lifted.append(K)
+            return hensel_roots(h, K)
+
         monkeypatch.setattr(numfield, "roots_in_field", qq_only)
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
-        monkeypatch.setattr(numfield, "_hensel_roots", forbidden)
+        monkeypatch.setattr(numfield, "_hensel_roots", hensel_in_qq)
         expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
                     "-1,5": (GaloisType.Biquadratic, {-5, -1, 5}),
                     "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2}),
@@ -772,11 +819,14 @@ class TestGaloisType:
                     "13;13;3": (GaloisType.CyclicQuartic, {13})}
         for spec, (gt, subfields) in expected.items():
             searched_in_qq.clear()
+            lifted.clear()
             K = parse_field_spec(spec)
             assert (K.galois_type, K.quadratic_subfields()) == (gt, subfields)
-            p, q, r, s = K.defining_poly.coeffs[3::-1]
-            resolvent = RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
-            assert searched_in_qq == [resolvent], spec
+            assert searched_in_qq == [_resolvent_cubic(K.defining_poly)], spec
+            # each resolvent here has a rational root, so no prime proves it
+            # rootless and its roots are lifted, in QQ
+            assert len(lifted) == 1 and lifted[0] is numfield._QQ, spec
+            assert K._split_lifts == {}
 
     def test_subfields_need_a_quartic(self):
         with pytest.raises(UnsupportedFieldError):

@@ -8,13 +8,13 @@ its odd n-torsion with a count that does not run the lift loop.
 
 import hashlib
 import json
-import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from sympy import primefactors
 
 from quartic_torsion import grouptables as gt
 from quartic_torsion import ellcurve, numfield, torsion
@@ -24,6 +24,7 @@ from quartic_torsion.errors import (
     InvariantViolationError,
     UnsupportedFieldError,
 )
+from quartic_torsion.exactmath import factor_bounded
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
@@ -34,6 +35,7 @@ from quartic_torsion.numfield import (
 )
 from quartic_torsion.torsion import (
     count_torsion_in_field,
+    p_primary_part,
     reduction_bound,
     structure_of_orders,
     subfield_torsion,
@@ -298,35 +300,120 @@ def test_seed0_reports_unchanged():
     assert not changed, "\n".join(changed)
 
 
-def _curve_sweep_seed0_cases():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads.cases("curve_sweep", 0)
-
-
 @pytest.mark.parametrize("order", ("given", "reversed"))
-def test_reports_independent_of_case_order(order):
+def test_reports_independent_of_case_order(order, benchmark_cases):
     # each field keeps its split-prime lifts from one case to the next, so
     # the curve_sweep cases of seed 0 run on shared fields, first to last and
     # last to first, must give the pinned reports either way
-    digests = {(row["curve"], row["field"]): row["sha256"] for row in SEED0_DIGESTS}
-    cases = _curve_sweep_seed0_cases()
+    cases = benchmark_cases("curve_sweep", 0)
     if order == "reversed":
         cases.reverse()
     fields = {}
+
+    def shared_field(spec):
+        if spec not in fields:
+            fields[spec] = parse_field_spec(spec)
+        return fields[spec]
+
+    changed = _changed_reports(cases, Curve.from_str, shared_field)
+    assert not changed, "\n".join(changed)
+    assert len(cases) == 96 and any(K._split_lifts for K in fields.values())
+
+
+def _changed_reports(cases, curve_of, field_of):
+    """The cases whose report differs from its pinned seed-0 digest, each
+    case's curve and field built by curve_of and field_of."""
+    digests = {(row["curve"], row["field"]): row["sha256"] for row in SEED0_DIGESTS}
     changed = []
     for curve, field in cases:
-        if field not in fields:
-            fields[field] = parse_field_spec(field)
-        report = torsion_over_field(Curve.from_str(curve), fields[field])
+        report = torsion_over_field(curve_of(curve), field_of(field))
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         if hashlib.sha256(text.encode()).hexdigest() != digests[curve, field]:
             changed.append(f"{curve} over {field}: {text}")
-    assert not changed, "\n".join(changed)
-    assert len(cases) == 96 and any(K._split_lifts for K in fields.values())
+    return changed
+
+
+@pytest.mark.parametrize("order", ("given", "reversed"))
+def test_reports_independent_of_case_order_on_shared_curves(order, benchmark_cases):
+    # each curve keeps the factors of its division polynomials from one field
+    # to the next, so the field_sweep cases of seed 0 run on shared curves and
+    # fields built per case, as the benchmark runs them, first to last and
+    # last to first, must give the pinned reports either way
+    cases = benchmark_cases("field_sweep", 0)
+    if order == "reversed":
+        cases.reverse()
+    curves = {}
+
+    def shared_curve(spec):
+        if spec not in curves:
+            curves[spec] = Curve.from_str(spec)
+        return curves[spec]
+
+    assert not _changed_reports(cases, shared_curve, parse_field_spec)
+    assert len(cases) == 32 and any(E._factor_cache for E in curves.values())
+
+
+def _count_factored(monkeypatch):
+    """A list of the polynomials that `factor_bounded` is asked to factor
+    through `ellcurve` (a curve's factors) or `numfield` (the root search)."""
+    factored = []
+    for module in (ellcurve, numfield):
+        monkeypatch.setattr(module, "factor_bounded",
+                            lambda h, d: factored.append(h) or factor_bounded(h, d))
+    return factored
+
+
+@pytest.mark.parametrize("curve, fields", [
+    ("1,1,1,-10,-10", ("-1,7", "37;-37;-6", "5;35;7", "13;-13;-3")),   # 15a1, psi_2
+    ("1,0,1,4,-6", ("5;35;7", "30,-6", "30,11", "-6,2")),               # 14a1, psi_2 and psi_3
+    ("1,-1,1,-3,3", ("30,15", "2;-14;-7", "-26,29", "5;-15;-6")),       # 26b1, psi_7
+])
+def test_second_field_factors_no_division_polynomial(curve, fields, monkeypatch):
+    # one curve over quartic fields that search the same primes: only the
+    # first factors psi_l, once per l; the later ones read the curve's factors
+    E = Curve.from_str(curve)
+    Ks = [parse_field_spec(f) for f in fields]
+    ells = set(primefactors(reduction_bound(E, Ks[0])))
+    assert all(set(primefactors(reduction_bound(E, K))) == ells for K in Ks)
+    factored = _count_factored(monkeypatch)
+    torsion_over_field(E, Ks[0])
+    assert factored == [E.x_division_poly(ell) for ell in sorted(ells)]
+    del factored[:]
+    for K in Ks[1:]:
+        torsion_over_field(E, K)
+    assert factored == []
+    assert sorted(E._factor_cache) == [(ell, 4) for ell in sorted(ells)]
+
+
+def test_division_polynomial_factored_only_when_the_certificate_fails(monkeypatch, benchmark_cases):
+    # the split-prime certificate runs first; a psi_l it settles is never
+    # factored, and one it does not settle is factored once over K != QQ
+    factored = _count_factored(monkeypatch)
+    fields = [parse_field_spec(f) for f in ("1,1,1,1", "13;13;3", "-1,2", "-1,-3", "2,5", "-1", "-3")]
+    settled = unsettled = 0
+    for curve in sorted({c for c, _ in benchmark_cases("field_sweep", 0)}):
+        for K in fields:
+            E = Curve.from_str(curve)
+            for ell in (2, 3, 5):
+                h = E.x_division_poly(ell)
+                certified = numfield._no_root_certified(h, K)
+                del factored[:]
+                p_primary_part(E, K, ell, ell)
+                assert factored == ([] if certified else [h])
+                assert ((ell, K.degree) in E._factor_cache) != certified
+                settled += certified
+                unsettled += not certified
+    assert settled > 20 and unsettled > 20
+
+
+def test_rational_field_factors_no_division_polynomial(monkeypatch):
+    # over QQ a RatPoly is lifted directly: psi_5 of 11a1 has the rational
+    # roots of its 5-torsion, so no prime settles it, and it is not factored
+    factored = _count_factored(monkeypatch)
+    E, Q = Curve.from_str("0,-1,1,-10,-20"), rational_field()
+    assert not numfield._no_root_certified(E.x_division_poly(5), Q)
+    assert torsion_over_field(E, Q).structure == (1, 5)
+    assert factored == [] and E._factor_cache == {}
 
 
 def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_reference):
