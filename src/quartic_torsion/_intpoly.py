@@ -513,19 +513,16 @@ def _binom(n: int, k: int) -> int:
     return out
 
 
-def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> tuple[list[list[int]], list[int]]:
-    """Factor a primitive squarefree integer polynomial, keeping only the
-    irreducible factors of degree <= dmax.
-
-    Returns (factors, cofactor): primitive irreducible factors with positive
-    leading coefficient, and the primitive cofactor whose irreducible parts
-    all have degree > dmax ([1] if none remain).
+def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> list[list[int]]:
+    """The irreducible factors of degree <= dmax of a primitive squarefree
+    integer polynomial, primitive with positive leading coefficient.  Factors
+    of higher degree are neither split nor returned.
     """
     n = len(h) - 1
     if n <= 0:
-        return [], [1]
+        return []
     if n == 1:
-        return ([list(h)], [1]) if dmax >= 1 else ([], list(h))
+        return [list(h)] if dmax >= 1 else []
 
     # Choose among a few good primes the one with the fewest small-degree
     # modular factors: recombination enumerates subsets of those.
@@ -540,7 +537,7 @@ def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> tuple[list[list[int
             break
     nsmall, p, blocks, rest = best
     if nsmall == 0:
-        return [], list(h)
+        return []
 
     small: list[list[int]] = []
     for d, g in blocks:
@@ -591,8 +588,7 @@ def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> tuple[list[list[int
         # every proper factor of degree <= dmax has been removed, so the
         # remaining cofactor of small degree is itself irreducible
         factors.append(cur)
-        cur = [1]
-    return sorted(factors), cur
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +609,10 @@ def _crt_combine(a: list[int], m: int, b: list[int], p: int) -> list[int]:
     return trim(out)
 
 
-def zz_gcd(f: list[int], g: list[int], max_primes: int = 64) -> list[int]:
-    """Gcd in ZZ[x] by small-prime interpolation with verification by exact
-    division; falls back to a primitive PRS if the prime budget runs out."""
+def zz_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Gcd in ZZ[x] by small-prime interpolation, verified by exact division.
+    A prime at which the gcd's image has a higher degree is skipped, and only
+    finitely many primes are such, so the loop ends."""
     if not f:
         return zz_primitive(g)[1]
     if not g:
@@ -627,13 +624,9 @@ def zz_gcd(f: list[int], g: list[int], max_primes: int = 64) -> list[int]:
         return [c]
     gamma = gcd(pf[-1], pg[-1])
     acc, m, deg_min = None, 1, None
-    used = 0
     for p in _prime_stream(PRIME_FLOOR):
-        if used >= max_primes:
-            break
         if pf[-1] % p == 0 or pg[-1] % p == 0:
             continue
-        used += 1
         gp = gf_gcd(gf_from_zz(pf, p), gf_from_zz(pg, p), p)
         d = len(gp) - 1
         if d == 0:
@@ -648,7 +641,6 @@ def zz_gcd(f: list[int], g: list[int], max_primes: int = 64) -> list[int]:
         cand = zz_primitive(sym_mod(acc, m))[1]
         if zz_divide_exact(pf, cand) is not None and zz_divide_exact(pg, cand) is not None:
             return zz_mul([c], cand)
-    return zz_mul([c], _gcd_prs(pf, pg))
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -667,16 +659,6 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 rem[k + j] -= t * y
     return trim(rem[: len(b) - 1])
-
-
-def _gcd_prs(a: list[int], b: list[int]) -> list[int]:
-    """Primitive-PRS fallback gcd for primitive inputs."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _prem(a, b)
-        a, b = b, (zz_primitive(r)[1] if r else [])
-    return zz_primitive(a)[1]
 
 
 def zz_resultant(f: list[int], g: list[int]) -> int:

@@ -1,11 +1,11 @@
 """Elliptic curves over QQ in long Weierstrass form.
 
-Curves carry their b/c-invariants, discriminant and j-invariant from
-construction.  Points live on a curve with coordinates in a designated
-NumberField; the chord-tangent group law, division polynomials (stored
-y-free), multiplication-by-m x-maps, m-th preimages (y from the formula for
-[m], not from a square root), quadratic twists, halving and a Lutz-Nagell
-enumeration over QQ are all exact.
+Curves carry their b-invariants and discriminant from construction; c4, c6
+and the j-invariant are computed on demand.  Points live on a curve with
+coordinates in a designated NumberField; the chord-tangent group law,
+division polynomials (stored y-free), multiplication-by-m x-maps, m-th
+preimages (y from the formula for [m], not from a square root), quadratic
+twists, halving and a Lutz-Nagell enumeration over QQ are all exact.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -37,7 +37,7 @@ class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "c4", "c6", "disc", "j", "label", "_psi_cache", "_factor_cache",
+                 "disc", "label", "_psi_cache", "_factor_cache",
                  "_ap_cache", "_two_division_roots")
 
     def __init__(self, a_invariants, label: str | None = None):
@@ -47,22 +47,31 @@ class Curve:
         self.b4 = 2 * a4 + a1 * a3
         self.b6 = a3 * a3 + 4 * a6
         self.b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        self.c4 = self.b2**2 - 24 * self.b4
-        self.c6 = -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
         self.disc = (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
                      + 9 * self.b2 * self.b4 * self.b6)
         if self.disc == 0:
             raise SingularCurveError(f"singular curve {list(map(rat_to_str, (a1, a2, a3, a4, a6)))}")
-        self.j = self.c4**3 / self.disc
         self.label = label
         self._psi_cache: dict[int, RatPoly] = {}
-        self._factor_cache: dict[tuple[int, int], dict[RatPoly, int]] = {}
+        self._factor_cache: dict[tuple[int, int], frozenset[RatPoly]] = {}
         self._ap_cache: dict[int, int | None] = {}
         self._two_division_roots: frozenset[Fraction] | None = None
 
     @property
     def a_invariants(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    @property
+    def c4(self) -> Fraction:
+        return self.b2**2 - 24 * self.b4
+
+    @property
+    def c6(self) -> Fraction:
+        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
+
+    @property
+    def j(self) -> Fraction:
+        return self.c4**3 / self.disc
 
     def __eq__(self, other):
         return isinstance(other, Curve) and self.a_invariants == other.a_invariants
@@ -136,7 +145,7 @@ class Curve:
         g = self.division_polynomial(n)
         return g if n % 2 else g * self.two_division_poly()
 
-    def x_division_factors(self, n: int, d: int) -> dict[RatPoly, int]:
+    def x_division_factors(self, n: int, d: int) -> frozenset[RatPoly]:
         """factor_bounded(x_division_poly(n), d), factored on first use for
         each (n, d) and kept."""
         if (n, d) not in self._factor_cache:

@@ -3,8 +3,9 @@
 Rationals are fractions.Fraction (always lowest terms, positive denominator).
 RatPoly is a dense immutable polynomial over Fraction, constant term first.
 On top of the ring operations this module provides the nontrivial
-primitives everything else consumes: monic gcd, resultant, squarefree
-decomposition (Yun), and factorization restricted to factors of degree <= dmax.
+primitives everything else consumes: monic gcd, resultant, and the distinct
+irreducible factors of degree <= dmax, found from the squarefree part
+h / gcd(h, h').
 Rational roots are not found here: `numfield.rational_roots` finds them as the
 roots in the degree-1 field, with the one root solver of the package.
 
@@ -37,13 +38,6 @@ def rat_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def is_rational_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
-
-
 def rational_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
@@ -51,6 +45,10 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def is_rational_square(q: Fraction) -> bool:
+    return rational_sqrt(q) is not None
 
 
 def squarefree_part_int(n: int) -> int:
@@ -298,65 +296,26 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
     return cf**g.degree * cg**f.degree * r
 
 
-def squarefree_decomposition(h: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's algorithm: h = lc * prod g_i^i with g_i monic squarefree coprime.
-    Returns the list of (g_i, i) with g_i nonconstant."""
-    if h.is_zero():
-        raise ValueError("squarefree decomposition of zero polynomial")
-    h = h.monic()
-    out = []
-    if h.degree == 0:
-        return out
-    d = poly_gcd(h, h.derivative())
-    if d.degree == 0:
-        return [(h, 1)]
-    w = h // d
-    y = h.derivative() // d
-    z = y - w.derivative()
-    i = 1
-    while not z.is_zero():
-        g = poly_gcd(w, z)
-        if g.degree > 0:
-            out.append((g, i))
-        w = w // g
-        y = z // g
-        z = y - w.derivative()
-        i += 1
-    if w.degree > 0:
-        out.append((w, i))
-    return out
-
-
-def factor_bounded(h: RatPoly, dmax: int) -> dict[RatPoly, int]:
-    """Monic irreducible factors of h over QQ of degree <= dmax, with exact
-    multiplicities.  Factors of degree > dmax are not returned (and their
-    irreducibility is never certified)."""
+def factor_bounded(h: RatPoly, dmax: int) -> frozenset[RatPoly]:
+    """The distinct monic irreducible factors of h over QQ of degree <= dmax.
+    Factors of degree > dmax are not returned (and their irreducibility is
+    never certified).  h is factored through its squarefree part
+    h / gcd(h, h'), which has the same irreducible factors."""
     if h.is_zero():
         raise ValueError("factor_bounded of zero polynomial")
     if dmax < 1 or h.degree == 0:
-        return {}
-    out: dict[RatPoly, int] = {}
-    for g, mult in squarefree_decomposition(h):
-        # strip powers of x first so the integer machinery sees h(0) != 0
-        k = 0
-        while g.coeffs[0] == 0:
-            g = RatPoly(g.coeffs[1:])
-            k += 1
-        if k:
-            out[RatPoly([0, 1])] = out.get(RatPoly([0, 1]), 0) + k * mult
-        if g.degree and g.degree > 0:
-            _, gi = g.to_int_poly()
-            fs, _ = zp.zz_factor_squarefree_bounded(gi, dmax)
-            for fac in fs:
-                key = RatPoly.from_ints(fac).monic()
-                out[key] = out.get(key, 0) + mult
-    return out
+        return frozenset()
+    d = poly_gcd(h, h.derivative())
+    if d.degree:
+        h = h // d
+    _, hi = h.to_int_poly()
+    return frozenset(RatPoly.from_ints(f).monic() for f in zp.zz_factor_squarefree_bounded(hi, dmax))
 
 
 def is_irreducible(h: RatPoly) -> bool:
     """Irreducibility over QQ for deg <= 4 (all the engine ever certifies).
-    A reducible h has a factor of degree <= deg h / 2, or a repeated one, so
-    no factor of that degree means irreducible."""
+    A reducible h has an irreducible factor of degree <= deg h / 2, repeated
+    or not, so no factor of that degree means irreducible."""
     if h.is_zero() or h.degree == 0:
         return False
     if h.degree > 4:

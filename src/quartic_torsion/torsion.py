@@ -69,44 +69,13 @@ from .numfield import (
 CYCLOTOMIC5 = RatPoly([1, 1, 1, 1, 1])
 
 
-@dataclass(frozen=True, order=True)
-class TorsionStructure:
-    """Z/d1 + Z/d2 with d1 | d2; (1, 1) is trivial."""
-
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1 or self.d2 % self.d1 != 0:
-            raise ValueError(f"not a canonical pair: ({self.d1}, {self.d2})")
-
-    @property
-    def order(self) -> int:
-        return self.d1 * self.d2
-
-    @property
-    def exponent(self) -> int:
-        return self.d2
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
-
-    def __str__(self):
-        if self.d1 == 1:
-            return f"Z/{self.d2}"
-        return f"Z/{self.d1}+Z/{self.d2}"
-
-
-TRIVIAL = TorsionStructure(1, 1)
-
-
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def structure_of_orders(orders) -> TorsionStructure:
-    """Structure Z/d1 + Z/d2 of a finite group given the orders of all its
-    elements: d2 is their lcm and d1 the group order over d2.  Raises
+def structure_of_orders(orders) -> tuple[int, int]:
+    """The pair (d1, d2) of a finite group Z/d1 + Z/d2, given the orders of
+    all its elements: d2 is their lcm and d1 the group order over d2.  Raises
     InconsistentCountsError unless d1 | d2 and, for every n | d2, exactly
     gcd(n, d1) * gcd(n, d2) of the orders divide n, as in Z/d1 + Z/d2."""
     orders = list(orders)
@@ -119,7 +88,7 @@ def structure_of_orders(orders) -> TorsionStructure:
         if sum(1 for m in orders if n % m == 0) != gcd(n, d1) * gcd(n, d2):
             raise InconsistentCountsError(f"orders {sorted(orders)} are not those of "
                                           f"Z/{d1}+Z/{d2} at n = {n}")
-    return TorsionStructure(d1, d2)
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +159,7 @@ def reduction_bound(E: Curve, K: NumberField) -> int:
 
 
 def p_primary_part(E: Curve, K: NumberField, p: int,
-                   bound: int) -> tuple[TorsionStructure, dict[Point, int]]:
+                   bound: int) -> tuple[tuple[int, int], dict[Point, int]]:
     """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
     included, given `bound`, a power of p that the order of that subgroup
     divides (the p-part of `reduction_bound`).  The lift from E(K)[p^k] stops
@@ -233,10 +202,6 @@ class TorsionReport:
     # every point of E(K)_tors with its order; not part of the JSON record
     points: dict[Point, int] = field(default_factory=dict, repr=False)
 
-    @property
-    def structure_obj(self) -> TorsionStructure:
-        return TorsionStructure(*self.structure)
-
     def to_json_dict(self) -> dict:
         out = {
             "curve": [rat_to_str(a) for a in self.curve.a_invariants],
@@ -271,7 +236,7 @@ def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve, K: NumberFiel
     return pts
 
 
-def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> TorsionStructure:
+def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> tuple[int, int]:
     """E(F)_tors = E(K)_tors meet E(F) for F inside K, from E(K)_tors given as
     {point: order}.  F is QQ when w is None, else QQ(w) for a w in K whose
     square is rational (as `NumberField.sqrt_of_int` returns)."""
@@ -282,23 +247,23 @@ def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> Torsio
                                if P.is_infinity() or (in_F(P.x) and in_F(P.y)))
 
 
-def _choose_generators(points: dict[Point, int], st: TorsionStructure) -> list[Point]:
+def _choose_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point]:
     """The first point of order d2 in sort order, and for Z/d1+Z/d2 the first
     point of order d1 whose cyclic group meets that of the first trivially."""
-    if st.order == 1:
+    if d2 == 1:
         return []
     by_order: dict[int, list[Point]] = {}
     for P, n in points.items():
         by_order.setdefault(n, []).append(P)
     for lst in by_order.values():
         lst.sort(key=Point.sort_key)
-    g2 = by_order[st.d2][0]
-    if st.d1 == 1:
+    g2 = by_order[d2][0]
+    if d1 == 1:
         return [g2]
-    span2 = set(_multiples(g2, st.d2))
-    for g1 in by_order[st.d1]:
+    span2 = set(_multiples(g2, d2))
+    for g1 in by_order[d1]:
         # <g1> + <g2> has d1 * d2 points iff <g1> meets <g2> only in O
-        if not span2.intersection(_multiples(g1, st.d1)[1:]):
+        if not span2.intersection(_multiples(g1, d1)[1:]):
             return [g1, g2]
     raise InvariantViolationError("no generating pair found for computed structure")
 
@@ -318,32 +283,32 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     bound = reduction_bound(E, K)
     parts = {p: p_primary_part(E, K, p, _p_part(bound, p)) for p in primefactors(bound)}
     d1 = d2 = 1
-    for st, _ in parts.values():
-        d1 *= st.d1
-        d2 *= st.d2
-    st = TorsionStructure(d1, d2)
-    nontrivial = {p: pts for p, (stp, pts) in parts.items() if len(pts) > 1}
+    for (e1, e2), _ in parts.values():
+        d1 *= e1
+        d2 *= e2
+    order = d1 * d2
+    nontrivial = {p: pts for p, (_, pts) in parts.items() if len(pts) > 1}
     points = _enumerate_group(nontrivial, E, K)
-    if len(points) != st.order:
+    if len(points) != order:
         raise InvariantViolationError(
-            f"assembled group has {len(points)} points, structure says {st.order}")
-    if bound % st.order:
+            f"assembled group has {len(points)} points, structure says {order}")
+    if bound % order:
         raise InvariantViolationError(
-            f"order {st.order} of {st} does not divide the reduction bound {bound}")
-    generators = _choose_generators(points, st)
+            f"order {order} of Z/{d1}+Z/{d2} does not divide the reduction bound {bound}")
+    generators = _choose_generators(points, d1, d2)
     defdeg: dict[int, int] = {}
     for P, n in points.items():
         if not P.is_infinity():
             d = definition_degree([P.x, P.y], K)
             defdeg[n] = min(defdeg.get(n, K.degree), d)
-    checks = _validate_report(E, K, table, st, points)
+    checks = _validate_report(E, K, table, (d1, d2), points)
     return TorsionReport(
         curve=E,
         field_=K,
         galois_type=g,
-        structure=st.as_pair(),
+        structure=(d1, d2),
         generators=generators,
-        per_prime={p: stp.as_pair() for p, (stp, _) in parts.items() if stp != TRIVIAL},
+        per_prime={p: stp for p, (stp, _) in parts.items() if stp != (1, 1)},
         point_definition_degrees=defdeg,
         checks=checks,
         points=points,
@@ -355,22 +320,23 @@ def _fail(name: str, msg: str):
 
 
 def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]],
-                     st: TorsionStructure, points: dict[Point, int]) -> list[tuple[str, bool]]:
+                     st: tuple[int, int], points: dict[Point, int]) -> list[tuple[str, bool]]:
     """Check E(K)_tors, given as {point: order}, for membership in `table`
     and against what the curve, the field and the points decide."""
     checks: list[tuple[str, bool]] = []
+    d1, d2 = st
 
     def record(name, ok, msg=""):
         checks.append((name, ok))
         if not ok:
-            _fail(name, msg or f"{E!r} over {K!r}: structure {st}")
+            _fail(name, msg or f"{E!r} over {K!r}: structure Z/{d1}+Z/{d2}")
 
     # full 5-torsion needs zeta5 in K (Weil pairing)
-    if st.d1 % 5 == 0:
+    if d1 % 5 == 0:
         record("full_five_needs_zeta5", bool(roots_in_field(CYCLOTOMIC5, K)))
     # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
     # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
-    if st.order % 2 == 0:
+    if d2 % 2 == 0:
         record("two_torsion_rigidity", bool(E.two_division_roots()))
     # points of order 7 = 3 mod 4 over a quartic field are defined over a
     # quadratic subfield
@@ -380,17 +346,17 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
                 record("order_p_defined_in_quadratic",
                        definition_degree([P.x, P.y], K) <= 2,
                        f"order-{n} point defined only over the full quartic")
-    record("classification_membership", st.as_pair() in table)
+    record("classification_membership", st in table)
     # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
         # a row for each group of Mazur's list; a group without one fails the check
-        gq = subfield_torsion(points, None).as_pair()
+        gq = subfield_torsion(points, None)
         row = gt.GROWTH_QUADRATIC.get(gq, frozenset())
         for m in sorted(K.quadratic_subfields()):
             w = K.sqrt_of_int(m)
             if w is None:
                 _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
-            gf = subfield_torsion(points, w).as_pair()
+            gf = subfield_torsion(points, w)
             record("growth_chain", gf in row, f"E(QQ)={gq} grows to E(QQ(sqrt {m}))={gf}")
     return checks
 

@@ -939,6 +939,12 @@ class TestFieldConstruction:
         with pytest.raises(UnsupportedFieldError):
             NumberField(RatPoly([-1, 0, 0, 0, 1]))
 
+    @pytest.mark.parametrize("spec", ["1,0,2,0", "0,0,2,0"])
+    def test_repeated_or_x_factor_rejected(self, spec):
+        # (x^2 + 1)^2 and x^2 (x^2 + 2): reducible with a repeated factor
+        with pytest.raises(UnsupportedFieldError):
+            parse_field_spec(spec)
+
     def test_parse_specs(self):
         assert parse_field_spec("q").degree == 1
         assert parse_field_spec("5").defining_poly == RatPoly([-5, 0, 1])
