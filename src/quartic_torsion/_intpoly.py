@@ -493,7 +493,9 @@ def _prime_stream(start: int):
 
 
 def pick_factor_prime(h: list[int], count: int = 3) -> list[int]:
-    """First `count` primes > PRIME_FLOOR keeping h squarefree with unit lc."""
+    """First `count` primes > PRIME_FLOOR keeping h squarefree with unit lc.
+    h must be squarefree over QQ: only then do all but finitely many primes
+    keep it so."""
     out = []
     for p in _prime_stream(PRIME_FLOOR):
         if h[-1] % p == 0:
@@ -503,7 +505,6 @@ def pick_factor_prime(h: list[int], count: int = 3) -> list[int]:
             out.append(p)
             if len(out) == count:
                 return out
-    raise RuntimeError("unreachable")
 
 
 def _binom(n: int, k: int) -> int:
@@ -513,16 +514,19 @@ def _binom(n: int, k: int) -> int:
     return out
 
 
-def zz_factor_squarefree_bounded(h: list[int], dmax: int) -> list[list[int]]:
-    """The irreducible factors of degree <= dmax of a primitive squarefree
-    integer polynomial, primitive with positive leading coefficient.  Factors
-    of higher degree are neither split nor returned.
+def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
+    """The distinct irreducible factors of degree <= dmax of a nonzero integer
+    polynomial, each primitive with positive leading coefficient.  Factors of
+    higher degree are neither split nor returned.  h is factored through the
+    primitive part of h / gcd(h, h'), which is squarefree and has the same
+    irreducible factors, as `pick_factor_prime` needs.
     """
-    n = len(h) - 1
-    if n <= 0:
+    if len(h) <= 1:
         return []
+    h = zz_primitive(zz_divide_exact(h, zz_gcd(h, [i * c for i, c in enumerate(h)][1:])))[1]
+    n = len(h) - 1
     if n == 1:
-        return [list(h)] if dmax >= 1 else []
+        return [h] if dmax >= 1 else []
 
     # Choose among a few good primes the one with the fewest small-degree
     # modular factors: recombination enumerates subsets of those.

@@ -15,10 +15,12 @@ order n.
 
 A Curve keeps, each filled on first use and never at construction, what the
 engine asks of it again for every field it is searched over: the division
-polynomials psi_n by n; the factors over QQ of `x_division_poly(n)` of degree
-<= d by (n, d), d = [K:QQ]; a_p by p for `reduction_order`; and the rational
-roots of the 2-division cubic.  Nothing is keyed by a field, so a curve keeps
-no field alive, and every value is a function of the a-invariants alone.
+polynomials psi_n by n, and the factors over QQ of `x_division_poly(n)` of
+degree <= d by (n, d), d = [K:QQ].  Nothing is keyed by a field, so a curve
+keeps no field alive, and every value is a function of the a-invariants alone.
+a_p and the rational roots of the 2-division cubic are not kept: only a curve
+searched over many fields asks for them again, and they cost little next to
+that search.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "disc", "label", "_psi_cache", "_factor_cache",
-                 "_ap_cache", "_two_division_roots")
+                 "disc", "label", "_psi_cache", "_factor_cache")
 
     def __init__(self, a_invariants, label: str | None = None):
         a1, a2, a3, a4, a6 = (Fraction(a) for a in a_invariants)
@@ -54,8 +55,6 @@ class Curve:
         self.label = label
         self._psi_cache: dict[int, RatPoly] = {}
         self._factor_cache: dict[tuple[int, int], frozenset[RatPoly]] = {}
-        self._ap_cache: dict[int, int | None] = {}
-        self._two_division_roots: frozenset[Fraction] | None = None
 
     @property
     def a_invariants(self):
@@ -152,13 +151,6 @@ class Curve:
             self._factor_cache[n, d] = factor_bounded(self.x_division_poly(n), d)
         return self._factor_cache[n, d]
 
-    def two_division_roots(self) -> frozenset[Fraction]:
-        """The rational roots of the 2-division cubic, found on first use and
-        kept."""
-        if self._two_division_roots is None:
-            self._two_division_roots = frozenset(rational_roots(self.two_division_poly()))
-        return self._two_division_roots
-
     # -- reduction -------------------------------------------------------------
 
     def reduction_order(self, p: int, f: int) -> int | None:
@@ -169,10 +161,8 @@ class Curve:
         squares mod p, which gives a_p = p + 1 - #E~(F_p).  Then
         #E~(F_q) = q + 1 - s_f with s_0 = 2, s_1 = a_p and
         s_k = a_p s_(k-1) - p s_(k-2), the power sums of Frobenius.  a_p is
-        counted on first use for each p and kept."""
-        if p not in self._ap_cache:
-            self._ap_cache[p] = self._frobenius_trace(p)
-        ap = self._ap_cache[p]
+        counted anew on each call."""
+        ap = self._frobenius_trace(p)
         if ap is None:
             return None
         s_prev, s = 2, ap

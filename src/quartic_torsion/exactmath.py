@@ -299,17 +299,13 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
 def factor_bounded(h: RatPoly, dmax: int) -> frozenset[RatPoly]:
     """The distinct monic irreducible factors of h over QQ of degree <= dmax.
     Factors of degree > dmax are not returned (and their irreducibility is
-    never certified).  h is factored through its squarefree part
-    h / gcd(h, h'), which has the same irreducible factors."""
+    never certified)."""
     if h.is_zero():
         raise ValueError("factor_bounded of zero polynomial")
     if dmax < 1 or h.degree == 0:
         return frozenset()
-    d = poly_gcd(h, h.derivative())
-    if d.degree:
-        h = h // d
     _, hi = h.to_int_poly()
-    return frozenset(RatPoly.from_ints(f).monic() for f in zp.zz_factor_squarefree_bounded(hi, dmax))
+    return frozenset(RatPoly.from_ints(f).monic() for f in zp.zz_factor_bounded(hi, dmax))
 
 
 def is_irreducible(h: RatPoly) -> bool:

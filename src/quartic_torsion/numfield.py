@@ -1030,19 +1030,16 @@ def parse_field_spec(spec: str) -> NumberField:
 # ---------------------------------------------------------------------------
 
 
-def definition_degree(elements, K: NumberField) -> int:
-    """Minimal degree over QQ of a subfield of K containing every element."""
+def smallest_subfield(elements, subfields: dict[int, FieldElement]) -> int:
+    """The smallest subfield of K holding every element: 1 for QQ, m for
+    QQ(sqrt m), given as subfields[m] = sqrt m in K, and 0 for K itself.  The
+    quadratic subfields of K meet in QQ, so the answer is unique."""
     if all(e.is_rational() for e in elements):
         return 1
-    if K.degree == 2:
-        return 2
-    for m in sorted(K.quadratic_subfields()):
-        w = K.sqrt_of_int(m)
-        if w is None:
-            continue
+    for m, w in subfields.items():
         if all(_in_quadratic_span(e, w) for e in elements):
-            return 2
-    return K.degree
+            return m
+    return 0
 
 
 def _in_quadratic_span(e: FieldElement, w: FieldElement) -> bool:

@@ -22,8 +22,10 @@ for the preimages of a point of order 2, where P = -P.
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
 the p-primary part) times the coprime orders of the other primes' summands.
-For a subfield F of K, E(F)_tors = E(K)_tors meet E(F): the points whose
-coordinates lie in F, found with the membership test of `definition_degree`.
+Each affine point is mapped once to the smallest subfield of K holding its
+coordinates (`smallest_subfield`); the definition degrees, the order-7 check
+and the growth chain all read that map.  For a subfield F of K,
+E(F)_tors = E(K)_tors meet E(F): the points whose smallest subfield lies in F.
 
 The classification tables do not steer the search; they only validate its
 result.  Every run checks what the curve, the field and the points decide:
@@ -60,9 +62,9 @@ from .numfield import (
     FieldElement,
     GaloisType,
     NumberField,
-    _in_quadratic_span,
-    definition_degree,
+    rational_roots,
     roots_in_field,
+    smallest_subfield,
     sqrt_in_field,
 )
 
@@ -236,15 +238,12 @@ def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve, K: NumberFiel
     return pts
 
 
-def subfield_torsion(points: dict[Point, int], w: FieldElement | None) -> tuple[int, int]:
-    """E(F)_tors = E(K)_tors meet E(F) for F inside K, from E(K)_tors given as
-    {point: order}.  F is QQ when w is None, else QQ(w) for a w in K whose
-    square is rational (as `NumberField.sqrt_of_int` returns)."""
-    def in_F(e: FieldElement) -> bool:
-        return e.is_rational() if w is None else _in_quadratic_span(e, w)
-
+def subfield_torsion(points: dict[Point, int], homes: dict[Point, int], m: int) -> tuple[int, int]:
+    """E(F)_tors = E(K)_tors meet E(F) for F = QQ (m = 1) or QQ(sqrt m) inside
+    K, from E(K)_tors given as {point: order} and each affine point's smallest
+    subfield as `smallest_subfield` gives it."""
     return structure_of_orders(n for P, n in points.items()
-                               if P.is_infinity() or (in_F(P.x) and in_F(P.y)))
+                               if P.is_infinity() or homes[P] in (1, m))
 
 
 def _choose_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point]:
@@ -296,12 +295,18 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         raise InvariantViolationError(
             f"order {order} of Z/{d1}+Z/{d2} does not divide the reduction bound {bound}")
     generators = _choose_generators(points, d1, d2)
+    subfields: dict[int, FieldElement] = {}
+    if K.degree == 4:
+        for m in sorted(K.quadratic_subfields()):
+            w = subfields[m] = K.sqrt_of_int(m)
+            if w is None:
+                _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
+    homes = {P: smallest_subfield(P.xy, subfields) for P in points if not P.is_infinity()}
     defdeg: dict[int, int] = {}
-    for P, n in points.items():
-        if not P.is_infinity():
-            d = definition_degree([P.x, P.y], K)
-            defdeg[n] = min(defdeg.get(n, K.degree), d)
-    checks = _validate_report(E, K, table, (d1, d2), points)
+    for P, h in homes.items():
+        n = points[P]
+        defdeg[n] = min(defdeg.get(n, K.degree), 1 if h == 1 else 2 if h else K.degree)
+    checks = _validate_report(E, K, table, (d1, d2), points, homes)
     return TorsionReport(
         curve=E,
         field_=K,
@@ -320,9 +325,11 @@ def _fail(name: str, msg: str):
 
 
 def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]],
-                     st: tuple[int, int], points: dict[Point, int]) -> list[tuple[str, bool]]:
-    """Check E(K)_tors, given as {point: order}, for membership in `table`
-    and against what the curve, the field and the points decide."""
+                     st: tuple[int, int], points: dict[Point, int],
+                     homes: dict[Point, int]) -> list[tuple[str, bool]]:
+    """Check E(K)_tors, given as {point: order} and each affine point's
+    smallest subfield, for membership in `table` and against what the curve,
+    the field and the points decide."""
     checks: list[tuple[str, bool]] = []
     d1, d2 = st
 
@@ -337,26 +344,22 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
     # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
     # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
     if d2 % 2 == 0:
-        record("two_torsion_rigidity", bool(E.two_division_roots()))
+        record("two_torsion_rigidity", bool(rational_roots(E.two_division_poly())))
     # points of order 7 = 3 mod 4 over a quartic field are defined over a
     # quadratic subfield
     if K.degree == 4:
         for P, n in points.items():
             if n == 7:
-                record("order_p_defined_in_quadratic",
-                       definition_degree([P.x, P.y], K) <= 2,
+                record("order_p_defined_in_quadratic", homes[P] != 0,
                        f"order-{n} point defined only over the full quartic")
     record("classification_membership", st in table)
     # quadratic growth chain; E(F)_tors = E(K)_tors meet E(F) for F inside K
     if K.degree == 4:
         # a row for each group of Mazur's list; a group without one fails the check
-        gq = subfield_torsion(points, None)
+        gq = subfield_torsion(points, homes, 1)
         row = gt.GROWTH_QUADRATIC.get(gq, frozenset())
         for m in sorted(K.quadratic_subfields()):
-            w = K.sqrt_of_int(m)
-            if w is None:
-                _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
-            gf = subfield_torsion(points, w)
+            gf = subfield_torsion(points, homes, m)
             record("growth_chain", gf in row, f"E(QQ)={gq} grows to E(QQ(sqrt {m}))={gf}")
     return checks
 

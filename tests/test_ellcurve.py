@@ -402,7 +402,7 @@ class TestCurveCaches:
 
     def test_from_str_starts_empty(self):
         E = Curve.from_str(self.SPEC)
-        assert (E._psi_cache, E._factor_cache, E._ap_cache, E._two_division_roots) == ({}, {}, {}, None)
+        assert (E._psi_cache, E._factor_cache) == ({}, {})
 
     def test_kept_values_match_a_fresh_curve(self):
         E = Curve.from_str(self.SPEC)
@@ -410,17 +410,12 @@ class TestCurveCaches:
             for n, d in ((2, 4), (3, 2), (3, 4)):
                 fresh = Curve.from_str(self.SPEC)
                 assert E.x_division_factors(n, d) == factor_bounded(fresh.x_division_poly(n), d)
-            assert E.two_division_roots() == frozenset(rational_roots(E.two_division_poly()))
             for p, f in ((5, 1), (5, 2), (7, 4), (13, 2)):
                 assert E.reduction_order(p, f) == Curve.from_str(self.SPEC).reduction_order(p, f)
         assert sorted(E._factor_cache) == [(2, 4), (3, 2), (3, 4)]
-        assert sorted(E._ap_cache) == [5, 7, 13]
-        # 7 divides disc(14a1): a bad prime is kept as None too
-        assert E._ap_cache[7] is None
 
     def test_a_search_keys_nothing_by_field(self):
         E = Curve.from_str(self.SPEC)
         torsion_over_field(E, parse_field_spec("5;35;7"))
-        assert E._factor_cache and E._ap_cache and E._two_division_roots is not None
+        assert E._factor_cache
         assert all(isinstance(n, int) and isinstance(d, int) for n, d in E._factor_cache)
-        assert all(isinstance(p, int) for p in E._ap_cache)

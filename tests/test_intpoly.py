@@ -1,4 +1,5 @@
-"""The F_p[x] kernels of `_intpoly` against plain schoolbook references.
+"""The F_p[x] kernels of `_intpoly` against plain schoolbook references, and
+its integer factorizer against sympy.
 
 `gf_mulmod` packs polynomials into ints with one 64-bit slot per coefficient
 from modulus degree 4 on, while 2n(p-1)^2 < 2^64; the primes below cover both
@@ -10,7 +11,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from sympy import nextprime, prevprime
+from sympy import ZZ, Poly, nextprime, prevprime, symbols
 
 from quartic_torsion import _intpoly as zp
 
@@ -229,3 +230,41 @@ def test_rootless_takes_no_frobenius_power_below_degree_3(monkeypatch):
     zp.gf_rootless([1, 0, 0, 1], 61)
     zp.gf_rootless([1, 1, 1], 2)
     assert len(calls) == 2
+
+
+def sympy_zz_factors(h, dmax):
+    """The distinct irreducible factors of degree <= dmax of h in ZZ[x],
+    primitive with positive leading coefficient, from sympy."""
+    _, factors = Poly(list(reversed(h)), symbols("x"), domain=ZZ).factor_list()
+    out = set()
+    for g, _ in factors:
+        c = [int(a) for a in reversed(g.all_coeffs())]
+        if len(c) - 1 <= dmax:
+            out.add(tuple(c) if c[-1] > 0 else tuple(-a for a in c))
+    return out
+
+
+def ref_zz_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_factorizer_takes_repeated_factors_and_content():
+    # c x^k g^m with c != 1, so neither squarefree nor primitive; g of degree
+    # 1 and m = 2 give gcd(h, h') of degree 1
+    rng = random.Random(19)
+    for deg, k, m, _ in product((1, 2, 3), (0, 1, 2), (1, 2, 3), range(3)):
+        g = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-6, -1, 1, 2, 3))]
+        h = [rng.choice((-12, -1, 2, 5, 30))]
+        for _ in range(k):
+            h = [0] + h
+        for _ in range(m):
+            h = ref_zz_mul(h, g)
+        for dmax in range(1, 5):
+            got = zp.zz_factor_bounded(h, dmax)
+            assert len(got) == len(set(map(tuple, got))), (h, dmax)
+            assert set(map(tuple, got)) == sympy_zz_factors(h, dmax), (h, dmax)
+

@@ -24,12 +24,12 @@ from quartic_torsion.numfield import (
     NumberField,
     biquadratic_field,
     cyclic_criterion,
-    definition_degree,
     parse_field_spec,
     quadratic_field,
     rational_field,
     rational_roots,
     roots_in_field,
+    smallest_subfield,
     sqrt_in_field,
 )
 
@@ -991,14 +991,22 @@ class TestPresentationInvariance:
             checked += 1
 
 
-class TestDefinitionDegree:
+BIQ_2_3 = biquadratic_field(2, 3)
+SQRTS_2_3 = {m: BIQ_2_3.sqrt_of_int(m) for m in sorted(BIQ_2_3.quadratic_subfields())}
+
+
+class TestSmallestSubfield:
     def test_rational_element(self):
-        assert definition_degree([ZETA5.element(7)], ZETA5) == 1
+        K = BIQ_2_3
+        assert smallest_subfield([K.element(7), K.element(Fraction(-2, 5))], SQRTS_2_3) == 1
 
-    def test_quadratic_element(self):
-        w = ZETA5.sqrt_of_int(5)
-        e = w * Fraction(2, 3) + 4
-        assert definition_degree([e], ZETA5) == 2
+    def test_theta(self):
+        assert smallest_subfield([BIQ_2_3.gen()], SQRTS_2_3) == 0
 
-    def test_full_degree_element(self):
-        assert definition_degree([ZETA5.gen()], ZETA5) == 4
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_each_quadratic_subfield(self, m):
+        assert sorted(SQRTS_2_3) == [2, 3, 6]
+        e = SQRTS_2_3[m] * Fraction(2, 3) + 4
+        assert smallest_subfield([e], SQRTS_2_3) == m
+        assert smallest_subfield([BIQ_2_3.element(5), e], SQRTS_2_3) == m
+        assert smallest_subfield([e, BIQ_2_3.gen()], SQRTS_2_3) == 0

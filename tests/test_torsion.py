@@ -28,10 +28,12 @@ from quartic_torsion.exactmath import factor_bounded
 from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
+    NumberField,
     cyclic_criterion,
     parse_field_spec,
     quadratic_field,
     rational_field,
+    smallest_subfield,
 )
 from quartic_torsion.torsion import (
     count_torsion_in_field,
@@ -107,9 +109,11 @@ class TestSubfieldTorsion:
     def test_matches_recomputation_over_each_subfield(self, witness):
         report, _ = witness
         E, K = report.curve, report.field_
-        assert subfield_torsion(report.points, None) == torsion_over_field(E, rational_field()).structure
-        for m in sorted(K.quadratic_subfields()):
-            derived = subfield_torsion(report.points, K.sqrt_of_int(m))
+        subfields = {m: K.sqrt_of_int(m) for m in sorted(K.quadratic_subfields())}
+        homes = {P: smallest_subfield(P.xy, subfields) for P in report.points if not P.is_infinity()}
+        assert subfield_torsion(report.points, homes, 1) == torsion_over_field(E, rational_field()).structure
+        for m in subfields:
+            derived = subfield_torsion(report.points, homes, m)
             assert derived == torsion_over_field(E, quadratic_field(m)).structure
 
 
@@ -275,6 +279,41 @@ def test_every_point_on_the_curve(row):
             x, y = P.xy
             assert (y * y + x * y * E.a1 + y * E.a3
                     == x * x * x + x * x * E.a2 + x * E.a4 + E.a6)
+
+
+@pytest.mark.parametrize("row", PINNED_REPORTS, ids=ROW_IDS)
+def test_each_point_placed_in_a_subfield_once(row, monkeypatch):
+    # one square root per listed quadratic subfield, and each affine point
+    # tested against each of them at most once per coordinate
+    sqrt_of_int, span = NumberField.sqrt_of_int, numfield._in_quadratic_span
+    calls = {"sqrt_of_int": 0, "span": 0}
+
+    def counted_sqrt(K, m):
+        calls["sqrt_of_int"] += 1
+        return sqrt_of_int(K, m)
+
+    def counted_span(e, w):
+        calls["span"] += 1
+        return span(e, w)
+
+    K = parse_field_spec(row["field"])
+    monkeypatch.setattr(NumberField, "sqrt_of_int", counted_sqrt)
+    monkeypatch.setattr(numfield, "_in_quadratic_span", counted_span)
+    monkeypatch.setattr(torsion, "_in_quadratic_span", counted_span, raising=False)
+    report = torsion_over_field(Curve.from_str(row["curve"]), K)
+    listed = len(K.quadratic_subfields())
+    assert calls["sqrt_of_int"] <= listed
+    assert calls["span"] <= 2 * listed * (len(report.points) - 1)
+
+
+@pytest.mark.parametrize("curve, field", [("0,0,1,-1,0", "5;5;2"), ("0,0,0,-1,0", "-1,2")])
+def test_quadratic_subfield_without_square_root_raises(curve, field, monkeypatch):
+    # every quartic case checks that K holds sqrt m for each listed QQ(sqrt m),
+    # also when E(K)_tors is trivial and no point needs a subfield
+    K = parse_field_spec(field)
+    monkeypatch.setattr(NumberField, "sqrt_of_int", lambda K, m: None)
+    with pytest.raises(InvariantViolationError, match="without sqrt"):
+        torsion_over_field(Curve.from_str(curve), K)
 
 
 # One sha256 of json.dumps(to_json_dict(), sort_keys=True) per distinct
