@@ -6,12 +6,11 @@ first, with no trailing zeros (the zero polynomial is the empty list).  The
 Fraction-facing wrappers live in exactmath; nothing here ever sees a
 denominator.
 
-Every x^e mod (h, p) -- the Frobenius powers of the distinct-degree split,
-the equal-degree split and the "no root mod p" tests -- runs through one
-multiply mod (h, p), `gf_mulmod`: from degree 4 on it packs each polynomial
-into one int, one 64-bit slot per coefficient, multiplies once and reduces
-with a table of x^(n+k) mod h (Kronecker substitution; see its docstring for
-the slot bound).  Division with remainder (`gf_divmod`, so `gf_gcd` and
+Every x^e mod (h, p) -- the Frobenius powers of the distinct-degree split
+and of the equal-degree split -- runs through one multiply mod (h, p),
+`gf_mulmod`: from degree 4 on it packs each polynomial into one int, one
+64-bit slot per coefficient, multiplies once and reduces with a table of
+x^(n+k) mod h (Kronecker substitution; see its docstring for the slot bound).  Division with remainder (`gf_divmod`, so `gf_gcd` and
 `gf_xgcd`) reduces mod p only the coefficient it divides out at each step,
 and the remainder once at the end.
 
@@ -312,24 +311,6 @@ def gf_is_squarefree(a: list[int], p: int) -> bool:
     if not d:
         return len(a) <= 2
     return len(gf_gcd(a, d, p)) == 1
-
-
-def gf_rootless(a: list[int], p: int) -> bool:
-    """Has a in F_p[x] (lc nonzero mod p) no root in F_p, that is,
-    gcd(x^p - x, a) = 1?
-
-    Low degrees need no x^p mod a: a line always has a root, and for odd p a
-    quadratic c x^2 + b x + e has one exactly when its discriminant
-    D = b^2 - 4ce is 0 or a square mod p, which Euler's criterion decides:
-    D^((p-1)/2) = 1 mod p for a nonzero square, -1 otherwise."""
-    n = len(a) - 1
-    if n == 1:
-        return False
-    if n == 2 and p != 2:
-        D = (a[1] * a[1] - 4 * a[2] * a[0]) % p
-        return D != 0 and pow(D, (p - 1) // 2, p) != 1
-    xp = gf_pow_mod([0, 1], p, a, p)
-    return len(gf_gcd(a, gf_sub(xp, [0, 1], p), p)) == 1
 
 
 # ---------------------------------------------------------------------------

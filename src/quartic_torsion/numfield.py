@@ -25,26 +25,23 @@ gives a ring map from the p-integral elements of K onto F_p, theta -> r.
 `NumberField.residue_degree` gives, also lazily, the residue degree at any
 prime p not dividing disc f.
 
-Most root searches of the engine find nothing, and most of those end at once.
-If h has p-integral coefficients and a leading coefficient that does not map to
-0, every root of h in K is p-integral and maps to a root of the image of h in
-F_p[x].  So if gcd(x^p - x, h mod (p, theta - r)) = 1 for some such (p, r)
-among the first SPLIT_PRIME_COUNT primes, h has no root in K (the modular test
-of PARI's nfroots; Belabas, J. Symb. Comp. 37, 2004).  A pair (p, r) at which
-some coefficient has p in a denominator, or the leading coefficient maps to 0,
-proves nothing and is skipped.
+Most root searches of the engine find nothing, and they end at the one prime
+the lift below works at: each root of h in K maps to a root of every image
+h~_i mod p of the scaled h~ defined there, so an image with no root mod p
+proves h rootless in K, and nothing is lifted.  There is no other modular test.
 
-Roots that do exist are found by lifting them at a split prime (Belabas 2004;
-Cohen, A Course in Computational Algebraic Number Theory, 3.6).  A squarefree h
-of degree n is made monic and scaled: h~(y) = D^n h(y/D), D the lcm of its
-coordinate denominators, is monic over Z[theta], so its roots beta = D*alpha
-are algebraic integers, and Delta*beta lies in Z[theta] for Delta = |disc f|
-(the index [O_K : Z[theta]] divides disc f).  At the first split prime p at
-which every image h~_i = h~(theta -> r_i) mod p is squarefree, each root of
-h~_i mod p lifts to exactly one root in Z/p^N, and each r_i to a root rho_i of
-f.  A root beta of h~ maps to one root of every h~_i; the Vandermonde system in
-the rho_i turns those images into its coordinates c_j mod p^N, and Delta*c_j is
-their symmetric residue once p^N > 2L, where
+Roots that do exist are found by lifting them at a split prime (Belabas, J.
+Symb. Comp. 37, 2004; Cohen, A Course in Computational Algebraic Number Theory,
+3.6).  A squarefree h of degree n is made monic and scaled: h~(y) =
+D^n h(y/D), D the lcm of its coordinate denominators, is monic over Z[theta],
+so its roots beta = D*alpha are algebraic integers, and Delta*beta lies in
+Z[theta] for Delta = |disc f| (the index [O_K : Z[theta]] divides disc f).  At
+the first split prime p at which every image h~_i = h~(theta -> r_i) mod p is
+squarefree, each root of h~_i mod p lifts to exactly one root in Z/p^N, and
+each r_i to a root rho_i of f.  A root beta of h~ maps to one root of every
+h~_i; the Vandermonde system in the rho_i turns those images into its
+coordinates c_j mod p^N, and Delta*c_j is their symmetric residue once
+p^N > 2L, where
 
     L = d * M * B * F^(d-1),   R = 1 + max_k |f_k|,   ||g|| = sum_j |g_j| R^j,
     M = 1 + max_k ||a_k||  (a_k the coefficients of h~),
@@ -56,9 +53,8 @@ beta <= M (Cauchy's bound); c_j = Tr(beta * b_j(theta) / f'(theta)) (Euler's
 dual basis); and |f'(theta_i)| >= |disc f| / F^(d-1), because disc f is
 +-prod_i f'(theta_i).  So |c_j| <= L / Delta.  Every matching of one root per
 image is tried; two extra p-adic digits keep wrong matchings from passing the
-bound, and a candidate is kept only if it passes exact substitution.  An image
-with no root mod p proves h rootless.  The bound makes the search complete, so
-there is no other method to fall back on.
+bound, and a candidate is kept only if it passes exact substitution.  The
+bound makes the search complete, so there is no other method to fall back on.
 
 QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
 own: f = x, every prime p > 50 splits with the root 0, R = B = F = Delta = 1,
@@ -91,7 +87,7 @@ import enum
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from math import gcd, lcm, prod
 
 from sympy import factorint
@@ -229,11 +225,6 @@ class NumberField:
                 self._split_primes.append(next(self._split_stream))
             yield self._split_primes[i]
             i += 1
-
-    def split_primes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The first SPLIT_PRIME_COUNT split primes, which the "no root"
-        certificate reads."""
-        return tuple(islice(self.iter_split_primes(), SPLIT_PRIME_COUNT))
 
     def residue_degree(self, p: int) -> int | None:
         """The residue degree of the primes of K above the prime p, or None
@@ -606,7 +597,6 @@ def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
 
 
 SPLIT_PRIME_FLOOR = 50
-SPLIT_PRIME_COUNT = 3
 
 
 def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -648,26 +638,6 @@ def _eval_mod(g: list[int], x: int, m: int) -> int:
     for c in reversed(g):
         v = (v * x + c) % m
     return v
-
-
-def _no_root_certified(h, K: NumberField) -> bool:
-    """True when some split prime proves that h has no root in K (see the
-    module docstring); False proves nothing."""
-    if isinstance(h, RatPoly):
-        coeffs = [((c.numerator,), c.denominator) for c in h.coeffs]
-    else:
-        coeffs = [(c.num, c.den) for c in h.coeffs]
-    for p, roots in K.split_primes():
-        if any(den % p == 0 for _, den in coeffs):
-            continue
-        coords = []
-        for num, den in coeffs:
-            inv = pow(den, -1, p)
-            coords.append([x * inv % p for x in num])
-        images = {tuple(_eval_mod(cs, r, p) for cs in coords) for r in roots}
-        if any(hp[-1] and zp.gf_rootless(list(hp), p) for hp in images):
-            return True
-    return False
 
 
 # Roots by lifting at a split prime (see the module docstring).  Polynomials
@@ -846,22 +816,20 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
     """Exactly the roots of h lying in K, verified by exact substitution.  The
     one root solver of the package, for every degree of K, QQ included.
 
-    h may be a RatPoly (rational coefficients) or a KPoly over K.  An h that
-    some split prime proves rootless returns at once.  A KPoly is then lifted
-    as it is, and so is a RatPoly over QQ: there is one image, so there are no
-    matchings for a factorization to prune.  A RatPoly over K != QQ is
+    h may be a RatPoly (rational coefficients) or a KPoly over K.  A KPoly is
+    lifted as it is, and so is a RatPoly over QQ: there is one image, so there
+    are no matchings for a factorization to prune.  A RatPoly over K != QQ is
     factored over QQ: its roots in QQ are read off the linear factors, and only
     the other factors whose degree divides [K:QQ] are lifted.  `factors`, if
     given, is a function d -> factor_bounded(h, d) for a caller that keeps
-    them (`Curve.x_division_factors`); it is called only there, after the
-    certificate has failed, with d = [K:QQ].
+    them (`Curve.x_division_factors`); it is called only there, with
+    d = [K:QQ].  A lift with an image rootless mod p returns at once
+    (`_hensel_roots`).
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
     if isinstance(h, KPoly) and h.field != K:
         raise ValueError("polynomial over a different field")
-    if _no_root_certified(h, K):
-        return set()
     if isinstance(h, KPoly) or K.degree == 1:
         roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly.from_ratpoly(K, h), K)
     else:

@@ -171,10 +171,9 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     p = 2 that is the 2-division cubic, on whose roots the discriminant in y
     vanishes, so each root gives one point.  Over K != QQ the roots come from
     the curve's own factors of that polynomial (`Curve.x_division_factors`),
-    factored once per [K:QQ] and only when no split prime proves it rootless
-    in K.  A point found at lift level k has order exactly p^k: the frontier
-    at level k-1 holds every point of order p^(k-1), and a preimage under [p]
-    of such a point has order p^k."""
+    factored once per [K:QQ].  A point found at lift level k has order
+    exactly p^k: the frontier at level k-1 holds every point of order
+    p^(k-1), and a preimage under [p] of such a point has order p^k."""
     xs = roots_in_field(E.x_division_poly(p), K, partial(E.x_division_factors, p))
     frontier = {P for x in xs for P in curve_points_y(E, x, K)}
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)

@@ -173,65 +173,6 @@ def test_small_moduli_multiply_as_lists(n, pack_calls):
     assert not pack_calls
 
 
-def gcd_rootless(a, p):
-    """gcd(x^p - x, a) = 1, by the Frobenius power: the path `gf_rootless`
-    keeps from degree 3 on."""
-    xp = zp.gf_pow_mod([0, 1], p, a, p)
-    return len(zp.gf_gcd(a, zp.gf_sub(xp, [0, 1], p), p)) == 1
-
-
-def brute_rootless(a, p):
-    return all(sum(c * pow(x, k, p) for k, c in enumerate(a)) % p for x in range(p))
-
-
-@pytest.mark.parametrize("p", (2, 3, 5, 7))
-def test_rootless_every_line_and_quadratic(p):
-    # every a x + b and a x^2 + b x + c with a != 0 mod p, so every leading
-    # coefficient, discriminant 0 and every residue class of it; p = 2 keeps
-    # the Frobenius path
-    for deg in (1, 2):
-        for low in product(range(p), repeat=deg):
-            for lc in range(1, p):
-                a = list(low) + [lc]
-                assert zp.gf_rootless(a, p) == gcd_rootless(a, p) == brute_rootless(a, p), a
-
-
-@pytest.mark.parametrize("p", (61, 1009))
-def test_rootless_seeded_quadratics(p):
-    rng = random.Random(f"rootless:{p}")
-    seen = set()
-    for _ in range(300):
-        lc = rng.randrange(1, p)
-        r = rng.randrange(p)
-        kind = rng.randrange(3)
-        if kind == 0:    # lc (x - r)^2: discriminant 0
-            a = [lc * r * r % p, -2 * lc * r % p, lc]
-        elif kind == 1:  # lc (x - r)(x - s): a root
-            s = rng.randrange(p)
-            a = [lc * r * s % p, -lc * (r + s) % p, lc]
-        else:
-            a = random_poly(rng, 2, p)
-            a[-1] = lc
-        got = zp.gf_rootless(a, p)
-        assert got == gcd_rootless(a, p) == brute_rootless(a, p), a
-        assert not got or kind == 2
-        seen.add((kind, got))
-    assert seen == {(0, False), (1, False), (2, False), (2, True)}
-
-
-def test_rootless_takes_no_frobenius_power_below_degree_3(monkeypatch):
-    calls = []
-    pow_mod = zp.gf_pow_mod
-    monkeypatch.setattr(zp, "gf_pow_mod", lambda *a: calls.append(a) or pow_mod(*a))
-    for p in (3, 61, 1009):
-        zp.gf_rootless([1, 1], p)
-        zp.gf_rootless([2, 0, 1], p)
-    assert not calls
-    zp.gf_rootless([1, 0, 0, 1], 61)
-    zp.gf_rootless([1, 1, 1], 2)
-    assert len(calls) == 2
-
-
 def sympy_zz_factors(h, dmax):
     """The distinct irreducible factors of degree <= dmax of h in ZZ[x],
     primitive with positive leading coefficient, from sympy."""

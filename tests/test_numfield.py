@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from pathlib import Path
 
@@ -223,20 +224,34 @@ class TestRootsInField:
 SPLIT_PRIME_SPECS = ("1,1,1,1", "-1,5", "5;5;2", "-3", "q")
 
 
+def first_split_primes(K):
+    """The first three (p, roots of f mod p) of `K.iter_split_primes`, the
+    primes at which the tests plant denominators and repeated roots."""
+    return tuple(islice(K.iter_split_primes(), 3))
+
+
 class TestSplitPrimeCertificate:
-    """Reduction of K at completely split primes proves "no root in K"."""
+    """Reduction of K at completely split primes: the table of those primes,
+    and the lift's one modular exit, an image with no root mod p."""
 
     @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS + ("-2,0,0,0",))
     def test_split_prime_table(self, spec):
+        # iter_split_primes yields every prime above the floor at which f has
+        # [K:QQ] distinct roots, in increasing order, and no other
         K = parse_field_spec(spec)
         f = K.defining_poly
         disc = resultant(f, f.derivative()) if K.degree > 1 else 1
-        table = K.split_primes()
-        assert len(table) == numfield.SPLIT_PRIME_COUNT
+        table = first_split_primes(K)
+        assert len(table) == 3
         for p, roots in table:
             assert p > numfield.SPLIT_PRIME_FLOOR and disc % p != 0
             assert len(set(roots)) == len(roots) == K.degree
             assert all(f(r) % p == 0 for r in roots)
+        primes = [p for p, _ in table]
+        assert primes == sorted(set(primes))
+        for p in range(numfield.SPLIT_PRIME_FLOOR + 1, primes[-1]):
+            if p not in primes and all(p % k for k in range(2, p)):
+                assert sum(numfield._eval_mod(K._f_int, r, p) == 0 for r in range(p)) < K.degree, p
 
     def test_table_not_built_at_construction(self, monkeypatch):
         def forbidden(*args):
@@ -254,7 +269,7 @@ class TestSplitPrimeCertificate:
         # h = (x - alpha) * g for random alpha and g, some with a split prime
         # in a denominator of alpha or g, or in the leading coefficient
         K = parse_field_spec(spec)
-        primes = [p for p, _ in K.split_primes()]
+        primes = [p for p, _ in first_split_primes(K)]
         rng = random.Random(19)
         for _ in range(12):
             den = rng.choice(primes + [1, 1])
@@ -269,7 +284,7 @@ class TestSplitPrimeCertificate:
     @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
     def test_root_with_split_prime_denominator(self, spec):
         K = parse_field_spec(spec)
-        for p, _ in K.split_primes():
+        for p, _ in first_split_primes(K):
             root = K.element(Fraction(1, p))
             # (x - 1/p)(x + p*k) = x^2 + (p*k - 1/p) x - k: dropping the
             # x-coefficient would leave x^2 - k, which has no root mod p
@@ -281,15 +296,32 @@ class TestSplitPrimeCertificate:
                 assert roots_in_field(h, K) == roots
                 assert roots_in_field(KPoly.from_ratpoly(K, h), K) == roots
 
-    def test_rootless_search_runs_no_norm(self, monkeypatch):
+    def test_rootless_search_ends_at_the_lift_prime(self, monkeypatch):
+        # x^2 - (theta + 2) and x^2 - 2 theta have squarefree images at 61, the
+        # first split prime of QQ(zeta5), and one image with no root mod 61:
+        # the lift stops there and lifts nothing.  x^2 - 3 has a root mod 61
+        # at every image (3 is a square mod 61), so it is lifted, and only the
+        # bound and exact substitution show that sqrt3 is not in QQ(zeta5).
+        th = ZETA5.gen()
+        p, rs = next(ZETA5.iter_split_primes())
+        assert p == 61
+        for h in (KPoly(ZETA5, [-(th + 2), 0, 1]), KPoly(ZETA5, [-2 * th, 0, 1])):
+            images = [[numfield._eval_mod(a, r, p) for a in numfield._scaled_monic(h)[1]] for r in rs]
+            assert all(gf_is_squarefree(img, p) for img in images)
+            assert not all(any(numfield._eval_mod(img, x, p) == 0 for x in range(p))
+                           for img in images)
+
         def forbidden(*args):
-            raise AssertionError("norm method reached for a polynomial with no root")
+            raise AssertionError("a search settled at the lift prime went on")
 
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
-        monkeypatch.setattr(numfield, "factor_bounded", forbidden)
-        monkeypatch.setattr(numfield, "_hensel_roots", forbidden)
-        th = ZETA5.gen()
+        split_prime_lift, lifted = numfield._split_prime_lift, []
+        monkeypatch.setattr(numfield, "_split_prime_lift",
+                            lambda K, *args: lifted.append(K) or split_prime_lift(K, *args))
         assert roots_in_field(RatPoly([-3, 0, 1]), ZETA5) == set()
+        assert lifted == [ZETA5]
+        monkeypatch.setattr(numfield, "_split_prime_lift", forbidden)
+        monkeypatch.setattr(numfield, "factor_bounded", forbidden)
         assert roots_in_field(KPoly(ZETA5, [-(th + 2), 0, 1]), ZETA5) == set()
         assert sqrt_in_field(th * 2, ZETA5) is None
 
@@ -320,7 +352,7 @@ class TestHenselRoots:
     @pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5", "5;5;2", "-3", "-2,0,0,0"))
     def test_agrees_with_norm_method(self, spec):
         K = parse_field_spec(spec)
-        primes = [p for p, _ in K.split_primes()]
+        primes = [p for p, _ in first_split_primes(K)]
         rng = random.Random(29)
         sizes = []
         for kind in ("integral", "split_denominators", "not_monic", "random") * 2:
@@ -381,7 +413,7 @@ class TestHenselRoots:
     def test_walks_past_the_table_primes(self, spec):
         # (x - theta)(x - theta - P) has a double root mod every table prime
         K = parse_field_spec(spec)
-        table = K.split_primes()
+        table = first_split_primes(K)
         P = 1
         for p, _ in table:
             P *= p
@@ -393,7 +425,7 @@ class TestHenselRoots:
                 assert not gf_is_squarefree(image, p)
         assert numfield._hensel_roots(h, K) == {th, th + P}
         assert roots_in_field(h, K) == {th, th + P}
-        assert len(K._split_primes) > numfield.SPLIT_PRIME_COUNT
+        assert len(K._split_primes) > len(table)
 
 
 KNOWN_GROUP_CURVES = [row["curve"] for row in json.loads(
@@ -435,7 +467,7 @@ class TestDegreeOneLift:
     def test_lift_constants(self):
         Q = rational_field()
         assert numfield._lift_constants(Q) == (1, 1, 1, 1)
-        assert all(rs == (0,) for _, rs in Q.split_primes())
+        assert all(rs == (0,) for _, rs in first_split_primes(Q))
         # L is Cauchy's bound 1 + max |a_k| of the monic integral h~
         assert numfield._coordinate_bound(Q, [[-12], [7], [1]]) == 13
 
@@ -541,17 +573,12 @@ class TestRationalRoots:
     def test_agrees_with_linear_factors(self, h):
         roots = _linear_factor_roots(h)
         assert rational_roots(h) == roots
-        if roots:
-            assert not numfield._no_root_certified(h, rational_field())
 
     def test_modular_check_settles_only_rootless(self):
-        Q = rational_field()
-        assert numfield._no_root_certified(RatPoly([-2, 0, 1]), Q)
         rng = random.Random(8)
         for _ in range(20):
             r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
             h = RatPoly([-r, 1]) * _rand_ratpoly(rng, rng.randrange(0, 4))
-            assert not numfield._no_root_certified(h, Q)
             assert rational_roots(h) == _linear_factor_roots(h)
 
 
@@ -599,7 +626,7 @@ class TestSplitPrimeLift:
         lift_root = numfield._lift_root
         monkeypatch.setattr(numfield, "_lift_root",
                             lambda g, x, m, q: starts.append(m) or lift_root(g, x, m, q))
-        for p, rs in K.split_primes()[:2]:
+        for p, rs in first_split_primes(K)[:2]:
             top = p
             for N in (2, 7, 3, 7, 12, 5, 1, 13):
                 q = p**N

@@ -37,7 +37,6 @@ from quartic_torsion.numfield import (
 )
 from quartic_torsion.torsion import (
     count_torsion_in_field,
-    p_primary_part,
     reduction_bound,
     structure_of_orders,
     subfield_torsion,
@@ -50,6 +49,29 @@ WITNESSES = (
     ("0,0,1,-1,0", "5;5;2", (1, 1)),       # 37a1 over a cyclic quartic
     ("0,-1,1,-10,-20", "1,1,1,1", (5, 5)),  # 11a1 over QQ(zeta5)
     ("1,0,1,4,-6", "17,21", (1, 6)),        # 14a1: orders are products over p
+    # From a scan of 25 curves with rational torsion over the cyclic quartic
+    # fields m;a*m;a*b of the field_sweep generator and over QQ(zeta5); the
+    # comment gives E(QQ)_tors
+    ("1,1,1,35,-28", "1,1,1,1", (1, 8)),       # Z/8
+    ("1,-1,1,-14,29", "1,1,1,1", (1, 9)),      # Z/9
+    ("1,0,0,-45,81", "13;13;3", (1, 10)),      # Z/10
+    ("1,-1,1,-122,1721", "1,1,1,1", (1, 12)),  # Z/12
+    ("1,0,1,-76,298", "5;5;1", (1, 15)),       # Z/3, 5-torsion grows
+    ("1,1,1,-80,242", "5;5;2", (1, 16)),       # Z/4, a 2-primary lift
+    ("1,0,1,-19,26", "1,1,1,1", (2, 6)),       # Z/2 x Z/6
+    ("1,1,1,-5,2", "5;15;6", (2, 16)),         # Z/2 x Z/4, a 2-primary lift
+    # From a scan of 22 curves with rational torsion over the 78 biquadratic
+    # fields QQ(sqrt m, sqrt n), m, n in {-15, -7, -5, -3, -2, -1, 2, 3, 5, 6,
+    # 7, 10, 15}, and a probe of y^2 + y = x^3 over fields with sqrt-3
+    ("1,1,1,35,-28", "2,3", (1, 8)),           # Z/8
+    ("1,-1,1,-14,29", "2,3", (1, 9)),          # Z/9
+    ("1,0,0,-45,81", "2,3", (1, 10)),          # Z/10
+    ("1,-1,1,-122,1721", "-1,2", (1, 12)),     # Z/12
+    ("1,1,1,22,-9", "-15,-7", (1, 15)),        # Z/5, 3-torsion grows
+    ("1,0,1,-19,26", "-1,2", (2, 6)),          # Z/2 x Z/6
+    ("1,0,0,-1070,7812", "2,3", (2, 8)),       # Z/2 x Z/8
+    ("1,-1,1,-122,1721", "-15,-7", (2, 12)),   # Z/12, 2-torsion grows
+    ("0,0,1,0,0", "-3,2", (3, 3)),             # y^2 + y = x^3, Z/3
 )
 
 
@@ -209,11 +231,14 @@ def _odd_order(E, K):
     return n
 
 
-def test_rootless_division_polynomials_settled_without_factoring():
-    # Without the split-prime certificate every searched prime factors a
-    # division polynomial with no root in K, and this case takes minutes.
-    report = torsion_over_field(Curve.from_str("5,-1,-2,1,-3"), parse_field_spec("13;13;3"))
-    assert report.structure == (1, 1)
+def test_rootless_division_polynomials_settled_without_factoring(monkeypatch):
+    # the reduction bound B is 1 here, so no prime is searched and no
+    # division polynomial is factored
+    factored = _count_factored(monkeypatch)
+    E, K = Curve.from_str("5,-1,-2,1,-3"), parse_field_spec("13;13;3")
+    assert reduction_bound(E, K) == 1
+    assert torsion_over_field(E, K).structure == (1, 1)
+    assert factored == []
 
 
 @pytest.mark.parametrize("curve, field, expected", [
@@ -423,33 +448,11 @@ def test_second_field_factors_no_division_polynomial(curve, fields, monkeypatch)
     assert sorted(E._factor_cache) == [(ell, 4) for ell in sorted(ells)]
 
 
-def test_division_polynomial_factored_only_when_the_certificate_fails(monkeypatch, benchmark_cases):
-    # the split-prime certificate runs first; a psi_l it settles is never
-    # factored, and one it does not settle is factored once over K != QQ
-    factored = _count_factored(monkeypatch)
-    fields = [parse_field_spec(f) for f in ("1,1,1,1", "13;13;3", "-1,2", "-1,-3", "2,5", "-1", "-3")]
-    settled = unsettled = 0
-    for curve in sorted({c for c, _ in benchmark_cases("field_sweep", 0)}):
-        for K in fields:
-            E = Curve.from_str(curve)
-            for ell in (2, 3, 5):
-                h = E.x_division_poly(ell)
-                certified = numfield._no_root_certified(h, K)
-                del factored[:]
-                p_primary_part(E, K, ell, ell)
-                assert factored == ([] if certified else [h])
-                assert ((ell, K.degree) in E._factor_cache) != certified
-                settled += certified
-                unsettled += not certified
-    assert settled > 20 and unsettled > 20
-
-
 def test_rational_field_factors_no_division_polynomial(monkeypatch):
     # over QQ a RatPoly is lifted directly: psi_5 of 11a1 has the rational
-    # roots of its 5-torsion, so no prime settles it, and it is not factored
+    # roots of its 5-torsion, which the lift finds, and it is not factored
     factored = _count_factored(monkeypatch)
     E, Q = Curve.from_str("0,-1,1,-10,-20"), rational_field()
-    assert not numfield._no_root_certified(E.x_division_poly(5), Q)
     assert torsion_over_field(E, Q).structure == (1, 5)
     assert factored == [] and E._factor_cache == {}
 
