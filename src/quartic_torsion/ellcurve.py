@@ -1,11 +1,10 @@
 """Elliptic curves over QQ in long Weierstrass form.
 
-Curves carry their b-invariants and discriminant from construction; c4, c6
-and the j-invariant are computed on demand.  Points live on a curve with
-coordinates in a designated NumberField; the chord-tangent group law,
-division polynomials (stored y-free), multiplication-by-m x-maps, m-th
-preimages (y from the formula for [m], not from a square root), quadratic
-twists, halving and a Lutz-Nagell enumeration over QQ are all exact.
+Curves carry their b-invariants and discriminant from construction.  Points
+live on a curve with coordinates in a designated NumberField; the
+chord-tangent group law, division polynomials (stored y-free),
+multiplication-by-m x-maps and m-th preimages (y from the formula for [m],
+not from a square root) are all exact.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -27,12 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import factorint
-
 from .errors import DataFormatError, InvariantViolationError, SingularCurveError
-from .exactmath import RatPoly, factor_bounded, rat_from_str, rat_to_str, squarefree_part_rational
-from .numfield import (FieldElement, KPoly, NumberField, rational_field, rational_roots,
-                       roots_in_field, sqrt_in_field)
+from .exactmath import RatPoly, factor_bounded, rat_from_str, rat_to_str
+from .numfield import FieldElement, KPoly, NumberField, roots_in_field, sqrt_in_field
 
 
 class Curve:
@@ -59,18 +55,6 @@ class Curve:
     @property
     def a_invariants(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @property
-    def c4(self) -> Fraction:
-        return self.b2**2 - 24 * self.b4
-
-    @property
-    def c6(self) -> Fraction:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @property
-    def j(self) -> Fraction:
-        return self.c4**3 / self.disc
 
     def __eq__(self, other):
         return isinstance(other, Curve) and self.a_invariants == other.a_invariants
@@ -292,13 +276,9 @@ class Point:
         y3 = -(lam + E.a1) * x3 - nu - E.a3
         return Point._on_curve(E, self.field, x3, y3)
 
-    def __sub__(self, other: "Point") -> "Point":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "Point":
-        return self.scalar_mul(n)
-
     def scalar_mul(self, n: int) -> "Point":
+        """[n]P by doubling and adding.  The engine does not call it; it stays
+        in src/ only because the benchmark's tracer binds it."""
         if n < 0:
             return (-self).scalar_mul(-n)
         out = Point.infinity(self.curve, self.field)
@@ -309,15 +289,6 @@ class Point:
             base = base + base
             n >>= 1
         return out
-
-    def order(self, bound: int = 200) -> int | None:
-        """Exact order if <= bound, else None."""
-        acc = self
-        for k in range(1, bound + 1):
-            if acc.is_infinity():
-                return k
-            acc = acc + self
-        return None
 
 
 def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
@@ -335,17 +306,6 @@ def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
         return [Point._on_curve(E, K, x, y1)]
     y2 = (-B - g) * two_inv
     return [Point._on_curve(E, K, x, y1), Point._on_curve(E, K, x, y2)]
-
-
-def two_torsion(E: Curve, K: NumberField) -> set[Point]:
-    """E(K)[2] including the identity."""
-    pts = {Point.infinity(E, K)}
-    for x in roots_in_field(E.two_division_poly(), K):
-        # y = -(a1 x + a3)/2 makes the point its own negative; it lies on E
-        # because (2y + a1 x + a3)^2 = psi_2^2(x) on E and x is a root of psi_2^2
-        y = -(x * E.a1 + E.a3) * Fraction(1, 2)
-        pts.add(Point._on_curve(E, K, x, y))
-    return pts
 
 
 def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
@@ -394,121 +354,3 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
             raise InvariantViolationError(f"no point of E(K) above the root {x!r} of [{m}]x = x_P")
         out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
     return out
-
-
-def knapp_preimages(E: Curve, P: Point, K: NumberField) -> set[Point]:
-    """Halving via the square criterion on y^2 = (x-r1)(x-r2)(x-r3).
-
-    Requires the 2-division cubic of E to split over K.  Implemented as an
-    independent cross-check of m_preimages(E, P, K, 2), which the engine's
-    lift loop runs: the curve is rescaled to
-    Y^2 = X^3 + b2 X^2 + 8 b4 X + 16 b6 with X = 4x, Y = 8y + 4(a1 x + a3),
-    whose cubic has the same splitting behaviour.
-    """
-    if P.is_infinity():
-        return two_torsion(E, K)
-    cubic = RatPoly([16 * E.b6, 8 * E.b4, E.b2, 1])
-    rs = sorted(roots_in_field(cubic, K), key=lambda r: r.sort_key())
-    if len(rs) != 3:
-        raise ValueError("Knapp halving needs full 2-torsion over K")
-    X = P.x * 4
-    Y = P.y * 8 + (P.x * E.a1 + E.a3) * 4
-    sq = []
-    for r in rs:
-        s = sqrt_in_field(X - r, K)
-        if s is None:
-            return set()
-        sq.append(s)
-    s1, s2, s3 = sq
-    out = set()
-    for e2 in (1, -1):
-        for e1 in (1, -1):
-            # the printed x' candidates, signs taken simultaneously
-            Xp = s1 * s2 * e1 + s1 * s3 * e2 + s2 * s3 * (e1 * e2) + X
-            xq = Xp * Fraction(1, 4)
-            for Q in curve_points_y(E, xq, K):
-                if Q.scalar_mul(2) == P:
-                    out.add(Q)
-    return out
-
-
-def quadratic_twist(E: Curve, d: int) -> Curve:
-    """Twist by squarefree d != 0 of the short-normalized model."""
-    d = int(d)
-    if d == 0:
-        raise ValueError("twist by 0")
-    if squarefree_part_rational(Fraction(d)) != d:
-        raise ValueError("twist parameter must be squarefree")
-    A = -27 * E.c4
-    B = -54 * E.c6
-    return Curve([0, 0, 0, A * d * d, B * d**3])
-
-
-def short_model(E: Curve) -> Curve:
-    """y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E over QQ."""
-    return Curve([0, 0, 0, -27 * E.c4, -54 * E.c6])
-
-
-# ---------------------------------------------------------------------------
-# Lutz-Nagell over QQ
-# ---------------------------------------------------------------------------
-
-
-def _square_divisors(n: int) -> list[int]:
-    """All y >= 0 with y^2 | n (n != 0)."""
-    ys = [1]
-    for p, e in factorint(abs(n)).items():
-        half = e // 2
-        if half:
-            ys = [y * p**k for y in ys for k in range(half + 1)]
-    return sorted({0} | set(ys))
-
-
-def lutz_nagell_torsion(E: Curve):
-    """E(QQ)_tors with its points, by Lutz-Nagell on an integral model.
-
-    Returns (structure, points) where structure is the pair (d1, d2) of
-    invariant factors and points is the full set of rational torsion points
-    on E itself.  Candidate points on Y^2 = X^3 - 27 c4 X - 54 c6 satisfy
-    Y = 0 or Y^2 | disc; anything failing to die under multiplication by
-    n <= 12 is of infinite order and discarded.
-    """
-    Q = rational_field()
-    A = -27 * E.c4
-    B = -54 * E.c6
-    # scale to integral short coefficients: x -> u^2 x, y -> u^3 y
-    den = (A.denominator * B.denominator)
-    u = 1
-    while (A * u**4).denominator != 1 or (B * u**6).denominator != 1:
-        u *= den
-    Ai, Bi = int(A * u**4), int(B * u**6)
-    Es = Curve([0, 0, 0, Ai, Bi])
-    disc_i = int(Es.disc)
-    cubic = RatPoly([Bi, Ai, 0, 1])
-    pts_short: set[tuple[Fraction, Fraction]] = set()
-    for y in _square_divisors(disc_i):
-        for x in rational_roots(cubic - RatPoly([y * y])):
-            if x.denominator == 1:
-                pts_short.add((x, Fraction(y)))
-                pts_short.add((x, Fraction(-y)))
-    # keep only points of finite order (order <= 12 by the rational bound)
-    torsion: set[Point] = {Point.infinity(E, Q)}
-    for x, y in pts_short:
-        P = Point(Es, Q, (x, y))
-        if P.order(bound=12) is not None:
-            # map back: X = 36 u^2 (x_E) + 3 b2 u^2 ... composed scaling
-            xe = (x / (u * u) - 3 * E.b2) / 36
-            ye = (y / (u**3) - 108 * (E.a1 * xe + E.a3)) / 216
-            torsion.add(Point(E, Q, (xe, ye)))
-    # group structure from the subgroup the points generate
-    return _structure_of_point_set(torsion), torsion
-
-
-def _structure_of_point_set(points: set[Point]):
-    """Invariant factors (d1, d2) of a finite set closed under the group law."""
-    n = len(points)
-    orders = {P.order(bound=n) for P in points}
-    d2 = max(orders - {None}, default=0)
-    if None in orders or d2 == 0 or n % d2 or d2 % (n // d2):
-        raise InvariantViolationError(f"{n} points with orders {orders} do not form Z/d1 + Z/d2")
-    return (n // d2, d2)

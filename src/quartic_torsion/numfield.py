@@ -77,8 +77,9 @@ carries the inverse of the derivative by its own Newton step, so it takes one
 modular inverse in all (`_lift_root`).
 
 The norm method (Trager: factor Norm_{K/QQ} h(x - s*theta) over QQ and take a
-gcd over K per factor) stays in this module only as the independent oracle the
-tests compare the lift against; the engine never runs it.
+gcd over K per factor) is the independent oracle the tests compare the lift
+against; the engine never runs it.  It stays in this module, and not with the
+tests' other oracles, only because the benchmark's tracer binds it.
 """
 
 from __future__ import annotations
@@ -536,7 +537,8 @@ class KPoly:
 
 
 # The norm method.  The engine does not run it; the tests use it as the oracle
-# for `_hensel_roots`.
+# for `_hensel_roots`.  It stays in src/ only because the benchmark's tracer
+# binds `_trager_roots` and `_norm_poly_shifted`.
 
 
 def _interpolate(points: list[tuple[int, Fraction]]) -> RatPoly:
@@ -925,13 +927,10 @@ def biquadratic_field(m: int, n: int) -> NumberField:
     return NumberField(RatPoly([(m - n) ** 2, 0, -2 * (m + n), 0, 1]))
 
 
-def cyclic_criterion(m, a, b) -> tuple[GaloisType, NumberField]:
-    """Classify K = QQ(sqrt(a + b*sqrt(m))) and return it.
+def tower_field(m, a, b) -> NumberField:
+    """K = QQ(sqrt(a + b*sqrt(m))), classified like any quartic field.
 
-    The Galois type is read off the norm t = a^2 - m b^2 of a + b*sqrt(m):
-    t/m a nonzero rational square gives a cyclic quartic, t itself a rational
-    square gives a biquadratic field, anything else is not Galois.  The tower
-    is degenerate exactly when alpha = a + b*sqrt(m) is a square in
+    The tower is degenerate exactly when alpha = a + b*sqrt(m) is a square in
     QQ(sqrt(m)): for b != 0 that is when x^4 - 2a x^2 + (a^2 - m b^2) is
     reducible, and for b = 0 when a is 0, a square, or m times a square.
     """
@@ -941,23 +940,14 @@ def cyclic_criterion(m, a, b) -> tuple[GaloisType, NumberField]:
     if squarefree_part_rational(m) != m:
         raise DegenerateTowerError("m must be a squarefree integer")
     degenerate = "alpha is a square in QQ(sqrt(m)); the tower is not quartic"
-    if b == 0:
-        if a == 0:
-            raise DegenerateTowerError(degenerate)
-        try:
-            return GaloisType.Biquadratic, biquadratic_field(int(m), squarefree_part_rational(a))
-        except UnsupportedFieldError:
-            raise DegenerateTowerError(degenerate) from None
+    if a == b == 0:
+        raise DegenerateTowerError(degenerate)
     try:
-        K = NumberField(RatPoly([a * a - b * b * m, 0, -2 * a, 0, 1]))
+        if b == 0:
+            return biquadratic_field(int(m), squarefree_part_rational(a))
+        return NumberField(RatPoly([a * a - b * b * m, 0, -2 * a, 0, 1]))
     except UnsupportedFieldError:
         raise DegenerateTowerError(degenerate) from None
-    t = a * a - m * b * b
-    if is_rational_square(t / m):
-        return GaloisType.CyclicQuartic, K
-    if is_rational_square(t):
-        return GaloisType.Biquadratic, K
-    return GaloisType.NonGaloisQuartic, K
 
 
 def parse_field_spec(spec: str) -> NumberField:
@@ -976,7 +966,7 @@ def parse_field_spec(spec: str) -> NumberField:
         parts = spec.split(";")
         if len(parts) != 3:
             raise DataFormatError(f"tower spec needs m;a;b: {spec!r}")
-        return cyclic_criterion(*(rat_from_str(t) for t in parts))[1]
+        return tower_field(*(rat_from_str(t) for t in parts))
     parts = spec.split(",")
     if len(parts) == 1:
         return quadratic_field(rat_from_str(parts[0]))

@@ -51,13 +51,7 @@ from sympy import nextprime, primefactors
 from . import grouptables as gt
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import RatPoly, rat_to_str
-from .ellcurve import (
-    Curve,
-    Point,
-    curve_points_y,
-    m_preimages,
-    short_model,
-)
+from .ellcurve import Curve, Point, curve_points_y, m_preimages
 from .numfield import (
     FieldElement,
     GaloisType,
@@ -65,7 +59,6 @@ from .numfield import (
     rational_roots,
     roots_in_field,
     smallest_subfield,
-    sqrt_in_field,
 )
 
 CYCLOTOMIC5 = RatPoly([1, 1, 1, 1, 1])
@@ -361,20 +354,3 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
             gf = subfield_torsion(points, homes, m)
             record("growth_chain", gf in row, f"E(QQ)={gq} grows to E(QQ(sqrt {m}))={gf}")
     return checks
-
-
-def count_torsion_in_field(E: Curve, K: NumberField, n: int) -> int:
-    """|E(K)[n]| for odd n: x-roots of the division polynomial with y in K.
-    Counted without the lift loop, as the tests' oracle for the engine's
-    points."""
-    if n == 1:
-        return 1
-    if n % 2 == 0:
-        raise ValueError("odd n only")
-    s = short_model(E)
-    count = 1
-    for x in roots_in_field(s.division_polynomial(n), K):
-        rhs = x * x * x + x * s.a4 + s.a6
-        if sqrt_in_field(rhs, K) is not None:
-            count += 2
-    return count

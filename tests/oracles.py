@@ -1,0 +1,200 @@
+"""Independent oracles the tests check the engine against.  None of them is on
+the engine's path from (E, K) to the report, and each computes its answer by
+a route the engine does not take:
+
+- `lutz_nagell_torsion`: E(QQ)_tors by Lutz-Nagell on an integral short
+  model, against `torsion.torsion_over_field` over QQ.
+- `knapp_preimages`: halving by the square criterion on the roots of the
+  2-division cubic, against `ellcurve.m_preimages(E, P, K, 2)`.
+- `two_torsion`: E(K)[2] from the roots of the 2-division cubic, the
+  preimages of infinity for `knapp_preimages` and the starting points of the
+  halving chains in `tests/test_ellcurve.py`.
+- `count_torsion_in_field`: |E(K)[n]| for odd n from the roots of psi_n and
+  square roots in K, against the points of `torsion.torsion_over_field`,
+  which come from the lift loop.
+- `point_order`: the order of a point by repeated addition, against the orders
+  `torsion.torsion_over_field` reads off the lift levels.
+- `sqrt_reference_preimages`: the m-th preimages of a point from the roots of
+  phi_m - x_P psi_m^2 and square roots in K, against `ellcurve.m_preimages`,
+  which takes neither.
+- `c_invariants` and `j_invariant`: c4, c6 and j from the b-invariants, which
+  the model and twist oracles below are built on.
+- `short_model` and `quadratic_twist`: other curves over QQ for the
+  model-invariance and twist-decomposition tests of
+  `torsion.torsion_over_field`.
+- `tower_galois_type`: the Galois type of QQ(sqrt(a + b sqrt m)) from the
+  norm a^2 - m b^2, against `NumberField.galois_type` of
+  `numfield.tower_field`, which reads it off the resolvent cubic.
+"""
+
+from fractions import Fraction
+
+from sympy import factorint
+
+from quartic_torsion.ellcurve import Curve, Point, curve_points_y
+from quartic_torsion.exactmath import RatPoly, is_rational_square, squarefree_part_rational
+from quartic_torsion.numfield import (GaloisType, KPoly, NumberField, rational_field,
+                                      rational_roots, roots_in_field, sqrt_in_field)
+from quartic_torsion.torsion import structure_of_orders
+
+
+def point_order(P: Point, bound: int) -> int | None:
+    """The exact order of P if it is at most bound, else None."""
+    acc = P
+    for k in range(1, bound + 1):
+        if acc.is_infinity():
+            return k
+        acc = acc + P
+    return None
+
+
+def two_torsion(E: Curve, K: NumberField) -> set[Point]:
+    """E(K)[2] including the identity."""
+    pts = {Point.infinity(E, K)}
+    for x in roots_in_field(E.two_division_poly(), K):
+        # y = -(a1 x + a3)/2 makes the point its own negative
+        pts.add(Point(E, K, (x, -(x * E.a1 + E.a3) * Fraction(1, 2))))
+    return pts
+
+
+def knapp_preimages(E: Curve, P: Point, K: NumberField) -> set[Point]:
+    """Halving via the square criterion on y^2 = (x-r1)(x-r2)(x-r3).
+
+    Requires the 2-division cubic of E to split over K.  The curve is
+    rescaled to Y^2 = X^3 + b2 X^2 + 8 b4 X + 16 b6 with X = 4x,
+    Y = 8y + 4(a1 x + a3), whose cubic has the same splitting behaviour.
+    """
+    if P.is_infinity():
+        return two_torsion(E, K)
+    cubic = RatPoly([16 * E.b6, 8 * E.b4, E.b2, 1])
+    rs = sorted(roots_in_field(cubic, K), key=lambda r: r.sort_key())
+    if len(rs) != 3:
+        raise ValueError("Knapp halving needs full 2-torsion over K")
+    X = P.x * 4
+    sq = []
+    for r in rs:
+        s = sqrt_in_field(X - r, K)
+        if s is None:
+            return set()
+        sq.append(s)
+    s1, s2, s3 = sq
+    out = set()
+    for e2 in (1, -1):
+        for e1 in (1, -1):
+            # the printed x' candidates, signs taken simultaneously
+            Xp = s1 * s2 * e1 + s1 * s3 * e2 + s2 * s3 * (e1 * e2) + X
+            for Q in curve_points_y(E, Xp * Fraction(1, 4), K):
+                if Q.scalar_mul(2) == P:
+                    out.add(Q)
+    return out
+
+
+def sqrt_reference_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
+    """All Q in E(K) with [m]Q = P, found the slow way: each root x of
+    phi_m - x_P psi_m^2 gets its y by a square root in K, and [m] decides
+    which of the points above x maps to P."""
+    phi, psi_sq = E.mult_by_m_xmap(m)
+    h = KPoly.from_ratpoly(K, phi) - KPoly.from_ratpoly(K, psi_sq).scale(P.x)
+    return {Q for x in roots_in_field(h, K) for Q in curve_points_y(E, x, K)
+            if Q.scalar_mul(m) == P}
+
+
+def c_invariants(E: Curve) -> tuple[Fraction, Fraction]:
+    """(c4, c6) of E."""
+    c4 = E.b2**2 - 24 * E.b4
+    c6 = -E.b2**3 + 36 * E.b2 * E.b4 - 216 * E.b6
+    return c4, c6
+
+
+def j_invariant(E: Curve) -> Fraction:
+    return c_invariants(E)[0] ** 3 / E.disc
+
+
+def short_model(E: Curve) -> Curve:
+    """y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E over QQ."""
+    c4, c6 = c_invariants(E)
+    return Curve([0, 0, 0, -27 * c4, -54 * c6])
+
+
+def quadratic_twist(E: Curve, d: int) -> Curve:
+    """Twist by squarefree d != 0 of the short-normalized model."""
+    d = int(d)
+    if d == 0:
+        raise ValueError("twist by 0")
+    if squarefree_part_rational(Fraction(d)) != d:
+        raise ValueError("twist parameter must be squarefree")
+    c4, c6 = c_invariants(E)
+    return Curve([0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3])
+
+
+def count_torsion_in_field(E: Curve, K: NumberField, n: int) -> int:
+    """|E(K)[n]| for odd n: x-roots of the division polynomial with y in K,
+    counted without the lift loop."""
+    if n == 1:
+        return 1
+    if n % 2 == 0:
+        raise ValueError("odd n only")
+    s = short_model(E)
+    count = 1
+    for x in roots_in_field(s.division_polynomial(n), K):
+        if sqrt_in_field(x * x * x + x * s.a4 + s.a6, K) is not None:
+            count += 2
+    return count
+
+
+def _square_divisors(n: int) -> list[int]:
+    """All y >= 0 with y^2 | n (n != 0)."""
+    ys = [1]
+    for p, e in factorint(abs(n)).items():
+        half = e // 2
+        if half:
+            ys = [y * p**k for y in ys for k in range(half + 1)]
+    return sorted({0} | set(ys))
+
+
+def lutz_nagell_torsion(E: Curve):
+    """E(QQ)_tors with its points, by Lutz-Nagell on an integral model.
+
+    Returns (structure, points) where structure is the pair (d1, d2) of
+    invariant factors and points is the full set of rational torsion points
+    on E itself.  Candidate points on Y^2 = X^3 - 27 c4 X - 54 c6 satisfy
+    Y = 0 or Y^2 | disc; anything failing to die under multiplication by
+    n <= 12 (Mazur) is of infinite order and discarded.
+    """
+    Q = rational_field()
+    c4, c6 = c_invariants(E)
+    A, B = -27 * c4, -54 * c6
+    # scale to integral short coefficients: x -> u^2 x, y -> u^3 y
+    den = A.denominator * B.denominator
+    u = 1
+    while (A * u**4).denominator != 1 or (B * u**6).denominator != 1:
+        u *= den
+    Ai, Bi = int(A * u**4), int(B * u**6)
+    Es = Curve([0, 0, 0, Ai, Bi])
+    cubic = RatPoly([Bi, Ai, 0, 1])
+    torsion = {Point.infinity(E, Q): 1}
+    for y in _square_divisors(int(Es.disc)):
+        for x in rational_roots(cubic - RatPoly([y * y])):
+            if x.denominator != 1:
+                continue
+            for yy in {Fraction(y), Fraction(-y)}:
+                n = point_order(Point(Es, Q, (x, yy)), 12)
+                if n is not None:
+                    # undo the scaling and the short normalization
+                    xe = (x / (u * u) - 3 * E.b2) / 36
+                    ye = (yy / u**3 - 108 * (E.a1 * xe + E.a3)) / 216
+                    torsion[Point(E, Q, (xe, ye))] = n
+    return structure_of_orders(torsion.values()), set(torsion)
+
+
+def tower_galois_type(m, a, b) -> GaloisType:
+    """The Galois type of QQ(sqrt(a + b sqrt m)), a quartic field, read off
+    the norm t = a^2 - m b^2 of a + b sqrt m: t/m a nonzero rational square
+    gives a cyclic quartic, t a rational square a biquadratic field, and
+    anything else is not Galois."""
+    t = Fraction(a) ** 2 - Fraction(m) * Fraction(b) ** 2
+    if is_rational_square(t / m):
+        return GaloisType.CyclicQuartic
+    if is_rational_square(t):
+        return GaloisType.Biquadratic
+    return GaloisType.NonGaloisQuartic

@@ -1,7 +1,7 @@
-"""Every name the package defines is read somewhere: by the engine, by a test
-(as the thing tested or as an oracle), or by the benchmark.  A function,
-class, constant or method that nothing reads outside its own definition is
-dead code or leftover data, and fails here."""
+"""Every name the package defines is read by the engine or by the benchmark.
+A function, class, constant or method that nothing in `src/` or `perfbench/`
+reads outside its own definition fails here: it is dead code, leftover data,
+or a test oracle, and oracles and test data live in `tests/`."""
 
 import ast
 import re
@@ -11,7 +11,7 @@ import quartic_torsion
 
 PACKAGE = Path(quartic_torsion.__file__).parent
 ROOT = PACKAGE.parent.parent
-READERS = ("src", "tests", "perfbench")
+READERS = ("src", "perfbench")
 EXEMPT = {"__version__"}
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import tower_galois_type
 from quartic_torsion import numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.ellcurve import Curve
@@ -24,7 +25,6 @@ from quartic_torsion.numfield import (
     KPoly,
     NumberField,
     biquadratic_field,
-    cyclic_criterion,
     parse_field_spec,
     quadratic_field,
     rational_field,
@@ -32,6 +32,7 @@ from quartic_torsion.numfield import (
     roots_in_field,
     smallest_subfield,
     sqrt_in_field,
+    tower_field,
 )
 
 ZETA5 = NumberField(RatPoly([1, 1, 1, 1, 1]))
@@ -96,7 +97,7 @@ def _reference_inverse(a, f):
     """1/a from u*a + v*f = 1 (`poly_xgcd` over QQ), reduced mod f."""
     g, u, _ = poly_xgcd(RatPoly(a), f)
     assert g == RatPoly([1])
-    u = list((u % f).coeffs)
+    u = list(u.divmod(f)[1].coeffs)
     return tuple(u + [Fraction(0)] * (f.degree - len(u)))
 
 
@@ -860,21 +861,19 @@ class TestGaloisType:
             SQRT5.quadratic_subfields()
 
 
-class TestCyclicCriterion:
+class TestTowerField:
     def test_direct_instance(self):
-        gt, K = cyclic_criterion(5, 5, 2)
-        assert gt is GaloisType.CyclicQuartic
+        K = tower_field(5, 5, 2)
+        assert K.galois_type is tower_galois_type(5, 5, 2) is GaloisType.CyclicQuartic
         assert K.defining_poly == RatPoly([5, 0, -10, 0, 1])
 
     def test_b_zero_biquadratic(self):
-        gt, K = cyclic_criterion(5, 3, 0)
-        assert gt is GaloisType.Biquadratic
-        assert K.galois_type is GaloisType.Biquadratic
+        K = tower_field(5, 3, 0)
+        assert K.galois_type is tower_galois_type(5, 3, 0) is GaloisType.Biquadratic
 
     def test_a_zero_pure_quartic(self):
-        gt, K = cyclic_criterion(2, 0, 1)
-        assert gt is GaloisType.NonGaloisQuartic
-        assert K.galois_type is GaloisType.NonGaloisQuartic
+        K = tower_field(2, 0, 1)
+        assert K.galois_type is tower_galois_type(2, 0, 1) is GaloisType.NonGaloisQuartic
 
     def test_negative_m_never_cyclic(self):
         rng = random.Random(14)
@@ -882,21 +881,23 @@ class TestCyclicCriterion:
             a = Fraction(rng.randrange(-9, 10))
             b = Fraction(rng.randrange(-9, 10))
             try:
-                gt, _ = cyclic_criterion(-5, a, b)
+                K = tower_field(-5, a, b)
             except DegenerateTowerError:
                 continue
-            assert gt is not GaloisType.CyclicQuartic
+            assert K.galois_type is not GaloisType.CyclicQuartic
+            assert tower_galois_type(-5, a, b) is not GaloisType.CyclicQuartic
 
     def test_degenerate_tower_rejected(self):
         # alpha = 3 + 2*sqrt(2) = (1 + sqrt(2))^2
         with pytest.raises(DegenerateTowerError):
-            cyclic_criterion(2, 3, 2)
+            tower_field(2, 3, 2)
 
     def test_square_m_rejected(self):
         with pytest.raises(DegenerateTowerError):
-            cyclic_criterion(4, 1, 1)
+            tower_field(4, 1, 1)
 
     def test_agreement_with_classifier(self):
+        # the resolvent cubic of the field against the norm a^2 - m b^2
         rng = random.Random(15)
         checked = 0
         while checked < 40:
@@ -904,9 +905,10 @@ class TestCyclicCriterion:
             a = Fraction(rng.randrange(-12, 13))
             b = Fraction(rng.randrange(-12, 13))
             try:
-                gt, K = cyclic_criterion(m, a, b)
+                K = tower_field(m, a, b)
             except DegenerateTowerError:
                 continue
+            gt = tower_galois_type(m, a, b)
             assert K.galois_type is gt, (m, a, b, gt, K.galois_type)
             checked += 1
 
@@ -935,11 +937,12 @@ class TestQuadraticSubfields:
             a = Fraction(rng.randrange(1, 15))
             b = Fraction(rng.randrange(1, 15))
             try:
-                gt, K = cyclic_criterion(m, a, b)
+                K = tower_field(m, a, b)
             except DegenerateTowerError:
                 continue
-            if gt is not GaloisType.CyclicQuartic:
+            if tower_galois_type(m, a, b) is not GaloisType.CyclicQuartic:
                 continue
+            assert K.galois_type is GaloisType.CyclicQuartic
             subs = K.quadratic_subfields()
             assert len(subs) == 1 and next(iter(subs)) > 0
             found += 1
@@ -983,7 +986,7 @@ class TestFieldConstruction:
         assert K.quadratic_subfields() == {-7, -15, 105}
 
     def test_tower_field_matches(self):
-        assert cyclic_criterion(5, 5, 2)[1] == F_10_5
+        assert tower_field(5, 5, 2) == F_10_5
 
 
 class TestPresentationInvariance:

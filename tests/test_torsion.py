@@ -16,9 +16,16 @@ from pathlib import Path
 import pytest
 from sympy import primefactors
 
+from oracles import (
+    count_torsion_in_field,
+    point_order,
+    quadratic_twist,
+    short_model,
+    sqrt_reference_preimages,
+)
 from quartic_torsion import grouptables as gt
 from quartic_torsion import ellcurve, numfield, torsion
-from quartic_torsion.ellcurve import Curve, quadratic_twist, short_model
+from quartic_torsion.ellcurve import Curve
 from quartic_torsion.errors import (
     InconsistentCountsError,
     InvariantViolationError,
@@ -29,14 +36,13 @@ from quartic_torsion.numfield import (
     GaloisType,
     KPoly,
     NumberField,
-    cyclic_criterion,
     parse_field_spec,
     quadratic_field,
     rational_field,
     smallest_subfield,
+    tower_field,
 )
 from quartic_torsion.torsion import (
-    count_torsion_in_field,
     reduction_bound,
     structure_of_orders,
     subfield_torsion,
@@ -72,6 +78,22 @@ WITNESSES = (
     ("1,0,0,-1070,7812", "2,3", (2, 8)),       # Z/2 x Z/8
     ("1,-1,1,-122,1721", "-15,-7", (2, 12)),   # Z/12, 2-torsion grows
     ("0,0,1,0,0", "-3,2", (3, 3)),             # y^2 + y = x^3, Z/3
+    # The last five groups of the two theorems.  Z/2 x Z/10 and Z/2 x Z/12
+    # come by growth: a curve with E(QQ) = Z/10 or Z/12 gains full 2-torsion
+    # over QQ(sqrt disc).  For the cyclic rows, Kubert's Tate normal form at a
+    # t where the squarefree part d of disc is a sum u^2 + v^2 gives the
+    # cyclic quartic d;d;u, which contains QQ(sqrt d)
+    ("13/10,-3/50,-3/50,0,0", "10;10;1", (2, 10)),          # Tate Z/10, t = 1/4, d = 10
+    ("359/320,663/6400,663/6400,0,0", "17;17;1", (2, 12)),  # Tate Z/12, t = 1/5, d = 17
+    ("1,0,0,-45,81", "33,-1", (2, 10)),                     # Z/10, disc = 33 * square
+    # the Z/8 Tate normal form at t = 1/5: the halving quartic of its point of
+    # order 8 has a quadratic factor over QQ(sqrt -15)
+    ("-7/5,-12/25,-12/25,0,0", "-15,-1", (1, 16)),
+    # a point of order 13 over a quartic field has its x in a quadratic
+    # subfield, so E is a rational point of X1(13)/<5>; Reichert's model of
+    # X1(13) at x = -2 gives j = -60698457/40960 with the kernel's x in
+    # QQ(sqrt 17), and a search over its twists gave this model
+    ("0,0,0,-2227,59534", "17;17;4", (1, 13)),
 )
 
 
@@ -113,6 +135,13 @@ class TestWitnesses:
         assert other.point_definition_degrees == report.point_definition_degrees
 
 
+def test_thirteen_torsion_count():
+    # |E(K)[13]| of the Z/13 witness from psi_13 and square roots in K
+    E, K = Curve.from_str("0,0,0,-2227,59534"), parse_field_spec("17;17;4")
+    points = torsion_over_field(E, K).points
+    assert count_torsion_in_field(E, K, 13) == sum(1 for m in points.values() if 13 % m == 0) == 13
+
+
 @pytest.mark.parametrize("curve, field, expected", WITNESSES)
 def test_squarefree_part_only_of_repeated_roots(monkeypatch, curve, field, expected):
     # the lift reduces h to its squarefree part only when h has a repeated root
@@ -144,7 +173,7 @@ class TestOrders:
         report, _ = witness
         _, exponent = report.structure
         for P, n in report.points.items():
-            assert P.order(bound=exponent) == n
+            assert point_order(P, exponent) == n
 
     def test_generators(self, witness):
         report, _ = witness
@@ -209,7 +238,7 @@ class TestTwistDecomposition:
         E = Curve.from_str("0,-1,1,-10,-20")
         F = quadratic_field(5)
         alpha = [Fraction(-5, 2), Fraction(-1, 2)]  # (-5 - sqrt5) / 2
-        K = cyclic_criterion(5, *alpha)[1]
+        K = tower_field(5, *alpha)
         assert K == parse_field_spec("5,0,5,0,1")
         assert count_torsion_in_field(E, K, 5) == 25
         assert count_torsion_in_field(E, F, 5) == 5
@@ -457,7 +486,7 @@ def test_rational_field_factors_no_division_polynomial(monkeypatch):
     assert factored == [] and E._factor_cache == {}
 
 
-def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_reference):
+def test_lift_preimages_match_the_square_root_reference(monkeypatch):
     # every lift of the known_groups rows finds the reference's points, and
     # takes a square root in K only to lift a point of order 2 (P = -P)
     sqrt, preimages = ellcurve.sqrt_in_field, torsion.m_preimages
@@ -475,7 +504,7 @@ def test_lift_preimages_match_the_square_root_reference(monkeypatch, sqrt_refere
             out = preimages(E, P, K, m)
         finally:
             forbid[0] = False
-        assert out == sqrt_reference(E, P, K, m)
+        assert out == sqrt_reference_preimages(E, P, K, m)
         branches.add(P != -P)
         return out
 
