@@ -12,7 +12,10 @@ and of the equal-degree split -- runs through one multiply mod (h, p),
 64-bit slot per coefficient, multiplies once and reduces with a table of
 x^(n+k) mod h (Kronecker substitution; see its docstring for the slot bound).  Division with remainder (`gf_divmod`, so `gf_gcd` and
 `gf_xgcd`) reduces mod p only the coefficient it divides out at each step,
-and the remainder once at the end.
+and the remainder once at the end.  `gf_from_zz`, `gf_scale`, `gf_mul` and
+`gf_divmod` never use that p is prime: they are exact modulo any m > 1 at
+which the divisor's leading coefficient is a unit, so the Hensel lift calls
+them modulo p^k, where every divisor is monic.
 
 Factor search is capped by degree: the engine only ever needs irreducible
 factors whose roots can lie in a field of degree <= 4, so recombination
@@ -28,7 +31,7 @@ import sys
 from array import array
 from collections.abc import Callable
 from itertools import combinations
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 from sympy import nextprime
 
@@ -48,20 +51,11 @@ def trim(a: list[int]) -> list[int]:
     return a
 
 
-def zz_content(a: list[int]) -> int:
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-        if c == 1:
-            return 1
-    return c
-
-
 def zz_primitive(a: list[int]) -> tuple[int, list[int]]:
     """Return (c, p) with a = c*p, p primitive with positive leading coeff."""
     if not a:
         return 0, []
-    c = zz_content(a)
+    c = gcd(*a)
     if a[-1] < 0:
         c = -c
     return c, [x // c for x in a]
@@ -170,14 +164,7 @@ def gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim([v % p for v in out])
+    return gf_from_zz(zz_mul(a, b), p)
 
 
 def gf_scale(a: list[int], c: int, p: int) -> list[int]:
@@ -195,7 +182,8 @@ def gf_monic(a: list[int], p: int) -> list[int]:
 def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(q, r) with a = q*b + r, deg r < deg b, every coefficient in [0, p).
     Each step reduces only the leading coefficient it divides out; the rest of
-    the remainder stays unreduced until the end."""
+    the remainder stays unreduced until the end.  p may be any modulus at
+    which lc(b) is a unit, a prime power included."""
     if not b:
         raise ZeroDivisionError
     db = len(b) - 1
@@ -380,42 +368,19 @@ def gf_edf(f: list[int], d: int, p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _zp_norm(a: list[int], m: int) -> list[int]:
-    return trim([x % m for x in a])
-
-
-def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    return _zp_norm(zz_mul(a, b), m)
-
-
-def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    # b monic mod m
-    if len(a) < len(b):
-        return [], list(a)
-    rem = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        t = rem[k + len(b) - 1] % m
-        q[k] = t
-        if t:
-            for j, y in enumerate(b):
-                rem[k + j] = (rem[k + j] - t * y) % m
-    return trim(q), trim([x % m for x in rem[: len(b) - 1]])
-
-
 def hensel_step(m: int, f: list[int], g: list[int], h: list[int],
                 s: list[int], t: list[int]):
     """One quadratic Hensel step: f = g*h (mod m), s*g + t*h = 1 (mod m),
     h monic; returns (g1, h1, s1, t1) with the same relations mod m**2."""
     M = m * m
-    e = _zp_norm(zz_sub(f, zz_mul(g, h)), M)
-    q, r = _zp_divmod_monic(_zp_mul(s, e, M), h, M)
-    g1 = _zp_norm(zz_add(zz_add(g, _zp_mul(t, e, M)), _zp_mul(q, g, M)), M)
-    h1 = _zp_norm(zz_add(h, r), M)
-    b = _zp_norm(zz_sub(zz_add(_zp_mul(s, g1, M), _zp_mul(t, h1, M)), [1]), M)
-    c, d = _zp_divmod_monic(_zp_mul(s, b, M), h1, M)
-    s1 = _zp_norm(zz_sub(s, d), M)
-    t1 = _zp_norm(zz_sub(zz_sub(t, _zp_mul(t, b, M)), _zp_mul(c, g1, M)), M)
+    e = gf_from_zz(zz_sub(f, zz_mul(g, h)), M)
+    q, r = gf_divmod(gf_mul(s, e, M), h, M)
+    g1 = gf_from_zz(zz_add(zz_add(g, gf_mul(t, e, M)), gf_mul(q, g, M)), M)
+    h1 = gf_from_zz(zz_add(h, r), M)
+    b = gf_from_zz(zz_sub(zz_add(gf_mul(s, g1, M), gf_mul(t, h1, M)), [1]), M)
+    c, d = gf_divmod(gf_mul(s, b, M), h1, M)
+    s1 = gf_from_zz(zz_sub(s, d), M)
+    t1 = gf_from_zz(zz_sub(zz_sub(t, gf_mul(t, b, M)), gf_mul(c, g1, M)), M)
     return g1, h1, s1, t1
 
 
@@ -441,7 +406,7 @@ def hensel_lift_blocks(f: list[int], blocks: list[list[int]], p: int, target: in
         # invariant: fpart = lc(fpart) * prod(blks) (mod p), fpart known mod mod_have
         if len(blks) == 1:
             inv = pow(fpart[-1], -1, mod_have)
-            return [_zp_norm([x * inv for x in fpart], mod_have)]
+            return [gf_scale(fpart, inv, mod_have)]
         half = len(blks) // 2
         A, B = blks[:half], blks[half:]
         G = [1]
@@ -457,7 +422,7 @@ def hensel_lift_blocks(f: list[int], blocks: list[list[int]], p: int, target: in
     mod = p
     while mod < target:
         mod = mod * mod
-    lifted = rec(_zp_norm(f, mod), blocks, mod)
+    lifted = rec(gf_from_zz(f, mod), blocks, mod)
     return lifted, mod
 
 
@@ -473,8 +438,8 @@ def _prime_stream(start: int):
         yield p
 
 
-def pick_factor_prime(h: list[int], count: int = 3) -> list[int]:
-    """First `count` primes > PRIME_FLOOR keeping h squarefree with unit lc.
+def pick_factor_prime(h: list[int]) -> list[int]:
+    """The first 3 primes > PRIME_FLOOR keeping h squarefree with unit lc.
     h must be squarefree over QQ: only then do all but finitely many primes
     keep it so."""
     out = []
@@ -484,15 +449,8 @@ def pick_factor_prime(h: list[int], count: int = 3) -> list[int]:
         hp = gf_monic(gf_from_zz(h, p), p)
         if len(hp) == len(h) and gf_is_squarefree(hp, p):
             out.append(p)
-            if len(out) == count:
+            if len(out) == 3:
                 return out
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
@@ -530,7 +488,7 @@ def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
     lift_input = sorted(small) + ([rest] if len(rest) > 1 else [])
 
     lc = h[-1]
-    bound = _binom(min(dmax, n), min(dmax, n) // 2) * zz_l2_norm_ceil(h) + abs(lc)
+    bound = comb(min(dmax, n), min(dmax, n) // 2) * zz_l2_norm_ceil(h) + abs(lc)
     lifted_all, modulus = hensel_lift_blocks(h, lift_input, p, 2 * bound + 1)
     lifted = lifted_all[: len(small)]
     order = sorted(range(len(lifted)), key=lambda i: (len(lifted[i]), lifted[i]))
@@ -551,7 +509,7 @@ def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
                     continue
                 cand = [lc_cur]
                 for i in combo:
-                    cand = _zp_mul(cand, lifted[i], modulus)
+                    cand = gf_mul(cand, lifted[i], modulus)
                 cand = sym_mod(cand, modulus)
                 if not cand or len(cand) - 1 != degsum:
                     continue

@@ -75,21 +75,11 @@ class Curve:
             raise DataFormatError(f"curve spec needs a1,a2,a3,a4,a6[,label]: {spec!r}")
         return cls([rat_from_str(t) for t in parts])
 
-    def to_str(self) -> str:
-        s = ",".join(rat_to_str(a) for a in self.a_invariants)
-        return s + (f",{self.label}" if self.label else "")
-
     # -- x-line polynomials --------------------------------------------------
 
     def two_division_poly(self) -> RatPoly:
         """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6; roots are the 2-torsion x's."""
         return RatPoly([self.b6, 2 * self.b4, self.b2, 4])
-
-    def rhs_quadratic_in_y(self, x: FieldElement) -> tuple[FieldElement, FieldElement]:
-        """Coefficients (B, C) of y^2 + B y + C = 0 defining y over x."""
-        B = x * self.a1 + self.a3
-        C = -(x * x * x + x * x * self.a2 + x * self.a4 + self.a6)
-        return B, C
 
     def division_polynomial(self, n: int) -> RatPoly:
         """y-free psi_n: for odd n this is psi_n itself; for even n it is
@@ -292,12 +282,13 @@ class Point:
 
 
 def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
-    """All points of E(K) above a given x-coordinate.  Each y is (-B +- g)/2
-    with g^2 = B^2 - 4C exactly, a root of y^2 + By + C, so the points are
+    """All points of E(K) above a given x-coordinate: y = (-B +- sqrt T(x))/2.
+    The curve equation is y^2 + By + C = 0 with B = a1 x + a3, and its
+    discriminant B^2 - 4C is exactly T(x), T = `two_division_poly` (the
+    4 eta^2 = T(x) of `m_preimages`).  So each y is a root, and the points are
     built without a second check of the curve equation."""
-    B, C = E.rhs_quadratic_in_y(x)
-    disc = B * B - 4 * C
-    g = sqrt_in_field(disc, K)
+    B = x * E.a1 + E.a3
+    g = sqrt_in_field(E.two_division_poly()(x), K)
     if g is None:
         return []
     two_inv = Fraction(1, 2)
@@ -334,7 +325,7 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     if m < 2:
         raise ValueError("m must be >= 2")
     phi, psi_sq = E.mult_by_m_xmap(m)
-    h = KPoly.from_ratpoly(K, phi) - KPoly.from_ratpoly(K, psi_sq).scale(P.x)
+    h = KPoly(K, phi.coeffs) - KPoly(K, psi_sq.coeffs).scale(P.x)
     xs = roots_in_field(h, K)
     half_a1, half_a3 = E.a1 / 2, E.a3 / 2
     eta_P = P.y + P.x * half_a1 + half_a3

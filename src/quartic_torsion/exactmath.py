@@ -38,36 +38,23 @@ def rat_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def is_rational_square(q: Fraction) -> bool:
-    return rational_sqrt(q) is not None
+    if q < 0:
+        return False
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    return rn * rn == q.numerator and rd * rd == q.denominator
 
 
-def squarefree_part_int(n: int) -> int:
-    """Squarefree part of a nonzero integer (sign preserved)."""
-    if n == 0:
+def squarefree_part_rational(q: Fraction) -> int:
+    """Squarefree integer m with q = m * (rational square), sign kept."""
+    if q == 0:
         raise ValueError("squarefree part of 0")
-    sign = -1 if n < 0 else 1
-    out = sign
+    n = q.numerator * q.denominator
+    out = -1 if n < 0 else 1
     for p, e in factorint(abs(n)).items():
         if e % 2:
             out *= p
     return out
-
-
-def squarefree_part_rational(q: Fraction) -> int:
-    """Squarefree integer m with q = m * (rational square)."""
-    if q == 0:
-        raise ValueError("squarefree part of 0")
-    return squarefree_part_int(q.numerator * q.denominator)
 
 
 class RatPoly:
@@ -89,16 +76,7 @@ class RatPoly:
     def __setattr__(self, *a):
         raise AttributeError("RatPoly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_ints(cls, ints) -> "RatPoly":
-        return cls([Fraction(i) for i in ints])
-
-    @classmethod
-    def from_str(cls, s: str) -> "RatPoly":
-        """Parse "c0,c1,...,cn" (constant term first)."""
-        return cls([rat_from_str(t) for t in s.split(",")])
+    # -- text --------------------------------------------------------------
 
     def to_str(self) -> str:
         return ",".join(rat_to_str(c) for c in self.coeffs) if self.coeffs else "0"
@@ -250,7 +228,7 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
         return f.monic()
     _, fi = f.to_int_poly()
     _, gi = g.to_int_poly()
-    return RatPoly.from_ints(zp.zz_gcd(fi, gi)).monic()
+    return RatPoly(zp.zz_gcd(fi, gi)).monic()
 
 
 def poly_xgcd(f: RatPoly, g: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -296,7 +274,7 @@ def factor_bounded(h: RatPoly, dmax: int) -> frozenset[RatPoly]:
     if dmax < 1 or h.degree == 0:
         return frozenset()
     _, hi = h.to_int_poly()
-    return frozenset(RatPoly.from_ints(f).monic() for f in zp.zz_factor_bounded(hi, dmax))
+    return frozenset(RatPoly(f).monic() for f in zp.zz_factor_bounded(hi, dmax))
 
 
 def is_irreducible(h: RatPoly) -> bool:

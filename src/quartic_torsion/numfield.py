@@ -59,7 +59,8 @@ bound makes the search complete, so there is no other method to fall back on.
 QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
 own: f = x, every prime p > 50 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
-`rational_roots` searches one such field, built at import.  A RatPoly over QQ
+`rational_roots` searches one such field, built at import, and `sqrt_in_field`
+lifts the roots of y^2 - beta over QQ as over any other field.  A RatPoly over QQ
 is lifted directly, with no factorization: its one image leaves no matchings
 to prune.  The factorizer serves only [K:QQ] > 1, where a rational h is
 factored over QQ first and only factors of degree dividing [K:QQ] are lifted;
@@ -102,7 +103,6 @@ from .exactmath import (
     is_rational_square,
     poly_gcd,
     rat_from_str,
-    rational_sqrt,
     resultant,
     squarefree_part_rational,
 )
@@ -421,10 +421,6 @@ class KPoly:
         self.field = field
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def from_ratpoly(cls, field: NumberField, p: RatPoly) -> "KPoly":
-        return cls(field, [field.element(c) for c in p.coeffs])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -501,12 +497,6 @@ class KPoly:
                     rem[k + j] = rem[k + j] - t * y
         return KPoly(self.field, q), KPoly(self.field, rem[: len(b) - 1])
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def monic(self) -> "KPoly":
         if self.is_zero():
             return self
@@ -524,11 +514,11 @@ class KPoly:
     def gcd(self, other: "KPoly") -> "KPoly":
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a % b
+            a, b = b, a.divmod(b)[1]
         return a.monic()
 
     def squarefree(self) -> "KPoly":
-        return (self // self.gcd(self.derivative())).monic()
+        return self.divmod(self.gcd(self.derivative()))[0].monic()
 
 
 # ---------------------------------------------------------------------------
@@ -833,14 +823,14 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
     if isinstance(h, KPoly) and h.field != K:
         raise ValueError("polynomial over a different field")
     if isinstance(h, KPoly) or K.degree == 1:
-        roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly.from_ratpoly(K, h), K)
+        roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly(K, h.coeffs), K)
     else:
         roots = set()
         for q in (factors or partial(factor_bounded, h))(K.degree):
             if q.degree == 1:
                 roots.add(K.element(-q.coeffs[0]))
             elif K.degree % q.degree == 0:
-                roots |= _hensel_roots(KPoly.from_ratpoly(K, q), K)
+                roots |= _hensel_roots(KPoly(K, q.coeffs), K)
     for r in roots:
         if not h(r).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")
@@ -856,13 +846,11 @@ def rational_roots(h: RatPoly) -> set[Fraction]:
 
 def sqrt_in_field(beta, K: NumberField):
     """Some gamma in K with gamma^2 = beta, or None; deterministic choice
-    (first nonzero power-basis coordinate positive)."""
+    (first nonzero power-basis coordinate positive).  gamma is a root of
+    y^2 - beta in K, from `roots_in_field` for every K, QQ included."""
     beta = K.element(beta)
     if beta.is_zero():
         return K.zero()
-    if K.degree == 1:
-        r = rational_sqrt(beta.rational_value())
-        return None if r is None else K.element(r)
     h = KPoly(K, [-beta, K.zero(), K.one()])
     roots = roots_in_field(h, K)
     if not roots:

@@ -94,7 +94,7 @@ def sqrt_reference_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[
     phi_m - x_P psi_m^2 gets its y by a square root in K, and [m] decides
     which of the points above x maps to P."""
     phi, psi_sq = E.mult_by_m_xmap(m)
-    h = KPoly.from_ratpoly(K, phi) - KPoly.from_ratpoly(K, psi_sq).scale(P.x)
+    h = KPoly(K, phi.coeffs) - KPoly(K, psi_sq.coeffs).scale(P.x)
     return {Q for x in roots_in_field(h, K) for Q in curve_points_y(E, x, K)
             if Q.scalar_mul(m) == P}
 

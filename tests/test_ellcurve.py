@@ -153,8 +153,8 @@ class TestDivisionPolynomials:
                 for x in rational_roots(h):
                     pts = curve_points_y(E, Q.element(x), Q)
                     if not pts:
-                        B, C = E.rhs_quadratic_in_y(Q.element(x))
-                        ydisc = (B * B - 4 * C).rational_value()
+                        # the discriminant of y^2 + (a1 x + a3) y - (x^3 + ...)
+                        ydisc = (E.a1 * x + E.a3) ** 2 + 4 * (x**3 + E.a2 * x**2 + E.a4 * x + E.a6)
                         K = quadratic_field(squarefree_part_rational(ydisc))
                         pts = curve_points_y(E, K.element(x), K)
                     assert pts, (E, n, x)

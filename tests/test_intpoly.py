@@ -209,3 +209,50 @@ def test_factorizer_takes_repeated_factors_and_content():
             assert len(got) == len(set(map(tuple, got))), (h, dmax)
             assert set(map(tuple, got)) == sympy_zz_factors(h, dmax), (h, dmax)
 
+
+# The Hensel lift calls gf_from_zz, gf_mul and gf_divmod modulo m = p^k with
+# monic divisors; ref_mul and ref_divmod reduce every coefficient at every
+# step and need only that lc(b) is a unit mod m.
+
+
+@pytest.mark.parametrize("p", (3, 61, 10007))
+def test_helpers_modulo_prime_powers(p):
+    rng = random.Random(f"prime powers:{p}")
+    for k in range(1, 9):
+        m = p**k
+        for deg_b in (1, 2, 5):
+            b = [rng.randrange(m) for _ in range(deg_b)] + [1]
+            raw = [rng.randrange(-m * m, m * m) for _ in range(2 * deg_b + 2)]
+            a = zp.gf_from_zz(raw, m)
+            assert a == ref_trim([x % m for x in raw])
+            c = random_poly(rng, rng.randrange(2 * deg_b), m)
+            assert zp.gf_mul(a, c, m) == ref_mul(a, c, m)
+            for deg_a in (deg_b - 1, deg_b, 2 * deg_b + 1):
+                a = random_poly(rng, deg_a, m)
+                assert zp.gf_divmod(a, b, m) == ref_divmod(a, b, m), (m, a, b)
+
+
+@pytest.mark.parametrize("p", (3, 61, 10007))
+def test_hensel_lift_blocks_recomposes(p):
+    rng = random.Random(f"hensel:{p}")
+    for degrees in ((1,), (1, 1), (2, 1, 3), (1, 2, 1, 2, 1)):
+        while True:  # pairwise coprime monic blocks mod p
+            blocks = [[rng.randrange(p) for _ in range(d)] + [1] for d in degrees]
+            if all(len(zp.gf_gcd(g, b, p)) == 1 for i, g in enumerate(blocks) for b in blocks[:i]):
+                break
+        lc = rng.choice([c for c in (1, 2, 5, 12, p + 1) if c % p])
+        prod = [lc]
+        for g in blocks:
+            prod = ref_mul(prod, g, p)
+        # f = lc * prod(blocks) mod p, with lc(f) = lc and other digits above p
+        f = [c + p * rng.randrange(-9, 10) for c in prod[:-1]] + [lc]
+        for target in (p, p**3 + 1, 10**40):
+            lifted, m = zp.hensel_lift_blocks(f, blocks, p, target)
+            assert m >= target and m in {p ** (2**j) for j in range(8)}
+            for g, b in zip(lifted, blocks):
+                assert len(g) == len(b) and g[-1] == 1
+                assert zp.gf_from_zz(g, p) == b
+            recomposed = [lc]
+            for g in lifted:
+                recomposed = ref_mul(recomposed, g, m)
+            assert recomposed == ref_trim([c % m for c in f]), (degrees, target)

@@ -1,7 +1,14 @@
 """Every name the package defines is read by the engine or by the benchmark.
 A function, class, constant or method that nothing in `src/` or `perfbench/`
 reads outside its own definition fails here: it is dead code, leftover data,
-or a test oracle, and oracles and test data live in `tests/`."""
+or a test oracle, and oracles and test data live in `tests/`.
+
+A string constant counts as a read only when the whole string is a dotted
+name, as the benchmark tracer's targets are ("Curve.division_polynomial"), so
+no word of a docstring or a dictionary key passes a name as read.  An
+attribute read still matches by its bare name, whatever the class: so
+`Curve.to_str` passed as read through `RatPoly.to_str`, and `RatPoly.from_str`
+through `Curve.from_str`, until both were deleted."""
 
 import ast
 import re
@@ -35,8 +42,8 @@ def _definitions(tree):
 def _reads(tree, in_package):
     """(name, line) for each read of a package name: a loaded variable (in a
     file outside the package, only one imported from it), an attribute, or a
-    dotted part of a string constant (the benchmark's tracer and the tests'
-    monkeypatching name functions by string)."""
+    part of a string constant that is a whole dotted name (the benchmark's
+    tracer and the tests' monkeypatching name functions by string)."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
@@ -49,8 +56,9 @@ def _reads(tree, in_package):
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for part in re.findall(r"\w+", node.value):
-                yield part, node.lineno
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno
 
 
 def test_every_package_name_is_read():

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -203,7 +203,7 @@ class TestRootsInField:
         assert roots == {th, th**2, th**3, ZETA5.element([-1, -1, -1, -1])}
         # oracle: every claimed root reduces the polynomial to 0
         for r in roots:
-            assert KPoly.from_ratpoly(ZETA5, f)(r).is_zero()
+            assert KPoly(ZETA5, f.coeffs)(r).is_zero()
 
     def test_totally_real_excludes_i(self):
         assert roots_in_field(RatPoly([1, 0, 1]), SQRT5) == set()
@@ -295,7 +295,7 @@ class TestSplitPrimeCertificate:
                              (RatPoly([-Fraction(1, p), 1]) * RatPoly([p * k, 1]),
                               {root, K.element(-p * k)})):
                 assert roots_in_field(h, K) == roots
-                assert roots_in_field(KPoly.from_ratpoly(K, h), K) == roots
+                assert roots_in_field(KPoly(K, h.coeffs), K) == roots
 
     def test_rootless_search_ends_at_the_lift_prime(self, monkeypatch):
         # x^2 - (theta + 2) and x^2 - 2 theta have squarefree images at 61, the
@@ -385,7 +385,7 @@ class TestHenselRoots:
         # denominators 24 over QQ(i, sqrt5)
         K = parse_field_spec("-1,5")
         phi = K.element(OUTSIDE_Z_THETA["-1,5"][0])
-        h = KPoly.from_ratpoly(K, RatPoly([-1, -1, 1]))
+        h = KPoly(K, [-1, -1, 1])
         assert numfield._scaled_monic(h)[0] == 1
         assert numfield._hensel_roots(h, K) == {phi, 1 - phi} == numfield._trager_roots(h, K)
 
@@ -396,7 +396,7 @@ class TestHenselRoots:
         f = K.defining_poly
         Delta = numfield._lift_constants(K)[3]
         assert Delta == abs(resultant(f, f.derivative()))
-        conjugates = list(numfield._trager_roots(KPoly.from_ratpoly(K, f), K))
+        conjugates = list(numfield._trager_roots(KPoly(K, f.coeffs), K))
         assert len(conjugates) == 4
         rng = random.Random(31)
         for _ in range(12):
@@ -459,7 +459,7 @@ class TestDegreeOneLift:
     def check(h):
         Q = rational_field()
         expected = _linear_factor_roots(h)
-        hK = KPoly.from_ratpoly(Q, h)
+        hK = KPoly(Q, h.coeffs)
         assert {r.rational_value() for r in numfield._hensel_roots(hK, Q)} == expected
         assert roots_in_field(hK, Q) == roots_in_field(h, Q) == {Q.element(r) for r in expected}
         assert rational_roots(h) == expected
@@ -759,6 +759,48 @@ class TestSqrtInField:
                 assert roots_in_field(h, SQRT5) == set()
             else:
                 assert got * got == beta
+
+
+def _isqrt_reference(q):
+    """The nonnegative rational square root of q, or None."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+class TestSqrtOverRationals:
+    """QQ has no square-root path of its own: y^2 - beta is lifted as in any
+    other field."""
+
+    def cases(self):
+        rng = random.Random(41)
+        # roots with 15-digit parts give squares with about 30-digit parts
+        roots = [Fraction(rng.randrange(10**14, 10**15), rng.randrange(10**14, 10**15))
+                 for _ in range(5)]
+        small = [Fraction(n, d) for n, d in ((1, 1), (-1, 1), (-4, 9), (2, 1), (3, 4), (12, 5), (49, 36))]
+        big = [Fraction(rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30)) for _ in range(3)]
+        return ([Fraction(0)] + small + big + [r * r for r in roots] + [-r * r for r in roots]
+                + [2 * r * r for r in roots] + [r * r + 1 for r in roots])
+
+    def test_matches_isqrt(self, monkeypatch):
+        lifted = []
+        hensel_roots = numfield._hensel_roots
+
+        def counted(h, K):
+            lifted.append(h)
+            return hensel_roots(h, K)
+
+        monkeypatch.setattr(numfield, "_hensel_roots", counted)
+        Q = rational_field()
+        cases = self.cases()
+        for beta in cases:
+            got, expected = sqrt_in_field(beta, Q), _isqrt_reference(beta)
+            if expected is None:
+                assert got is None, beta
+            else:
+                assert got == Q.element(expected) and got.rational_value() >= 0, beta
+        assert len(lifted) == len(cases) - 1  # every beta but 0
 
 
 class TestGaloisType:
