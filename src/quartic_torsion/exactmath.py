@@ -7,7 +7,9 @@ primitives everything else consumes: monic gcd, resultant, and the distinct
 irreducible factors of degree <= dmax, found from the squarefree part
 h / gcd(h, h').
 Rational roots are not found here: `numfield.rational_roots` finds them as the
-roots in the degree-1 field, with the one root solver of the package.
+roots in the degree-1 field, with the one root solver of the package.  Nor is
+irreducibility: `NumberField` decides it for its defining polynomial from the
+rational roots of that polynomial and of its resolvent cubic.
 
 All arithmetic is exact; equality of values is decidable and used freely.
 Every value is immutable, so everything here is safe to share between
@@ -271,18 +273,6 @@ def factor_bounded(h: RatPoly, dmax: int) -> frozenset[RatPoly]:
     never certified)."""
     if h.is_zero():
         raise ValueError("factor_bounded of zero polynomial")
-    if dmax < 1 or h.degree == 0:
-        return frozenset()
     _, hi = h.to_int_poly()
     return frozenset(RatPoly(f).monic() for f in zp.zz_factor_bounded(hi, dmax))
 
-
-def is_irreducible(h: RatPoly) -> bool:
-    """Irreducibility over QQ for deg <= 4 (all the engine ever certifies).
-    A reducible h has an irreducible factor of degree <= deg h / 2, repeated
-    or not, so no factor of that degree means irreducible."""
-    if h.is_zero() or h.degree == 0:
-        return False
-    if h.degree > 4:
-        raise ValueError("irreducibility certified only up to degree 4")
-    return not factor_bounded(h, h.degree // 2)

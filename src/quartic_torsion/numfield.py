@@ -1,29 +1,29 @@
 """Number fields QQ[theta]/(f) of degree 1, 2, and 4.
 
-The defining polynomial is normalized to a monic integral form at construction
-(via x -> x/c) and certified irreducible once, so every downstream argument may
-assume it.  An element is stored as one integer vector over Z[theta] and one
-denominator (Cohen, A Course in Computational Algebraic Number Theory, 4.2):
-num in the power basis 1, theta, ..., theta^(d-1) and den > 0 with
-gcd(den, *num) = 1, so each element has exactly one (num, den).  Sums and
-products are integer arithmetic, a product reduced modulo the monic integral f
-(`_mul_mod_f`, the multiply the root lift uses too).  The inverse solves
-M x = e_0, M the integer matrix of multiplication by num, by fraction-free
-Gaussian elimination (Bareiss, Math. Comp. 22, 1968); by Cramer's rule
-det(M) * x is integral, so the inverse is den * (det(M) * x) / det(M) with no
-fraction on the way.  `FieldElement.coeffs` gives the coordinates as Fractions
-for reports, sorting and the tests.
+The defining polynomial is normalized to a monic integral form f at
+construction (via x -> x/c), where disc f is computed once (`NumberField.disc`).
+An element is stored as one integer vector over Z[theta] and one denominator
+(Cohen, A Course in Computational Algebraic Number Theory, 4.2): num in the
+power basis 1, theta, ..., theta^(d-1) and den > 0 with gcd(den, *num) = 1, so
+each element has exactly one (num, den).  Sums and products are integer
+arithmetic, a product reduced modulo the monic integral f (`_mul_mod_f`, the
+multiply the root lift uses too).  The inverse solves M x = e_0, M the integer
+matrix of multiplication by num, by fraction-free Gaussian elimination
+(Bareiss, Math. Comp. 22, 1968); by Cramer's rule det(M) * x is integral, so
+the inverse is den * (det(M) * x) / det(M) with no fraction on the way.
+`FieldElement.coeffs` gives the coordinates as Fractions for reports, sorting
+and the tests.
 
-A quartic field's Galois type and quadratic subfields are both read
-off the rational roots of the resolvent cubic of f at construction, so setting
-up a field finds no roots in it, only in QQ.
+Set-up decides the rest from the rational roots of f and of its resolvent
+cubic, searched in QQ, never in K: whether f is irreducible, and a quartic
+field's Galois type and quadratic subfields (`_galois_structure`).
 
 Root-finding works at completely split primes.  `NumberField.iter_split_primes`
 lists, on first use and never at construction, the primes p > 50 at which f
 has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
 gives a ring map from the p-integral elements of K onto F_p, theta -> r.
 `NumberField.residue_degree` gives, also lazily, the residue degree at any
-prime p not dividing disc f.
+prime p not dividing disc f, and None at the primes that divide it.
 
 Most root searches of the engine find nothing, and they end at the one prime
 the lift below works at: each root of h in K maps to a root of every image
@@ -35,7 +35,7 @@ Symb. Comp. 37, 2004; Cohen, A Course in Computational Algebraic Number Theory,
 3.6).  A squarefree h of degree n is made monic and scaled: h~(y) =
 D^n h(y/D), D the lcm of its coordinate denominators, is monic over Z[theta],
 so its roots beta = D*alpha are algebraic integers, and Delta*beta lies in
-Z[theta] for Delta = |disc f| (the index [O_K : Z[theta]] divides disc f).  At
+Z[theta] for Delta = |K.disc| (the index [O_K : Z[theta]] divides disc f).  At
 the first split prime p at which every image h~_i = h~(theta -> r_i) mod p is
 squarefree, each root of h~_i mod p lifts to exactly one root in Z/p^N, and
 each r_i to a root rho_i of f.  A root beta of h~ maps to one root of every
@@ -99,7 +99,6 @@ from .errors import DataFormatError, DegenerateTowerError, InvariantViolationErr
 from .exactmath import (
     RatPoly,
     factor_bounded,
-    is_irreducible,
     is_rational_square,
     poly_gcd,
     rat_from_str,
@@ -133,11 +132,13 @@ def _integral_scale(poly: RatPoly) -> int:
 class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
-    __slots__ = ("defining_poly", "degree", "galois_type", "_f_int", "_quadratics",
-                 "_sqrt_cache", "_split_primes", "_split_stream", "_lift_constants",
-                 "_split_lifts", "_residue_degrees")
+    __slots__ = ("defining_poly", "degree", "disc", "galois_type", "_f_int", "_quadratics",
+                 "_sqrt_cache", "_split_primes", "_split_stream", "_split_lifts",
+                 "_residue_degrees")
 
     def __init__(self, poly: RatPoly):
+        """f = poly made monic integral.  f of degree 2 or 4 is reducible iff
+        it has a rational root or `_galois_structure` finds a quadratic pair."""
         if poly.is_zero() or poly.degree not in (1, 2, 4):
             raise UnsupportedFieldError(f"defining polynomial must have degree 1, 2 or 4: {poly!r}")
         poly = poly.monic()
@@ -145,20 +146,20 @@ class NumberField:
         if c != 1:
             poly = RatPoly([poly.coeffs[i] * c ** (poly.degree - i)
                             for i in range(poly.degree + 1)])
-        if poly.degree > 1 and not is_irreducible(poly):
-            raise UnsupportedFieldError(f"defining polynomial is reducible: {poly!r}")
         self.defining_poly = poly
         self.degree = d = poly.degree
         self._f_int = tuple(int(c) for c in poly.coeffs)
+        self.disc = (-1) ** (d * (d - 1) // 2) * int(resultant(poly, poly.derivative()))  # monic f
+        if d > 1 and rational_roots(poly):
+            raise UnsupportedFieldError(f"defining polynomial is reducible: {poly!r}")
         if d == 4:
-            self.galois_type, self._quadratics = _galois_structure(poly)
+            self.galois_type, self._quadratics = _galois_structure(poly, self.disc)
         else:
             self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
             self._quadratics = None
         self._sqrt_cache: dict[int, "FieldElement"] = {}
         self._split_primes: list[tuple[int, tuple[int, ...]]] = []
         self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
-        self._lift_constants: tuple[int, int, int, int] | None = None
         # p -> (p^N, rho, weights) at the highest p^N lifted so far; filled by
         # `_split_prime_lift`
         self._split_lifts = {}
@@ -229,10 +230,9 @@ class NumberField:
 
     def residue_degree(self, p: int) -> int | None:
         """The residue degree of the primes of K above the prime p, or None
-        when f is not squarefree mod p (p | disc f).  Computed on first use
-        for each p and cached."""
+        when p divides disc f.  Computed on first use for each p and cached."""
         if p not in self._residue_degrees:
-            self._residue_degrees[p] = _residue_degree(list(self._f_int), p)
+            self._residue_degrees[p] = _residue_degree(self._f_int, p) if self.disc % p else None
         return self._residue_degrees[p]
 
 
@@ -601,17 +601,15 @@ def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield p, roots
 
 
-def _residue_degree(f: list[int], p: int) -> int | None:
-    """The least k with x^(p^k) = x mod (f, p), for f monic and squarefree
-    mod p; None if f is not.  That k is the lcm of the degrees of the
-    irreducible factors of f mod p.  Since p does not divide disc f, it does
-    not divide the index of Z[theta], so those factors give the primes above
-    p and their residue degrees (Dedekind); in a Galois K all are equal, and k
-    is the residue degree.  Frobenius is a ring map of F_p[x]/(f), so
-    x^(p^(k+1)) = xp(x^(p^k)) with xp = x^p: one power, then compositions."""
+def _residue_degree(f: Sequence[int], p: int) -> int:
+    """The least k with x^(p^k) = x mod (f, p), f monic integral and p not
+    dividing disc f: the lcm of the degrees of the irreducible factors of f
+    mod p, which is squarefree.  As p does not divide the index of Z[theta]
+    either, those factors give the primes above p and their residue degrees
+    (Dedekind); in a Galois K all are equal, and k is the residue degree.
+    Frobenius is a ring map of F_p[x]/(f), so x^(p^(k+1)) = xp(x^(p^k)) with
+    xp = x^p: one power, then compositions."""
     fp = zp.gf_from_zz(f, p)
-    if not zp.gf_is_squarefree(fp, p):
-        return None
     x = zp.gf_rem([0, 1], fp, p)
     xp = xq = zp.gf_pow_mod(x, p, fp, p)
     mulmod = zp.gf_mulmod(fp, p)
@@ -641,18 +639,6 @@ def _weighted_norm(g: list[int], R: int) -> int:
     return sum(abs(c) * R**j for j, c in enumerate(g))
 
 
-def _lift_constants(K: NumberField) -> tuple[int, int, int, int]:
-    """(R, B, F, Delta) of the coordinate bound, computed on first use."""
-    if K._lift_constants is None:
-        f = K._f_int
-        R = 1 + max(abs(c) for c in f[:-1])
-        B = max(_weighted_norm(f[j + 1:], R) for j in range(K.degree))
-        F = _weighted_norm([k * f[k] for k in range(1, len(f))], R)
-        Delta = abs(int(resultant(K.defining_poly, K.defining_poly.derivative())))
-        K._lift_constants = (R, B, F, Delta)
-    return K._lift_constants
-
-
 def _scaled_monic(h: KPoly) -> tuple[int, list[list[int]]]:
     """(D, h~): D is the lcm of the coordinate denominators of monic h, and
     h~(y) = D^n h(y/D) is monic with coefficients in Z[theta]."""
@@ -665,7 +651,10 @@ def _scaled_monic(h: KPoly) -> tuple[int, list[list[int]]]:
 
 def _coordinate_bound(K: NumberField, ht: list[list[int]]) -> int:
     """L with |Delta * c_j| <= L for each coordinate c_j of each root of h~."""
-    R, B, F, _ = _lift_constants(K)
+    f = K._f_int
+    R = 1 + max(abs(c) for c in f[:-1])
+    B = max(_weighted_norm(f[j + 1:], R) for j in range(K.degree))
+    F = _weighted_norm([k * f[k] for k in range(1, len(f))], R)
     M = 1 + max(_weighted_norm(a, R) for a in ht[:-1])
     return K.degree * M * B * F ** (K.degree - 1)
 
@@ -708,7 +697,7 @@ def _split_prime_lift(K: NumberField, p: int, rs: tuple[int, ...],
     have, rho, weights = K._split_lifts.get(p, (p, rs, None))
     if have < q or weights is None:
         rho = [_lift_root(K._f_int, r, have, q) for r in rho]
-        Delta, weights = _lift_constants(K)[3], []
+        Delta, weights = abs(K.disc), []
         for r in rho:
             g = [1]  # f / (x - r) by synthetic division, leading term first
             for c in K._f_int[-2:0:-1]:
@@ -787,7 +776,7 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     for rho_i, weight, rts in zip(rho, weights, root_lists):
         hi = [_eval_mod(a, rho_i, q) for a in ht]
         vecs.append([[b * c % q for c in weight] for b in (_lift_root(hi, x, p, q) for x in rts)])
-    Delta = _lift_constants(K)[3]
+    Delta = abs(K.disc)
     roots = set()
     half = q // 2
     for choice in product(*vecs):
@@ -863,22 +852,26 @@ def sqrt_in_field(beta, K: NumberField):
 # ---------------------------------------------------------------------------
 
 
-def _galois_structure(f: RatPoly) -> tuple[GaloisType, frozenset[int]]:
-    """Galois type and quadratic subfields of QQ[x]/(f), f a monic integral
-    irreducible quartic, from the rational roots y of its resolvent cubic
-    (Kappe and Warren, Amer. Math. Monthly 96, 1989).  Each root y gives
-    d1 = y^2 - 4s and d2 = p^2 - 4q + 4y; the squarefree parts of the
-    nonsquare ones are the subfields.  Three roots: biquadratic.  One root: cyclic quartic iff both
-    of its d's are squares in QQ(sqrt disc f), else D4.  None: A4 or S4."""
+def _galois_structure(f: RatPoly, disc: int) -> tuple[GaloisType, frozenset[int]]:
+    """Galois type and quadratic subfields of QQ[x]/(f), f = x^4 + px^3 +
+    qx^2 + rx + s monic integral with no rational root, from the rational roots
+    y of its resolvent cubic (Kappe and Warren, Amer. Math. Monthly 96, 1989).
+    Each y gives d1 = y^2 - 4s and d2 = p^2 - 4q + 4y.  f = (x^2 + ax + b) *
+    (x^2 + cx + d) over QQ iff some y = b + d has both d's rational squares:
+    {b, d} = (y +- sqrt d1)/2, {a, c} = (p +- sqrt d2)/2, the signs paired by
+    d1 d2 = (py - 2r)^2.  Such an f is rejected.  Otherwise the nonsquare d's
+    give the subfields.  Three roots: biquadratic.  One: cyclic quartic iff
+    both its d's are squares in QQ(sqrt disc), else D4.  None: A4 or S4."""
     p, q, r, s = f.coeffs[3], f.coeffs[2], f.coeffs[1], f.coeffs[0]
     res_cubic = RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
     deltas = [(y * y - 4 * s, p * p - 4 * q + 4 * y) for y in rational_roots(res_cubic)]
+    if any(is_rational_square(d1) and is_rational_square(d2) for d1, d2 in deltas):
+        raise UnsupportedFieldError(f"defining polynomial is reducible: {f!r}")
     subfields = frozenset(squarefree_part_rational(D) for pair in deltas for D in pair
                           if not is_rational_square(D))
     if len(deltas) == 3:
         return GaloisType.Biquadratic, subfields
     if len(deltas) == 1:
-        disc = resultant(f, f.derivative())
         if all(is_rational_square(D) or is_rational_square(D * disc) for D in deltas[0]):
             return GaloisType.CyclicQuartic, subfields
     return GaloisType.NonGaloisQuartic, subfields

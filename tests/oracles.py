@@ -19,8 +19,8 @@ a route the engine does not take:
   which takes neither.
 - `c_invariants` and `j_invariant`: c4, c6 and j from the b-invariants, which
   the model and twist oracles below are built on.
-- `short_model` and `quadratic_twist`: other curves over QQ for the
-  model-invariance and twist-decomposition tests of
+- `short_model`, `change_model` and `quadratic_twist`: other curves over QQ
+  for the model-invariance and twist-decomposition tests of
   `torsion.torsion_over_field`.
 - `tower_galois_type`: the Galois type of QQ(sqrt(a + b sqrt m)) from the
   norm a^2 - m b^2, against `NumberField.galois_type` of
@@ -114,6 +114,19 @@ def short_model(E: Curve) -> Curve:
     """y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E over QQ."""
     c4, c6 = c_invariants(E)
     return Curve([0, 0, 0, -27 * c4, -54 * c6])
+
+
+def change_model(E: Curve, u, r, s, t) -> Curve:
+    """The model of E in x', y' with x = u^2 x' + r, y = u^3 y' + u^2 s x' + t,
+    u != 0, isomorphic to E over QQ (Silverman, The Arithmetic of Elliptic
+    Curves, III.1)."""
+    a1, a2, a3, a4, a6 = E.a_invariants
+    u, r, s, t = (Fraction(v) for v in (u, r, s, t))
+    return Curve([(a1 + 2 * s) / u,
+                  (a2 - s * a1 + 3 * r - s * s) / u**2,
+                  (a3 + r * a1 + 2 * t) / u**3,
+                  (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+                  (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6])
 
 
 def quadratic_twist(E: Curve, d: int) -> Curve:

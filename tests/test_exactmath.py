@@ -12,7 +12,6 @@ from quartic_torsion.ellcurve import Curve
 from quartic_torsion.exactmath import (
     RatPoly,
     factor_bounded,
-    is_irreducible,
     is_rational_square,
     poly_gcd,
     poly_xgcd,
@@ -163,36 +162,12 @@ class TestFactorBounded:
     def test_quartic_field_poly_irreducible(self):
         f = RatPoly([5, 0, -10, 0, 1])
         assert factor_bounded(f, 4) == {f}
-        assert is_irreducible(f)
 
     def test_multiplicities(self):
         # x^6 + x^3 = x^3 (x+1)(x^2-x+1): each factor once, whatever its
         # multiplicity
         facs = factor_bounded(RatPoly([0, 0, 0, 1, 0, 0, 1]), 4)
         assert facs == {RatPoly([0, 1]), RatPoly([1, 1]), RatPoly([1, -1, 1])}
-
-    def test_is_irreducible_matches_the_full_factorization(self):
-        # is_irreducible asks only for factors of degree <= deg h / 2; pinned
-        # to the full factorization over 3000 seeded polynomials of degree 1
-        # to 4: random ones, squares of quadratics, quadratic times quadratic
-        # and linear times cubic, each scaled by a rational != 1
-        rng = random.Random(2024)
-        seen = {True: 0, False: 0}
-        for i in range(3000):
-            kind = i % 4
-            if kind == 0:
-                h = rand_poly(rng, rng.randrange(1, 5))
-            elif kind == 1:
-                h = rand_poly(rng, 2) ** 2
-            elif kind == 2:
-                h = rand_poly(rng, 2) * rand_poly(rng, 2)
-            else:
-                h = rand_poly(rng, 1) * rand_poly(rng, 3)
-            h = h.scale(Fraction(rng.choice((-7, -2, 2, 3, 5)), rng.choice((1, 4, 9))))
-            full = factor_bounded(h, h.degree) == {h.monic()}
-            assert is_irreducible(h) == full, h
-            seen[full] += 1
-        assert min(seen.values()) > 300
 
     def test_degree_cap_excludes_big_factors(self):
         big = RatPoly([3, 1, 0, 0, 0, 0, 1])  # irreducible sextic x^6+x+3

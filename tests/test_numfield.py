@@ -2,20 +2,20 @@ import json
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
+from sympy import QQ, Poly, Rational, symbols
 
 from oracles import tower_galois_type
-from quartic_torsion import numfield
+from quartic_torsion import exactmath, numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.ellcurve import Curve
 from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
 from quartic_torsion.exactmath import (
     RatPoly,
     factor_bounded,
-    is_irreducible,
     is_rational_square,
     poly_xgcd,
     resultant,
@@ -394,7 +394,7 @@ class TestHenselRoots:
         # |Delta * c_j| <= L for the coordinates c_j of each root beta = D * alpha
         K = parse_field_spec(spec)
         f = K.defining_poly
-        Delta = numfield._lift_constants(K)[3]
+        Delta = abs(K.disc)
         assert Delta == abs(resultant(f, f.derivative()))
         conjugates = list(numfield._trager_roots(KPoly(K, f.coeffs), K))
         assert len(conjugates) == 4
@@ -465,9 +465,9 @@ class TestDegreeOneLift:
         assert rational_roots(h) == expected
         return expected
 
-    def test_lift_constants(self):
+    def test_disc_and_coordinate_bound(self):
         Q = rational_field()
-        assert numfield._lift_constants(Q) == (1, 1, 1, 1)
+        assert Q.disc == 1
         assert all(rs == (0,) for _, rs in first_split_primes(Q))
         # L is Cauchy's bound 1 + max |a_k| of the monic integral h~
         assert numfield._coordinate_bound(Q, [[-12], [7], [1]]) == 13
@@ -622,7 +622,7 @@ class TestSplitPrimeLift:
         # answer must be that of a field that lifts to q alone, and only a q
         # above the stored precision lifts again, from the stored roots
         K = parse_field_spec(spec)
-        f, Delta = K._f_int, numfield._lift_constants(K)[3]
+        f, Delta = K._f_int, abs(K.disc)
         starts = []
         lift_root = numfield._lift_root
         monkeypatch.setattr(numfield, "_lift_root",
@@ -836,9 +836,10 @@ class TestGaloisType:
         checked = 0
         while checked < 20:
             f = RatPoly([rng.randrange(-9, 10) for _ in range(4)] + [1])
-            if not is_irreducible(f):
+            try:
+                K = NumberField(f)
+            except UnsupportedFieldError:
                 continue
-            K = NumberField(f)
             galois = K.galois_type in (GaloisType.CyclicQuartic, GaloisType.Biquadratic)
             assert galois == (len(roots_in_field(K.defining_poly, K)) == 4), f
             checked += 1
@@ -857,9 +858,10 @@ class TestGaloisType:
         assert (K.galois_type, K.quadratic_subfields()) == (galois_type, subfields)
 
     def test_setup_runs_no_root_finding(self, monkeypatch):
-        # set-up searches QQ for the resolvent cubic's roots, and K for none
+        # set-up searches QQ for the roots of f, then for those of its
+        # resolvent cubic, and K for none; it factors nothing
         def forbidden(*args):
-            raise AssertionError("root finding during field set-up")
+            raise AssertionError("root finding or factoring during field set-up")
 
         searched_in_qq = []
 
@@ -869,7 +871,7 @@ class TestGaloisType:
             searched_in_qq.append(h)
             return roots_in_field(h, K)
 
-        # the resolvent cubic's roots are lifted in `_QQ`, never in K
+        # both searches lift in `_QQ`, never in K
         lifted = []
         hensel_roots = numfield._hensel_roots
 
@@ -882,6 +884,8 @@ class TestGaloisType:
         monkeypatch.setattr(numfield, "roots_in_field", qq_only)
         monkeypatch.setattr(numfield, "_trager_roots", forbidden)
         monkeypatch.setattr(numfield, "_hensel_roots", hensel_in_qq)
+        monkeypatch.setattr(numfield, "factor_bounded", forbidden)
+        monkeypatch.setattr(exactmath, "factor_bounded", forbidden)
         expected = {"1,1,1,1": (GaloisType.CyclicQuartic, {5}),
                     "-1,5": (GaloisType.Biquadratic, {-5, -1, 5}),
                     "-2,0,0,0": (GaloisType.NonGaloisQuartic, {2}),
@@ -892,10 +896,9 @@ class TestGaloisType:
             lifted.clear()
             K = parse_field_spec(spec)
             assert (K.galois_type, K.quadratic_subfields()) == (gt, subfields)
-            assert searched_in_qq == [_resolvent_cubic(K.defining_poly)], spec
-            # each resolvent here has a rational root, so no prime proves it
-            # rootless and its roots are lifted, in QQ
-            assert len(lifted) == 1 and lifted[0] is numfield._QQ, spec
+            f = K.defining_poly
+            assert searched_in_qq == [f, _resolvent_cubic(f)], spec
+            assert len(lifted) == 2 and all(L is numfield._QQ for L in lifted), spec
             assert K._split_lifts == {}
 
     def test_subfields_need_a_quartic(self):
@@ -1001,6 +1004,40 @@ class TestQuadraticSubfields:
             assert disc_sq == (K.galois_type is GaloisType.Biquadratic)
 
 
+def _sympy_factor_list(f: RatPoly, p: int | None = None):
+    """sympy's factors of f with their multiplicities, over QQ or mod p."""
+    coeffs = [Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    x = symbols("x")
+    poly = Poly(coeffs, x, modulus=p) if p else Poly(coeffs, x, domain=QQ)
+    return poly.factor_list()[1]
+
+
+def _sympy_reducible(f: RatPoly) -> bool:
+    factors = _sympy_factor_list(f)
+    return len(factors) > 1 or any(e > 1 for _, e in factors)
+
+
+class TestResidueDegree:
+    def test_against_sympy_mod_p(self, benchmark_cases):
+        # every field of the seed-0 cases, at every prime from 5 to 199: the
+        # lcm of the degrees of the factors of f mod p, or None when f is not
+        # squarefree mod p
+        fields = {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
+                  for _, f in benchmark_cases(w, 0)}
+        primes = [p for p in range(5, 200) if all(p % q for q in range(2, isqrt(p) + 1))]
+        nones = 0
+        for K in fields:
+            for p in primes:
+                factors = _sympy_factor_list(K.defining_poly, p)
+                if any(e > 1 for _, e in factors):
+                    expected = None
+                else:
+                    expected = lcm(*(g.degree() for g, _ in factors))
+                assert K.residue_degree(p) == expected, (K, p)
+                nones += expected is None
+        assert len(fields) > 40 and nones > 20
+
+
 class TestFieldConstruction:
     def test_non_monic_normalization(self):
         # 13x^4 - 26x^2 + 4, scaled monic-integral via y = 13x
@@ -1011,11 +1048,54 @@ class TestFieldConstruction:
         with pytest.raises(UnsupportedFieldError):
             NumberField(RatPoly([-1, 0, 0, 0, 1]))
 
-    @pytest.mark.parametrize("spec", ["1,0,2,0", "0,0,2,0"])
+    @pytest.mark.parametrize("spec", ["1,0,2,0", "0,0,2,0", "6,0,5,0"])
     def test_repeated_or_x_factor_rejected(self, spec):
-        # (x^2 + 1)^2 and x^2 (x^2 + 2): reducible with a repeated factor
+        # (x^2 + 1)^2 and x^2 (x^2 + 2): reducible with a repeated factor;
+        # (x^2 + 2)(x^2 + 3) has no rational root, and only its resolvent
+        # cubic's root y = 5 shows the quadratic pair
         with pytest.raises(UnsupportedFieldError):
             parse_field_spec(spec)
+
+    def test_reducibility_against_sympy(self):
+        # the constructor rejects f exactly when sympy's factorization over QQ
+        # shows more than one factor or a repeated one; seeded f of degree 2
+        # and 4 in every shape the rule must catch, each scaled by a rational
+        # != 1: random, a square, quadratic x quadratic, linear x cubic,
+        # linear^2 x quadratic and x * cubic, random ones twice as often
+        rng = random.Random(23)
+        X = RatPoly([0, 1])
+        shapes = (
+            lambda: _rand_ratpoly(rng, 2),
+            lambda: _rand_ratpoly(rng, 4),
+            lambda: _rand_ratpoly(rng, 2),
+            lambda: _rand_ratpoly(rng, 4),
+            lambda: _rand_ratpoly(rng, 1) ** 2,
+            lambda: _rand_ratpoly(rng, 1) * _rand_ratpoly(rng, 1),
+            lambda: _rand_ratpoly(rng, 2) ** 2,
+            lambda: _rand_ratpoly(rng, 2) * _rand_ratpoly(rng, 2),
+            lambda: _rand_ratpoly(rng, 1) * _rand_ratpoly(rng, 3),
+            lambda: _rand_ratpoly(rng, 1) ** 2 * _rand_ratpoly(rng, 2),
+            lambda: X * _rand_ratpoly(rng, 3),
+        )
+        seen = {True: 0, False: 0}
+        for i in range(1100):
+            f = shapes[i % len(shapes)]()
+            f = f.scale(Fraction(rng.choice((-7, -2, 2, 3, 5)), rng.choice((1, 4, 9))))
+            reducible = _sympy_reducible(f)
+            try:
+                NumberField(f)
+            except UnsupportedFieldError:
+                assert reducible, f
+            else:
+                assert not reducible, f
+            seen[reducible] += 1
+        assert min(seen.values()) > 200
+
+    @pytest.mark.parametrize("spec, disc", [("q", 1), ("-1", -4), ("5", 20), ("1,1,1,1", 125),
+                                            ("1,0,0,0", 256), ("-2,0,0,0", -2048)])
+    def test_disc_is_signed(self, spec, disc):
+        # disc f with its sign, (-1)^(d(d-1)/2) Res(f, f'), not the resultant
+        assert parse_field_spec(spec).disc == disc
 
     def test_parse_specs(self):
         assert parse_field_spec("q").degree == 1
@@ -1055,9 +1135,10 @@ class TestPresentationInvariance:
             L = rng.choice([ZETA5, F_10_5, biquadratic_field(-1, 5)])
             alpha = L.element([rng.randrange(-2, 3) for _ in range(4)])
             f = numfield._interpolate([(x, (L.element(x) - alpha).norm()) for x in range(5)])
-            if not is_irreducible(f):
+            try:
+                K = NumberField(f)
+            except UnsupportedFieldError:
                 continue
-            K = NumberField(f)
             assert (K.galois_type, K.quadratic_subfields()) == (L.galois_type, L.quadratic_subfields()), f
             assert len(roots_in_field(K.defining_poly, K)) == 4
             checked += 1

@@ -8,6 +8,7 @@ its odd n-torsion with a count that does not run the lift loop.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
@@ -17,6 +18,7 @@ import pytest
 from sympy import primefactors
 
 from oracles import (
+    change_model,
     count_torsion_in_field,
     point_order,
     quadratic_twist,
@@ -133,6 +135,21 @@ class TestWitnesses:
         other = torsion_over_field(short_model(report.curve), report.field_)
         assert other.structure == report.structure
         assert other.point_definition_degrees == report.point_definition_degrees
+
+    def test_change_of_model(self, witness):
+        # one seeded change of variables per row, with u in {+-1, +-2, +-1/2}
+        # and small rational r, s, t: the report does not change
+        report, _ = witness
+        E, K = report.curve, report.field_
+        rng = random.Random(f"{E}|{K}")
+        u = rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)))
+        r, s, t = (Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(3))
+        F = change_model(E, u, r, s, t)
+        assert F.disc == E.disc / Fraction(u) ** 12
+        other = torsion_over_field(F, K)
+        assert (other.structure, other.per_prime, other.point_definition_degrees) == (
+            report.structure, report.per_prime, report.point_definition_degrees)
+        assert [name for name, _ in other.checks] == [name for name, _ in report.checks]
 
 
 def test_thirteen_torsion_count():
