@@ -23,12 +23,21 @@ lists, on first use and never at construction, the primes p > 50 at which f
 has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
 gives a ring map from the p-integral elements of K onto F_p, theta -> r.
 `NumberField.residue_degree` gives, also lazily, the residue degree at any
-prime p not dividing disc f, and None at the primes that divide it.
+odd prime p not dividing disc f, and None at the primes that divide it.  K is
+Galois, so that degree is the order of Frobenius at p, and the Legendre
+symbols (m | p) of the quadratic subfields QQ(sqrt m) of K fix it: 1 if every
+m is a square mod p, else 2, except that a cyclic quartic K has degree 4 when
+its one m is not, and one test x^p = x mod (f, p) tells 1 from 2 when it is.
 
 Most root searches of the engine find nothing, and they end at the one prime
 the lift below works at: each root of h in K maps to a root of every image
 h~_i mod p of the scaled h~ defined there, so an image with no root mod p
 proves h rootless in K, and nothing is lifted.  There is no other modular test.
+A quadratic image y^2 + a1 y + a0 is decided without a search: it has a root
+mod p iff delta = a1^2 - 4 a0 is a square mod p, which Euler's criterion
+delta^((p-1)/2) = 1 tests, and then its roots are (-a1 +- sqrt delta)/2
+(`_intpoly.gf_sqrt`).  An image of higher degree is scanned over the p
+residues, and the scan stops at the first image with no root.
 
 Roots that do exist are found by lifting them at a split prime (Belabas, J.
 Symb. Comp. 37, 2004; Cohen, A Course in Computational Algebraic Number Theory,
@@ -229,10 +238,34 @@ class NumberField:
             i += 1
 
     def residue_degree(self, p: int) -> int | None:
-        """The residue degree of the primes of K above the prime p, or None
-        when p divides disc f.  Computed on first use for each p and cached."""
+        """The residue degree of the primes of K above the odd prime p, or None
+        when p divides disc f.  Computed on first use for each p and cached.
+
+        K is Galois, so the degree is the order of the Frobenius element at p
+        in Gal(K/QQ).  The Legendre symbols (m | p) = m^((p-1)/2) mod p of the
+        quadratic subfields QQ(sqrt m) (QQ(sqrt disc f) when [K:QQ] <= 2) fix
+        it; p does not divide m, as the discriminant of QQ(sqrt m) divides
+        disc f.  Frobenius fixes every sqrt m iff every (m | p) = 1, and then it
+        is 1, except in a cyclic quartic K, where it may be the element of
+        order 2 and is 1 iff x^p = x mod (f, p).  Otherwise its order is 2, or
+        4 in a cyclic quartic K, whose one subfield only the element of order
+        2 fixes.  A non-Galois quartic K raises, and so does p = 2, where
+        Euler's criterion says nothing."""
         if p not in self._residue_degrees:
-            self._residue_degrees[p] = _residue_degree(self._f_int, p) if self.disc % p else None
+            if self.galois_type is GaloisType.NonGaloisQuartic:
+                raise UnsupportedFieldError(f"residue degrees of a non-Galois field: {self!r}")
+            if p == 2:
+                raise ValueError("residue degrees at odd primes only")
+            cyclic = self.galois_type is GaloisType.CyclicQuartic
+            if self.disc % p == 0:
+                k = None
+            elif not all(pow(m, (p - 1) // 2, p) == 1 for m in self._quadratics or (self.disc,)):
+                k = 4 if cyclic else 2
+            elif cyclic and zp.gf_pow_mod([0, 1], p, zp.gf_from_zz(self._f_int, p), p) != [0, 1]:
+                k = 2
+            else:
+                k = 1
+            self._residue_degrees[p] = k
         return self._residue_degrees[p]
 
 
@@ -601,27 +634,6 @@ def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield p, roots
 
 
-def _residue_degree(f: Sequence[int], p: int) -> int:
-    """The least k with x^(p^k) = x mod (f, p), f monic integral and p not
-    dividing disc f: the lcm of the degrees of the irreducible factors of f
-    mod p, which is squarefree.  As p does not divide the index of Z[theta]
-    either, those factors give the primes above p and their residue degrees
-    (Dedekind); in a Galois K all are equal, and k is the residue degree.
-    Frobenius is a ring map of F_p[x]/(f), so x^(p^(k+1)) = xp(x^(p^k)) with
-    xp = x^p: one power, then compositions."""
-    fp = zp.gf_from_zz(f, p)
-    x = zp.gf_rem([0, 1], fp, p)
-    xp = xq = zp.gf_pow_mod(x, p, fp, p)
-    mulmod = zp.gf_mulmod(fp, p)
-    k = 1
-    while xq != x:
-        composed: list[int] = []
-        for c in reversed(xp):
-            composed = zp.gf_sub(mulmod(composed, xq), [-c % p], p)
-        xq, k = composed, k + 1
-    return k
-
-
 def _eval_mod(g: list[int], x: int, m: int) -> int:
     """g(x) mod m, g in Z[x]."""
     v = 0
@@ -738,7 +750,9 @@ def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]
 
 def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     """Roots in K of h in K[x], lifted at a split prime.  Every root returned
-    has passed exact substitution.
+    has passed exact substitution.  An image with no root mod p ends the
+    search at once, at any split prime; `_image_roots` finds the roots of each
+    image, a quadratic one from its discriminant.
 
     One squarefree image proves h squarefree: if h = g^2 k with deg g > 0, the
     monic g~ has algebraic-integer roots, so its coefficients are p-integral
@@ -755,16 +769,17 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     D, ht = _scaled_monic(h)
     # h squarefree: only the finitely many p dividing Norm(disc h~) fail
     for p, rs in K.iter_split_primes():
-        images = [[_eval_mod(a, r, p) for a in ht] for r in rs]
-        squarefree = [zp.gf_is_squarefree(img, p) for img in images]
-        if all(squarefree):
+        root_lists = []
+        for r in rs:
+            rts = _image_roots([_eval_mod(a, r, p) for a in ht], p)
+            if rts == []:
+                return set()
+            root_lists.append(rts)
+        if None not in root_lists:
             break
-        if not any(squarefree):
+        if all(rts is None for rts in root_lists):
             h = h.squarefree()
             D, ht = _scaled_monic(h)
-    root_lists = [[x for x in range(p) if _eval_mod(img, x, p) == 0] for img in images]
-    if not all(root_lists):
-        return set()
     L = _coordinate_bound(K, ht)
     q = p
     while q <= 2 * L * p * p:
@@ -791,6 +806,27 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
             if _vanishes_at(ht, gamma, Delta, K._f_int):
                 roots.add(FieldElement(K, gamma, Delta * D))
     return roots
+
+
+def _image_roots(img: list[int], p: int) -> list[int] | None:
+    """The roots mod p of the monic image img, in increasing order, or None
+    when img is not squarefree mod p.  A quadratic y^2 + a1 y + a0 is decided
+    by delta = a1^2 - 4 a0: not squarefree iff delta = 0, rootless iff delta is
+    a nonsquare (Euler's criterion), else its roots are (-a1 +- sqrt delta)/2.
+    A higher degree is tested for squarefreeness and scanned over all p
+    residues."""
+    if len(img) == 3:
+        a0, a1, _ = img
+        delta = (a1 * a1 - 4 * a0) % p
+        if delta == 0:
+            return None
+        if pow(delta, (p - 1) // 2, p) != 1:
+            return []
+        s = zp.gf_sqrt(delta, p)
+        return sorted((t - a1) * ((p + 1) // 2) % p for t in (s, p - s))
+    if not zp.gf_is_squarefree(img, p):
+        return None
+    return [x for x in range(p) if _eval_mod(img, x, p) == 0]
 
 
 def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:

@@ -136,9 +136,9 @@ BOUND_PRIMES = 12
 
 def reduction_bound(E: Curve, K: NumberField) -> int:
     """B, a multiple of #E(K)_tors: the gcd of #E~(F_(p^f)) over the first
-    BOUND_PRIMES primes p >= 5 at which E has good reduction and the defining
-    polynomial of K is squarefree mod p, f the residue degree at p (see the
-    module docstring).  Stops early once B = 1."""
+    BOUND_PRIMES primes p >= 5 at which E has good reduction and p does not
+    divide `K.disc`, f the residue degree at p (see the module docstring).
+    Stops early once B = 1."""
     bound = used = 0
     p = 3
     while True:

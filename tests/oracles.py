@@ -25,12 +25,16 @@ a route the engine does not take:
 - `tower_galois_type`: the Galois type of QQ(sqrt(a + b sqrt m)) from the
   norm a^2 - m b^2, against `NumberField.galois_type` of
   `numfield.tower_field`, which reads it off the resolvent cubic.
+- `_residue_degree`: the residue degree at p from the Frobenius powers
+  x^(p^k) mod (f, p), against `NumberField.residue_degree`, which reads it
+  off Legendre symbols of the quadratic subfields.
 """
 
 from fractions import Fraction
 
 from sympy import factorint
 
+from quartic_torsion import _intpoly as zp
 from quartic_torsion.ellcurve import Curve, Point, curve_points_y
 from quartic_torsion.exactmath import RatPoly, is_rational_square, squarefree_part_rational
 from quartic_torsion.numfield import (GaloisType, KPoly, NumberField, rational_field,
@@ -211,3 +215,28 @@ def tower_galois_type(m, a, b) -> GaloisType:
     if is_rational_square(t):
         return GaloisType.Biquadratic
     return GaloisType.NonGaloisQuartic
+
+
+def _residue_degree(f, p: int) -> int:
+    """The least k with x^(p^k) = x mod (f, p), f monic integral and p not
+    dividing disc f: the lcm of the degrees of the irreducible factors of f
+    mod p, which is squarefree.  As p does not divide the index of Z[theta]
+    either, those factors give the primes above p and their residue degrees
+    (Dedekind); in a Galois K all are equal, and k is the residue degree.
+    Frobenius is a ring map of F_p[x]/(f), so x^(p^(k+1)) = xp(x^(p^k)) with
+    xp = x^p: one power, then compositions.  For deg f <= 4 that lcm is at
+    most deg f, so a larger k means f is not squarefree mod p, where x^(p^k)
+    never comes back to x; it raises ValueError."""
+    fp = zp.gf_from_zz(f, p)
+    x = zp.gf_rem([0, 1], fp, p)
+    xp = xq = zp.gf_pow_mod(x, p, fp, p)
+    mulmod = zp.gf_mulmod(fp, p)
+    k = 1
+    while xq != x:
+        if k == len(fp) - 1:
+            raise ValueError(f"{f} is not squarefree mod {p}")
+        composed: list[int] = []
+        for c in reversed(xp):
+            composed = zp.gf_sub(mulmod(composed, xq), [-c % p], p)
+        xq, k = composed, k + 1
+    return k

@@ -256,3 +256,20 @@ def test_hensel_lift_blocks_recomposes(p):
             for g in lifted:
                 recomposed = ref_mul(recomposed, g, m)
             assert recomposed == ref_trim([c % m for c in f]), (degrees, target)
+
+
+# every odd prime below 300, and three with deep 2-power parts of p - 1:
+# 1009 - 1 = 2^4 * 63, 7681 - 1 = 2^9 * 15, 65537 - 1 = 2^16
+SQRT_PRIMES = tuple(p for p in range(3, 300, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2))) + (
+    1009, 7681, 65537)
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_sqrt_squares_back(p):
+    # Tonelli-Shanks: gf_sqrt(a)^2 = a for every nonzero square a mod p, and a
+    # nonsquare is refused
+    for a in {x * x % p for x in range(1, p)}:
+        assert zp.gf_sqrt(a, p) ** 2 % p == a, a
+    nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    with pytest.raises(ValueError):
+        zp.gf_sqrt(nonsquare, p)

@@ -1,14 +1,16 @@
 import json
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
 from sympy import QQ, Poly, Rational, symbols
 
+import oracles
 from oracles import tower_galois_type
+from quartic_torsion import _intpoly as zp
 from quartic_torsion import exactmath, numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.ellcurve import Curve
@@ -427,6 +429,56 @@ class TestHenselRoots:
         assert numfield._hensel_roots(h, K) == {th, th + P}
         assert roots_in_field(h, K) == {th, th + P}
         assert len(K._split_primes) > len(table)
+
+
+class TestQuadraticImages:
+    """A quadratic image y^2 + a1 y + a0 mod p is decided by its discriminant
+    delta = a1^2 - 4 a0: no scan over the p residues."""
+
+    @pytest.mark.parametrize("p", (7, 13, 61))
+    def test_every_monic_quadratic(self, p):
+        # the sorted roots by brute force, and None exactly when delta = 0
+        nones = rootless = 0
+        for a0, a1 in product(range(p), repeat=2):
+            img = [a0, a1, 1]
+            got = numfield._image_roots(img, p)
+            if (a1 * a1 - 4 * a0) % p == 0:
+                assert got is None, img
+                nones += 1
+            else:
+                assert got == [x for x in range(p) if (x * x + a1 * x + a0) % p == 0], img
+                rootless += not got
+        assert nones == p and rootless == p * (p - 1) // 2
+
+    @pytest.mark.parametrize("spec", SPLIT_PRIME_SPECS)
+    def test_discriminant_zero_at_the_first_split_prime(self, spec):
+        # y^2 - p0 m has delta = 0 mod p0, the first split prime, at every
+        # image, so the lift goes on to the next split prime.  sqrt p0 is not
+        # in K (p0 is unramified); p0 sqrt m is, for m = 1 and for each
+        # quadratic subfield QQ(sqrt m)
+        K = parse_field_spec(spec)
+        p0, rs = next(K.iter_split_primes())
+        # quadratic_field(m) is set up from x^2 - m
+        subfields = (K.quadratic_subfields() if K.degree == 4
+                     else {-K._f_int[0]} if K.degree == 2 else set())
+        for beta in [p0] + [p0 * p0 * m for m in {1, -1, 2, 5} | subfields]:
+            h = KPoly(K, [-beta, 0, 1])
+            ht = numfield._scaled_monic(h)[1]
+            assert all(numfield._image_roots([numfield._eval_mod(a, r, p0) for a in ht], p0) is None
+                       for r in rs)
+            root, expected = sqrt_in_field(K.element(beta), K), numfield._trager_roots(h, K)
+            assert expected == (set() if root is None else {root, -root}), beta
+            assert (root is not None) == (beta in {p0 * p0 * m for m in {1} | subfields}), beta
+
+    def test_rootless_lift_scans_no_residues(self, monkeypatch):
+        # y^2 - (theta + 2) over QQ(zeta5) has an image with delta a nonsquare
+        # mod 61: the answer takes the images' coefficients, not p evaluations
+        p, _ = next(ZETA5.iter_split_primes())
+        calls = []
+        eval_mod = numfield._eval_mod
+        monkeypatch.setattr(numfield, "_eval_mod", lambda *args: calls.append(args) or eval_mod(*args))
+        assert sqrt_in_field(ZETA5.gen() + 2, ZETA5) is None
+        assert 0 < len(calls) < p
 
 
 KNOWN_GROUP_CURVES = [row["curve"] for row in json.loads(
@@ -1036,6 +1088,67 @@ class TestResidueDegree:
                 assert K.residue_degree(p) == expected, (K, p)
                 nones += expected is None
         assert len(fields) > 40 and nones > 20
+
+    def test_against_frobenius_oracle(self, benchmark_cases):
+        # every field of every workload at seeds 0-5, at every prime from 5 to
+        # 2000 that does not divide disc f: the Legendre-symbol rule against
+        # the least k with x^(p^k) = x mod (f, p)
+        fields = {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
+                  for seed in range(6) for _, f in benchmark_cases(w, seed)}
+        primes = [p for p in range(5, 2000) if all(p % q for q in range(2, isqrt(p) + 1))]
+        seen = set()
+        for K in fields:
+            for p in primes:
+                if K.disc % p:
+                    k = oracles._residue_degree(K._f_int, p)
+                    assert K.residue_degree(p) == k, (K, p)
+                    seen.add((K.galois_type, k))
+        assert len(fields) > 90
+        assert {(GaloisType.CyclicQuartic, k) for k in (1, 2, 4)} <= seen
+        assert {(GaloisType.Biquadratic, k) for k in (1, 2)} <= seen
+
+    def test_non_monic_quadratic(self):
+        # 3x^2 + 5x + 7 is set up as x^2 + 5x + 21, of discriminant -59
+        K = NumberField(RatPoly([7, 5, 3]))
+        assert K._f_int == (21, 5, 1) and K.disc == -59
+        assert K.residue_degree(59) is None
+        primes = [p for p in range(5, 2000) if p != 59 and all(p % q for q in range(2, isqrt(p) + 1))]
+        degrees = [K.residue_degree(p) for p in primes]
+        assert degrees == [oracles._residue_degree(K._f_int, p) for p in primes]
+        assert set(degrees) == {1, 2}
+
+    def test_non_galois_quartic_raises(self):
+        K = NumberField(RatPoly([1, 1, 0, 0, 1]))
+        assert K.galois_type is GaloisType.NonGaloisQuartic
+        with pytest.raises(UnsupportedFieldError):
+            K.residue_degree(5)
+
+    def test_two_raises(self):
+        # 2 is inert in QQ(sqrt -3) (x^2 + x + 1 is irreducible mod 2), but
+        # a^((2-1)/2) = 1 for every a: Euler's criterion cannot see it
+        K = NumberField(RatPoly([1, 1, 1]))
+        assert oracles._residue_degree(K._f_int, 2) == 2
+        with pytest.raises(ValueError):
+            K.residue_degree(2)
+
+    def test_biquadratic_takes_no_frobenius_power(self, monkeypatch):
+        # only a cyclic quartic field with (d | p) = 1 raises x to the p-th
+        # power mod (f, p); a biquadratic one reads Legendre symbols alone
+        calls = []
+        pow_mod = zp.gf_pow_mod
+        monkeypatch.setattr(zp, "gf_pow_mod", lambda *args: calls.append(args) or pow_mod(*args))
+        primes = [p for p in range(5, 200) if all(p % q for q in range(2, isqrt(p) + 1))]
+        K = biquadratic_field(-7, -15)
+        assert {K.residue_degree(p) for p in primes} == {None, 1, 2}
+        assert calls == []
+        cyclic = parse_field_spec("5;5;2")
+        assert {cyclic.residue_degree(p) for p in primes} == {None, 1, 2, 4}
+        assert calls
+
+    def test_oracle_refuses_a_repeated_factor(self):
+        # x^2 + 3 = x^2 mod 3: x^(3^k) mod (x^2, 3) is 0 for every k, never x
+        with pytest.raises(ValueError):
+            oracles._residue_degree([3, 0, 1], 3)
 
 
 class TestFieldConstruction:
