@@ -10,18 +10,21 @@ Every x^e mod (h, p) -- the Frobenius powers of the distinct-degree split
 and of the equal-degree split -- runs through one multiply mod (h, p),
 `gf_mulmod`: from degree 4 on it packs each polynomial into one int, one
 64-bit slot per coefficient, multiplies once and reduces with a table of
-x^(n+k) mod h (Kronecker substitution; see its docstring for the slot bound).  Division with remainder (`gf_divmod`, so `gf_gcd` and
-`gf_xgcd`) reduces mod p only the coefficient it divides out at each step,
-and the remainder once at the end.  `gf_from_zz`, `gf_scale`, `gf_mul` and
-`gf_divmod` never use that p is prime: they are exact modulo any m > 1 at
-which the divisor's leading coefficient is a unit, so the Hensel lift calls
-them modulo p^k, where every divisor is monic.
+x^(n+k) mod h (Kronecker substitution; see its docstring for the slot bound).
+Division with remainder (`gf_divmod`, so `gf_gcd`) reduces mod p only the
+coefficient it divides out at each step, and the remainder once at the end.
+`gf_from_zz`, `gf_sub`, `gf_monic`, `gf_mul` and `gf_divmod` never use that p
+is prime: they are exact modulo any m > 1 at which the one leading
+coefficient they invert is a unit, so `lift_factor` calls them modulo
+p^(2^k), where lc(h) is prime to p and every divisor is monic.
 
 Factor search is capped by degree: the engine only ever needs irreducible
-factors whose roots can lie in a field of degree <= 4, so recombination
-enumerates subsets of the modular factors with total degree <= dmax instead
-of the full exponential Zassenhaus search.  Its primes start just above
-PRIME_FLOOR = 60.
+factors whose roots can lie in a field of degree <= 4, so only the modular
+factors of degree <= dmax are split and lifted, each on its own, and
+recombination enumerates their subsets of total degree <= dmax instead of
+the full exponential Zassenhaus search.  The product of the factors of higher
+degree is only ever a quotient: it is never multiplied or lifted.  The
+primes start just above PRIME_FLOOR = 60.
 """
 
 from __future__ import annotations
@@ -78,13 +81,6 @@ def zz_add(a: list[int], b: list[int]) -> list[int]:
     out = list(a)
     for i, y in enumerate(b):
         out[i] += y
-    return trim(out)
-
-
-def zz_sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
     return trim(out)
 
 
@@ -212,22 +208,6 @@ def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return gf_monic(a, p)
 
 
-def gf_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended gcd: returns (g, s, t) monic with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    return gf_scale(r0, inv, p), gf_scale(s0, inv, p), gf_scale(t0, inv, p)
-
-
 def gf_mulmod(mod: list[int], p: int) -> Callable[[list[int], list[int]], list[int]]:
     """The map (a, b) -> a*b mod (mod, p), for a and b of degree < n = deg mod
     with coefficients in [0, p), and lc(mod) nonzero mod p.
@@ -331,15 +311,11 @@ def gf_is_squarefree(a: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def gf_ddf_bounded(f: list[int], p: int, dmax: int) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """Distinct-degree split of monic squarefree f mod p, up to degree dmax.
-
-    Returns (blocks, rest): blocks is a list of (d, g_d) where g_d is the
-    product of all irreducible factors of degree exactly d <= dmax; rest is
-    the product of every factor of degree > dmax (trivial poly [1] if none).
-    The factors of rest are never computed -- they cannot contribute to a
-    rational factor of degree <= dmax and are carried as one Hensel block.
-    """
+def gf_ddf_bounded(f: list[int], p: int, dmax: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree split of monic squarefree f mod p, up to degree dmax:
+    a list of (d, g_d), g_d the product of all irreducible factors of degree
+    exactly d <= dmax.  The factors of degree > dmax are never split: their
+    product is only ever the quotient v that the loop divides down."""
     v = list(f)
     blocks: list[tuple[int, list[int]]] = []
     h = [0, 1]
@@ -349,7 +325,6 @@ def gf_ddf_bounded(f: list[int], p: int, dmax: int) -> tuple[list[tuple[int, lis
         if len(v) - 1 < 2 * d:
             if len(v) - 1 <= dmax:
                 blocks.append((len(v) - 1, v))
-                v = [1]
             break
         h = gf_pow_mod(h, p, v, p)
         g = gf_gcd(gf_sub(h, [0, 1], p), v, p)
@@ -357,9 +332,7 @@ def gf_ddf_bounded(f: list[int], p: int, dmax: int) -> tuple[list[tuple[int, lis
             blocks.append((d, g))
             v = gf_divmod(v, g, p)[0]
             h = gf_rem(h, v, p)
-    if not v:
-        v = [1]
-    return blocks, v
+    return blocks
 
 
 def gf_edf(f: list[int], d: int, p: int) -> list[list[int]]:
@@ -393,62 +366,27 @@ def gf_edf(f: list[int], d: int, p: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def hensel_step(m: int, f: list[int], g: list[int], h: list[int],
-                s: list[int], t: list[int]):
-    """One quadratic Hensel step: f = g*h (mod m), s*g + t*h = 1 (mod m),
-    h monic; returns (g1, h1, s1, t1) with the same relations mod m**2."""
-    M = m * m
-    e = gf_from_zz(zz_sub(f, zz_mul(g, h)), M)
-    q, r = gf_divmod(gf_mul(s, e, M), h, M)
-    g1 = gf_from_zz(zz_add(zz_add(g, gf_mul(t, e, M)), gf_mul(q, g, M)), M)
-    h1 = gf_from_zz(zz_add(h, r), M)
-    b = gf_from_zz(zz_sub(zz_add(gf_mul(s, g1, M), gf_mul(t, h1, M)), [1]), M)
-    c, d = gf_divmod(gf_mul(s, b, M), h1, M)
-    s1 = gf_from_zz(zz_sub(s, d), M)
-    t1 = gf_from_zz(zz_sub(zz_sub(t, gf_mul(t, b, M)), gf_mul(c, g1, M)), M)
-    return g1, h1, s1, t1
+def lift_factor(h: list[int], g: list[int], p: int, target: int) -> tuple[list[int], int]:
+    """Lift a monic factor g of h / lc(h) mod p, irreducible mod p and coprime
+    to its cofactor, to the monic factor G of h / lc(h) modulo M = p^(2^k) >=
+    target with G = g (mod p).  Returns (G, M).
 
-
-def _lift_pair(f: list[int], g: list[int], h: list[int], p: int, target: int):
-    """Lift f = g*h (mod p), h monic, to modulus >= target.  Returns
-    (g_lifted, h_lifted, modulus)."""
-    _, s, t = gf_xgcd(g, h, p)
+    Each step to M = m^2 divides h / lc(h) by g once, giving the cofactor c and
+    the remainder r = 0 (mod m); takes u = c^-1 mod g from precision sqrt(m)
+    to m by one Newton step u <- u(2 - c u) rem g; and sets g <- g + (r u rem
+    g), which divides h / lc(h) mod M (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 15).  The first u is c^(p^deg g - 2) mod (g, p),
+    the inverse in the field GF(p)[x]/(g)."""
+    c = gf_divmod(gf_monic(gf_from_zz(h, p), p), g, p)[0]
+    u = gf_pow_mod(c, p ** (len(g) - 1) - 2, g, p)
     m = p
     while m < target:
-        g, h, s, t = hensel_step(m, f, g, h, s, t)
-        m = m * m
-    return g, h, m
-
-
-def hensel_lift_blocks(f: list[int], blocks: list[list[int]], p: int, target: int) -> tuple[list[list[int]], int]:
-    """Lift the coprime factorization f = lc(f) * prod(blocks) (mod p), each
-    block monic mod p, to a modulus >= target.
-
-    Returns (lifted_blocks, modulus): lifted blocks are monic mod modulus and
-    f = lc(f) * prod(lifted) (mod modulus).
-    """
-    def rec(fpart: list[int], blks: list[list[int]], mod_have: int) -> list[list[int]]:
-        # invariant: fpart = lc(fpart) * prod(blks) (mod p), fpart known mod mod_have
-        if len(blks) == 1:
-            inv = pow(fpart[-1], -1, mod_have)
-            return [gf_scale(fpart, inv, mod_have)]
-        half = len(blks) // 2
-        A, B = blks[:half], blks[half:]
-        G = [1]
-        for b in A:
-            G = gf_mul(G, b, p)
-        H = [1]
-        for b in B:
-            H = gf_mul(H, b, p)
-        lg = gf_scale(G, fpart[-1] % p, p)
-        Gl, Hl, mod = _lift_pair(fpart, lg, H, p, mod_have)
-        return rec(Gl, A, mod) + rec(Hl, B, mod)
-
-    mod = p
-    while mod < target:
-        mod = mod * mod
-    lifted = rec(gf_from_zz(f, mod), blocks, mod)
-    return lifted, mod
+        m *= m
+        c, r = gf_divmod(gf_monic(gf_from_zz(h, m), m), g, m)
+        cu = gf_rem(gf_mul(gf_rem(c, g, m), u, m), g, m)
+        u = gf_rem(gf_mul(u, gf_sub([2], cu, m), m), g, m)
+        g = gf_from_zz(zz_add(g, gf_rem(gf_mul(r, u, m), g, m)), m)
+    return g, m
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +421,10 @@ def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
     polynomial, each primitive with positive leading coefficient.  Factors of
     higher degree are neither split nor returned.  h is factored through the
     primitive part of h / gcd(h, h'), which is squarefree and has the same
-    irreducible factors, as `pick_factor_prime` needs.
+    irreducible factors, as `pick_factor_prime` needs.  Each irreducible
+    factor mod p of degree <= dmax is lifted alone by `lift_factor`, past
+    twice a Mignotte bound on the coefficients of a factor of degree <= dmax,
+    and subsets of the lifts are tried as factors.
     """
     if len(h) <= 1:
         return []
@@ -497,27 +438,23 @@ def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
     best = None
     for p in pick_factor_prime(h):
         hp = gf_monic(gf_from_zz(h, p), p)
-        blocks, rest = gf_ddf_bounded(hp, p, min(dmax, n))
+        blocks = gf_ddf_bounded(hp, p, min(dmax, n))
         nsmall = sum((len(g) - 1) // d for d, g in blocks)
         if best is None or nsmall < best[0]:
-            best = (nsmall, p, blocks, rest)
+            best = (nsmall, p, blocks)
         if nsmall == 0:
             break
-    nsmall, p, blocks, rest = best
+    nsmall, p, blocks = best
     if nsmall == 0:
         return []
 
-    small: list[list[int]] = []
+    bound = comb(min(dmax, n), min(dmax, n) // 2) * zz_l2_norm_ceil(h) + abs(h[-1])
+    lifted = []
     for d, g in blocks:
-        small.extend(gf_edf(g, d, p))
-    lift_input = sorted(small) + ([rest] if len(rest) > 1 else [])
-
-    lc = h[-1]
-    bound = comb(min(dmax, n), min(dmax, n) // 2) * zz_l2_norm_ceil(h) + abs(lc)
-    lifted_all, modulus = hensel_lift_blocks(h, lift_input, p, 2 * bound + 1)
-    lifted = lifted_all[: len(small)]
-    order = sorted(range(len(lifted)), key=lambda i: (len(lifted[i]), lifted[i]))
-    lifted = [lifted[i] for i in order]
+        for f in gf_edf(g, d, p):
+            G, modulus = lift_factor(h, f, p, 2 * bound + 1)
+            lifted.append(G)
+    lifted.sort(key=lambda G: (len(G), G))
 
     factors: list[list[int]] = []
     cur = list(h)

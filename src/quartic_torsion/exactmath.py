@@ -29,9 +29,9 @@ from .errors import DataFormatError
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading minus, no whitespace)."""
-    num, _, den = s.strip().partition("/")
+    num, slash, den = s.strip().partition("/")
     try:
-        return Fraction(int(num), int(den) if den else 1)
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise DataFormatError(f"not a rational number: {s!r}") from None
 

@@ -937,6 +937,8 @@ def quadratic_field(m) -> NumberField:
 
 def biquadratic_field(m: int, n: int) -> NumberField:
     """QQ(sqrt(m), sqrt(n)) via the minimal polynomial of sqrt(m) + sqrt(n)."""
+    if m == 0 or n == 0:
+        raise UnsupportedFieldError(f"({m},{n}) does not define a biquadratic field")
     m = squarefree_part_rational(Fraction(m))
     n = squarefree_part_rational(Fraction(n))
     if m == 1 or n == 1 or m == n:

@@ -6,6 +6,8 @@ The smoke tests run the module in a subprocess, as the installed
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import quartic_torsion
+from quartic_torsion import cli
 from quartic_torsion.ellcurve import Curve
 from quartic_torsion.errors import EngineError
 from quartic_torsion.numfield import parse_field_spec
@@ -26,12 +29,63 @@ SRC = str(Path(quartic_torsion.__file__).resolve().parent.parent)
     (parse_field_spec, ""),
     (parse_field_spec, "1/2,3"),
     (parse_field_spec, "2;1/0;1"),
+    (parse_field_spec, "0,-3"),
+    (parse_field_spec, "-0,2"),
+    (parse_field_spec, "-1,0/1"),
+    (parse_field_spec, "5/"),
     (Curve.from_str, "a,0,0,0,0"),
     (Curve.from_str, "1/0,0,0,0,0"),
+    (Curve.from_str, "1/,0,0,0,0"),
 ], ids=lambda v: v if isinstance(v, str) else v.__qualname__)
 def test_malformed_spec_raises_engine_error(parse, spec):
     with pytest.raises(EngineError):
         parse(spec)
+
+
+FUZZ_ALPHABET = "0123456789-/,; .qe+_x"
+# tokens that int() reads in a way a spec may not expect, or that sit at an edge
+FUZZ_TOKENS = ("0", "-0", "0/1", "", "1/", "/2", "2/0", "-", "+3", "_1", "1_0", " 7", "1e3", "x")
+
+
+def _fuzz_specs(rng, valid):
+    """300 random strings of up to 12 characters over FUZZ_ALPHABET, and 300
+    valid specs with one token between separators replaced."""
+    def rand_str(n):
+        return "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(n + 1)))
+
+    specs = [rand_str(12) for _ in range(300)]
+    for _ in range(300):
+        tokens = re.split(r"([,;])", rng.choice(valid))
+        tokens[rng.randrange(0, len(tokens), 2)] = rng.choice(FUZZ_TOKENS) if rng.random() < 0.5 else rand_str(4)
+        specs.append("".join(tokens))
+    return specs
+
+
+@pytest.mark.parametrize("parse, valid, argv", [
+    (parse_field_spec, ("q", "-1", "-1,2", "5;5;2", "1,1,1,1", "17,21", "13;13;3", "5,0,-5,0"),
+     lambda spec: ["0,0,0,-1,0", spec]),
+    (Curve.from_str, ("0,0,0,-1,0", "1,1,1,-5,2", "0,1,1,-1,0", "1,0,0,-45,81,label"),
+     lambda spec: [spec, "-1"]),
+], ids=("field", "curve"))
+def test_fuzzed_specs_raise_only_engine_errors(parse, valid, argv, capsys):
+    # seeded: the parser either reads a spec or raises an EngineError, and
+    # cli.main, given it with a fixed valid other argument, exits 0 or 2
+    escaped = []
+    for spec in _fuzz_specs(random.Random(f"fuzz:{parse.__qualname__}"), valid):
+        try:
+            parse(spec)
+        except EngineError:
+            pass
+        except Exception as e:
+            escaped.append((spec, repr(e)))
+        try:
+            status = cli.main(argv(spec))
+        except Exception as e:
+            status = repr(e)
+        if status not in (0, 2):
+            escaped.append((spec, status))
+    capsys.readouterr()
+    assert not escaped
 
 
 def _run(*args):

@@ -214,7 +214,8 @@ class TestFactorBoundedAgainstSympy:
 
     @staticmethod
     def check(h, dmaxes, monkeypatch):
-        expected = {d: sympy_factors(h, d) for d in dmaxes}
+        factors = sympy_factors(h, max(dmaxes))
+        expected = {d: frozenset(g for g in factors if g.degree <= d) for d in dmaxes}
         assert {d: factor_bounded(h, d) for d in dmaxes} == expected
         monkeypatch.setattr(_intpoly, "PRIME_FLOOR", 1000)
         assert {d: factor_bounded(h, d) for d in dmaxes} == expected
@@ -223,6 +224,11 @@ class TestFactorBoundedAgainstSympy:
     @pytest.mark.parametrize("curve", KNOWN_GROUP_CURVES)
     def test_division_polynomials_of_known_groups_curves(self, curve, n, monkeypatch):
         self.check(Curve.from_str(curve).division_polynomial(n), (1, 2, 4), monkeypatch)
+
+    @pytest.mark.parametrize("n", (11, 13))
+    def test_division_polynomials_of_the_z13_witness(self, n, monkeypatch):
+        # psi_13 has degree 84 and three quadratic factors
+        self.check(Curve.from_str("0,0,0,-2227,59534").division_polynomial(n), (1, 2, 4), monkeypatch)
 
     @pytest.mark.parametrize("field", SEED0_FIELDS)
     def test_seed0_field_polynomials(self, field, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 from sympy import ZZ, Poly, nextprime, prevprime, symbols
 
 from quartic_torsion import _intpoly as zp
+from quartic_torsion.ellcurve import Curve
 
 PRIMES = (2, 3, 61, 1009, 65521, 2**31 - 1)
 DEGREES = range(1, 41)
@@ -233,29 +234,47 @@ def test_helpers_modulo_prime_powers(p):
 
 
 @pytest.mark.parametrize("p", (3, 61, 10007))
-def test_hensel_lift_blocks_recomposes(p):
-    rng = random.Random(f"hensel:{p}")
-    for degrees in ((1,), (1, 1), (2, 1, 3), (1, 2, 1, 2, 1)):
-        while True:  # pairwise coprime monic blocks mod p
-            blocks = [[rng.randrange(p) for _ in range(d)] + [1] for d in degrees]
-            if all(len(zp.gf_gcd(g, b, p)) == 1 for i, g in enumerate(blocks) for b in blocks[:i]):
+def test_lift_factor_divides(p):
+    # every irreducible factor g mod p of a squarefree h, lifted alone: G is
+    # monic of degree deg g, G = g (mod p), and G divides h / lc(h) mod M
+    rng = random.Random(f"lift:{p}")
+    for degree in (1, 2, 3, 5, 9):
+        while True:  # h squarefree mod p with a unit lc, digits above p
+            lc = rng.choice([c for c in (1, 2, 5, 12, p + 1) if c % p])
+            h = [rng.randrange(-9 * p, 9 * p) for _ in range(degree)] + [lc]
+            hp = zp.gf_monic(zp.gf_from_zz(h, p), p)
+            if zp.gf_is_squarefree(hp, p):
                 break
-        lc = rng.choice([c for c in (1, 2, 5, 12, p + 1) if c % p])
-        prod = [lc]
-        for g in blocks:
+        factors = [g for d, block in zp.gf_ddf_bounded(hp, p, degree) for g in zp.gf_edf(block, d, p)]
+        prod = [1]
+        for g in factors:
             prod = ref_mul(prod, g, p)
-        # f = lc * prod(blocks) mod p, with lc(f) = lc and other digits above p
-        f = [c + p * rng.randrange(-9, 10) for c in prod[:-1]] + [lc]
-        for target in (p, p**3 + 1, 10**40):
-            lifted, m = zp.hensel_lift_blocks(f, blocks, p, target)
-            assert m >= target and m in {p ** (2**j) for j in range(8)}
-            for g, b in zip(lifted, blocks):
-                assert len(g) == len(b) and g[-1] == 1
-                assert zp.gf_from_zz(g, p) == b
-            recomposed = [lc]
-            for g in lifted:
-                recomposed = ref_mul(recomposed, g, m)
-            assert recomposed == ref_trim([c % m for c in f]), (degrees, target)
+        assert prod == hp
+        for g in factors:
+            for target in (p, p**3 + 1, 10**40):
+                G, m = zp.lift_factor(h, g, p, target)
+                assert m >= target and m in {p ** (2**j) for j in range(8)}
+                assert len(G) == len(g) and G[-1] == 1
+                assert zp.gf_from_zz(G, p) == g
+                monic_h = ref_trim([c * pow(lc, -1, m) % m for c in h])
+                assert ref_divmod(monic_h, G, m)[1] == [], (h, g, target)
+
+
+def test_z13_factorization_multiplies_only_small_polynomials(monkeypatch):
+    # psi_13 of the Z/13 witness has degree 84 and three quadratic factors;
+    # its factors of degree > dmax are never lifted, so every product has
+    # operands of degree <= dmax
+    h = Curve.from_str("0,0,0,-2227,59534").division_polynomial(13).to_int_poly()[1]
+    degrees = []
+    mul = zp.zz_mul
+
+    def recording(a, b):
+        degrees.append(max(len(a), len(b)) - 1)
+        return mul(a, b)
+
+    monkeypatch.setattr(zp, "zz_mul", recording)
+    assert [len(g) - 1 for g in zp.zz_factor_bounded(h, 4)] == [2, 2, 2]
+    assert degrees and max(degrees) <= 4
 
 
 # every odd prime below 300, and three with deep 2-power parts of p - 1:
