@@ -1,7 +1,11 @@
 """Exact rational arithmetic and univariate polynomial algebra over QQ.
 
 Rationals are fractions.Fraction (always lowest terms, positive denominator).
-RatPoly is a dense immutable polynomial over Fraction, constant term first.
+`DensePoly` holds the dense polynomial arithmetic over any field, constant
+term first: sum, difference, scaling, division with remainder, derivative,
+Horner evaluation and the monic form, with a schoolbook product.  RatPoly is
+its immutable subclass over Fraction, multiplying through ZZ[x]; the other
+subclass is `numfield.KPoly`, over a number field.
 On top of the ring operations this module provides the nontrivial
 primitives everything else consumes: monic gcd, resultant, and the distinct
 irreducible factors of degree <= dmax, found from the squarefree part
@@ -28,12 +32,17 @@ from .errors import DataFormatError
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p" (optional leading minus, no whitespace)."""
+    """Parse "p/q" or "p": once the surrounding whitespace is stripped, the
+    text must match `-?[0-9]+(/[0-9]+)?` (ASCII digits, a minus only in
+    front) with q != 0; anything else raises DataFormatError."""
     num, slash, den = s.strip().partition("/")
     try:
-        return Fraction(int(num), int(den) if slash else 1)
+        if ((num + den).isascii() and num.removeprefix("-").isdecimal()
+                and (den.isdecimal() or not slash)):
+            return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
-        raise DataFormatError(f"not a rational number: {s!r}") from None
+        pass
+    raise DataFormatError(f"not a rational number: {s!r}")
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -59,13 +68,105 @@ def squarefree_part_rational(q: Fraction) -> int:
     return out
 
 
-class RatPoly:
-    """Dense univariate polynomial over QQ, immutable.
+class DensePoly:
+    """Dense univariate polynomial over a field, constant term first: the
+    arithmetic that `RatPoly` (over QQ) and `numfield.KPoly` (over a number
+    field) share, written once.
 
-    coeffs[i] is the coefficient of x**i; trailing zeros are trimmed, so the
-    leading coefficient is nonzero unless the polynomial is zero.  The degree
-    of the zero polynomial is the sentinel None, never an integer.
+    coeffs[i] is the coefficient of x**i.  A subclass builds every result
+    with `_new`, which coerces and trims trailing zeros, so the leading
+    coefficient is nonzero unless the polynomial is zero.  The degree of the
+    zero polynomial is the sentinel None, never an integer.  The algorithms
+    use only +, -, * and / of the coefficients, which must also take ints.
     """
+
+    __slots__ = ()
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        if not self.coeffs:
+            raise ValueError("leading coefficient of zero polynomial")
+        return self.coeffs[-1]
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._new(out)
+
+    def __sub__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        """Schoolbook product; any other factor is a scalar."""
+        if not isinstance(other, DensePoly):
+            return self.scale(other)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x != 0:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return self._new(out)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        return self._new([c * x for x in self.coeffs])
+
+    def divmod(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        rem, b = list(self.coeffs), other.coeffs
+        if len(rem) < len(b):
+            return self._new([]), self
+        inv = 1 / b[-1]
+        q = [0] * (len(rem) - len(b) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            t = q[k] = rem[k + len(b) - 1] * inv
+            if t != 0:
+                for j, y in enumerate(b):
+                    rem[k + j] -= t * y
+        return self._new(q), self._new(rem[: len(b) - 1])
+
+    def derivative(self):
+        return self._new([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
+
+    def __call__(self, x):
+        """Evaluate via Horner.  Works for Fraction and for any ring element
+        supporting + and * with the coefficients (e.g. field elements).  The
+        zero polynomial gives Fraction(0) at a rational x, else x * 0."""
+        if not self.coeffs:
+            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
+        v = None
+        for c in reversed(self.coeffs):
+            v = c if v is None else v * x + c
+        return v
+
+    def monic(self):
+        return self.scale(1 / self.lc) if self.coeffs else self
+
+
+class RatPoly(DensePoly):
+    """Dense univariate polynomial over QQ, immutable; coefficients are
+    Fractions."""
 
     __slots__ = ("coeffs",)
 
@@ -78,25 +179,11 @@ class RatPoly:
     def __setattr__(self, *a):
         raise AttributeError("RatPoly is immutable")
 
-    # -- text --------------------------------------------------------------
+    def _new(self, coeffs) -> "RatPoly":
+        return RatPoly(coeffs)
 
     def to_str(self) -> str:
         return ",".join(rat_to_str(c) for c in self.coeffs) if self.coeffs else "0"
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
@@ -119,26 +206,6 @@ class RatPoly:
                 terms.append(f"{cs}x^{i}" if i > 1 else f"{cs}x")
         return "RatPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        out = list(self.coeffs) + [Fraction(0)] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return RatPoly(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
     def __mul__(self, other) -> "RatPoly":
         if not isinstance(other, RatPoly):
             return self.scale(other)
@@ -146,12 +213,6 @@ class RatPoly:
         db, fb = other.cleared()
         d = da * db
         return RatPoly([Fraction(c, d) for c in zp.zz_mul(fa, fb)])
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "RatPoly":
-        c = Fraction(c)
-        return RatPoly([c * x for x in self.coeffs])
 
     def __pow__(self, n: int) -> "RatPoly":
         out = RatPoly([1])
@@ -162,43 +223,6 @@ class RatPoly:
             base = base * base
             n >>= 1
         return out
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero() or len(self.coeffs) < len(other.coeffs):
-            return RatPoly([]), self
-        rem = list(self.coeffs)
-        b = other.coeffs
-        inv = 1 / b[-1]
-        q = [Fraction(0)] * (len(rem) - len(b) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            t = rem[k + len(b) - 1] * inv
-            q[k] = t
-            if t:
-                for j, y in enumerate(b):
-                    rem[k + j] -= t * y
-        return RatPoly(q), RatPoly(rem[: len(b) - 1])
-
-    # -- calculus / evaluation --------------------------------------------
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
-
-    def __call__(self, x):
-        """Evaluate via Horner.  Works for Fraction and for any ring element
-        supporting + and * with Fraction scalars (e.g. field elements)."""
-        if not self.coeffs:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-        v = None
-        for c in reversed(self.coeffs):
-            v = c if v is None else v * x + c
-        return v
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.lc)
 
     # -- integer form ------------------------------------------------------
 

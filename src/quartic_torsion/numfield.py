@@ -12,7 +12,10 @@ matrix of multiplication by num, by fraction-free Gaussian elimination
 (Bareiss, Math. Comp. 22, 1968); by Cramer's rule det(M) * x is integral, so
 the inverse is den * (det(M) * x) / det(M) with no fraction on the way.
 `FieldElement.coeffs` gives the coordinates as Fractions for reports, sorting
-and the tests.
+and the tests.  A polynomial over K is a `KPoly`: its ring operations, division
+with remainder, derivative and evaluation are those of `exactmath.DensePoly`,
+the dense base it shares with `RatPoly`, and only `gcd` and `squarefree` are
+its own.
 
 Set-up decides the rest from the rational roots of f and of its resolvent
 cubic, searched in QQ, never in K: whether f is irreducible, and a quartic
@@ -106,6 +109,7 @@ from sympy import factorint
 from . import _intpoly as zp
 from .errors import DataFormatError, DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
+    DensePoly,
     RatPoly,
     factor_bounded,
     is_rational_square,
@@ -442,8 +446,9 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
-class KPoly:
-    """Dense polynomial over a NumberField, constant term first."""
+class KPoly(DensePoly):
+    """Dense polynomial over a NumberField, constant term first; the
+    arithmetic is `DensePoly`'s."""
 
     __slots__ = ("field", "coeffs")
 
@@ -454,18 +459,8 @@ class KPoly:
         self.field = field
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+    def _new(self, coeffs) -> "KPoly":
+        return KPoly(self.field, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, KPoly) and self.field == other.field
@@ -476,73 +471,6 @@ class KPoly:
 
     def __repr__(self):
         return f"KPoly(deg={self.degree}, field={self.field.defining_poly.to_str()})"
-
-    def __add__(self, other: "KPoly") -> "KPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return KPoly(self.field, out)
-
-    def __sub__(self, other: "KPoly") -> "KPoly":
-        return self + -other
-
-    def __neg__(self) -> "KPoly":
-        return KPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "KPoly":
-        if not isinstance(other, KPoly):
-            return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return KPoly(self.field, [])
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
-        return KPoly(self.field, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "KPoly":
-        c = self.field.element(c) if not isinstance(c, FieldElement) else c
-        return KPoly(self.field, [c * x for x in self.coeffs])
-
-    def divmod(self, other: "KPoly") -> tuple["KPoly", "KPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError
-        if len(self.coeffs) < len(other.coeffs):
-            return KPoly(self.field, []), self
-        rem = list(self.coeffs)
-        b = other.coeffs
-        inv = b[-1].inverse()
-        zero = self.field.zero()
-        q = [zero] * (len(rem) - len(b) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            t = rem[k + len(b) - 1] * inv
-            q[k] = t
-            if not t.is_zero():
-                for j, y in enumerate(b):
-                    rem[k + j] = rem[k + j] - t * y
-        return KPoly(self.field, q), KPoly(self.field, rem[: len(b) - 1])
-
-    def monic(self) -> "KPoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.lc.inverse())
-
-    def derivative(self) -> "KPoly":
-        return KPoly(self.field, [i * self.coeffs[i] for i in range(1, len(self.coeffs))])
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        v = self.field.zero()
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
 
     def gcd(self, other: "KPoly") -> "KPoly":
         a, b = self, other
@@ -872,15 +800,14 @@ def rational_roots(h: RatPoly) -> set[Fraction]:
 def sqrt_in_field(beta, K: NumberField):
     """Some gamma in K with gamma^2 = beta, or None; deterministic choice
     (first nonzero power-basis coordinate positive).  gamma is a root of
-    y^2 - beta in K, from `roots_in_field` for every K, QQ included."""
+    y^2 - beta in K, from `roots_in_field` for every K, QQ included; the
+    roots are +-gamma, which have the same canonical sign."""
     beta = K.element(beta)
     if beta.is_zero():
         return K.zero()
     h = KPoly(K, [-beta, K.zero(), K.one()])
     roots = roots_in_field(h, K)
-    if not roots:
-        return None
-    return sorted((r.canonical_sign() for r in roots), key=lambda r: r.sort_key())[0]
+    return next(iter(roots)).canonical_sign() if roots else None
 
 
 # ---------------------------------------------------------------------------

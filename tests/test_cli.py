@@ -23,6 +23,10 @@ from quartic_torsion.numfield import parse_field_spec
 SRC = str(Path(quartic_torsion.__file__).resolve().parent.parent)
 
 
+# int() reads each side of each of these, but the spec grammar -?[0-9]+(/[0-9]+)? does not
+LAX_INTS = ("+3", "1_0", "3/ 4", "-1/-2", "\u0663")
+
+
 @pytest.mark.parametrize("parse, spec", [
     (parse_field_spec, "0"),
     (parse_field_spec, "x"),
@@ -36,7 +40,8 @@ SRC = str(Path(quartic_torsion.__file__).resolve().parent.parent)
     (Curve.from_str, "a,0,0,0,0"),
     (Curve.from_str, "1/0,0,0,0,0"),
     (Curve.from_str, "1/,0,0,0,0"),
-], ids=lambda v: v if isinstance(v, str) else v.__qualname__)
+] + [(parse_field_spec, s) for s in LAX_INTS] + [(Curve.from_str, f"0,0,0,{s},0") for s in LAX_INTS],
+    ids=lambda v: v if isinstance(v, str) else v.__qualname__)
 def test_malformed_spec_raises_engine_error(parse, spec):
     with pytest.raises(EngineError):
         parse(spec)

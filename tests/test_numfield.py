@@ -349,6 +349,48 @@ def _planted(K, roots, cofactor):
     return h
 
 
+@pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5"))
+def test_dense_poly_arithmetic_over_qq_and_k(spec):
+    """`exactmath.DensePoly` holds the arithmetic of RatPoly and KPoly alike:
+    on rational input KPoly matches RatPoly coefficient by coefficient, and
+    over K division recomposes."""
+    K = parse_field_spec(spec)
+    rng = random.Random(27)
+
+    def rand():
+        return RatPoly([Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 7)))
+                        for _ in range(rng.randrange(0, 7))])
+
+    def lift(p):
+        return KPoly(K, p.coeffs)
+
+    for _ in range(40):
+        a, b = rand(), rand()
+        A, B = lift(a), lift(b)
+        c = Fraction(rng.randrange(-9, 10), rng.choice((1, 4, 5)))
+        x = Fraction(rng.randrange(-9, 10), rng.choice((1, 3)))
+        t = _random_element(K, rng, (1, 2))
+        assert (A.degree, A.is_zero()) == (a.degree, a.is_zero())
+        assert A + B == lift(a + b) and A - B == lift(a - b) and -A == lift(-a)
+        assert A * B == lift(a * b) and A.scale(c) == lift(a.scale(c))
+        assert A.derivative() == lift(a.derivative()) and A.monic() == lift(a.monic())
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                A.divmod(B)
+        else:
+            assert A.divmod(B) == tuple(lift(p) for p in a.divmod(b))
+        assert A(x) == a(x) and A(t) == a(t)
+
+        g, h = (KPoly(K, [_random_element(K, rng, (1, 3)) for _ in range(rng.randrange(1, 7))])
+                for _ in range(2))
+        if not h.is_zero():
+            q, r = g.divmod(h)
+            assert g == q * h + r and (r.is_zero() or r.degree < h.degree)
+            assert h.monic().lc == 1
+    assert RatPoly([])(3) == 0 and type(RatPoly([])(3)) is Fraction
+    assert KPoly(K, [])(K.gen()) == K.zero() and type(KPoly(K, [])(K.gen())) is type(K.zero())
+
+
 class TestHenselRoots:
     """The lift at a split prime against the norm method as oracle."""
 
