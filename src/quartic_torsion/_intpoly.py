@@ -18,13 +18,14 @@ is prime: they are exact modulo any m > 1 at which the one leading
 coefficient they invert is a unit, so `lift_factor` calls them modulo
 p^(2^k), where lc(h) is prime to p and every divisor is monic.
 
-Factor search is capped by degree: the engine only ever needs irreducible
-factors whose roots can lie in a field of degree <= 4, so only the modular
-factors of degree <= dmax are split and lifted, each on its own, and
-recombination enumerates their subsets of total degree <= dmax instead of
-the full exponential Zassenhaus search.  The product of the factors of higher
-degree is only ever a quotient: it is never multiplied or lifted.  The
-primes start just above PRIME_FLOOR = 60.
+Factor search runs at one prime, the first above PRIME_FLOOR = 60 that keeps
+h squarefree with a unit leading coefficient, and is capped by degree: the
+engine only ever needs irreducible factors whose roots can lie in a field of
+degree <= 4, so only the modular factors of degree <= dmax are split and
+lifted, each on its own, and recombination runs once over their subsets of
+total degree <= dmax, at most O(k^4) of k lifts, instead of the full
+exponential Zassenhaus search.  The product of the factors of higher degree
+is only ever a quotient: it is never multiplied or lifted.
 """
 
 from __future__ import annotations
@@ -401,94 +402,63 @@ def _prime_stream(start: int):
         yield p
 
 
-def pick_factor_prime(h: list[int]) -> list[int]:
-    """The first 3 primes > PRIME_FLOOR keeping h squarefree with unit lc.
-    h must be squarefree over QQ: only then do all but finitely many primes
-    keep it so."""
-    out = []
-    for p in _prime_stream(PRIME_FLOOR):
-        if h[-1] % p == 0:
-            continue
-        hp = gf_monic(gf_from_zz(h, p), p)
-        if len(hp) == len(h) and gf_is_squarefree(hp, p):
-            out.append(p)
-            if len(out) == 3:
-                return out
-
-
 def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:
     """The distinct irreducible factors of degree <= dmax of a nonzero integer
     polynomial, each primitive with positive leading coefficient.  Factors of
     higher degree are neither split nor returned.  h is factored through the
     primitive part of h / gcd(h, h'), which is squarefree and has the same
-    irreducible factors, as `pick_factor_prime` needs.  Each irreducible
-    factor mod p of degree <= dmax is lifted alone by `lift_factor`, past
-    twice a Mignotte bound on the coefficients of a factor of degree <= dmax,
-    and subsets of the lifts are tried as factors.
-    """
+    irreducible factors, mod the first prime p above PRIME_FLOOR that keeps it
+    squarefree with a unit leading coefficient.  Each irreducible factor mod p
+    of degree <= dmax is lifted alone by `lift_factor`, past twice a Mignotte
+    bound on the coefficients of any factor of h of degree <= dmax, and subsets
+    of the lifts are tried as factors by increasing size.  After a factor is
+    removed the search stays at its size: the bound holds for every factor of
+    h, so a factor is found at the first subset of its lifts that is tried,
+    and every smaller subset of the lifts left has failed already."""
     if len(h) <= 1:
         return []
     h = zz_primitive(zz_divide_exact(h, zz_gcd(h, [i * c for i, c in enumerate(h)][1:])))[1]
     n = len(h) - 1
-    if n == 1:
-        return [h] if dmax >= 1 else []
-
-    # Choose among a few good primes the one with the fewest small-degree
-    # modular factors: recombination enumerates subsets of those.
-    best = None
-    for p in pick_factor_prime(h):
-        hp = gf_monic(gf_from_zz(h, p), p)
-        blocks = gf_ddf_bounded(hp, p, min(dmax, n))
-        nsmall = sum((len(g) - 1) // d for d, g in blocks)
-        if best is None or nsmall < best[0]:
-            best = (nsmall, p, blocks)
-        if nsmall == 0:
-            break
-    nsmall, p, blocks = best
-    if nsmall == 0:
-        return []
+    for p in _prime_stream(PRIME_FLOOR):
+        if h[-1] % p:
+            hp = gf_monic(gf_from_zz(h, p), p)
+            if gf_is_squarefree(hp, p):
+                break
 
     bound = comb(min(dmax, n), min(dmax, n) // 2) * zz_l2_norm_ceil(h) + abs(h[-1])
     lifted = []
-    for d, g in blocks:
+    for d, g in gf_ddf_bounded(hp, p, min(dmax, n)):
         for f in gf_edf(g, d, p):
             G, modulus = lift_factor(h, f, p, 2 * bound + 1)
             lifted.append(G)
     lifted.sort(key=lambda G: (len(G), G))
 
     factors: list[list[int]] = []
-    cur = list(h)
-    alive = list(range(len(lifted)))
-
-    def try_subsets() -> bool:
-        nonlocal cur, alive
-        lc_cur = cur[-1]
-        # every modular factor has degree >= 1, so no larger subset fits in dmax
-        for size in range(1, min(len(alive), dmax) + 1):
-            for combo in combinations(alive, size):
-                degsum = sum(len(lifted[i]) - 1 for i in combo)
-                if degsum > dmax or degsum >= len(cur) - 1:
-                    continue
-                cand = [lc_cur]
-                for i in combo:
-                    cand = gf_mul(cand, lifted[i], modulus)
-                cand = sym_mod(cand, modulus)
-                if not cand or len(cand) - 1 != degsum:
-                    continue
-                if cur[0] != 0 and cand[0] != 0 and (lc_cur * cur[0]) % cand[0] != 0:
-                    continue
-                _, cand_pp = zz_primitive(cand)
-                q = zz_divide_exact(cur, cand_pp)
-                if q is not None:
-                    factors.append(cand_pp)
-                    cur = zz_primitive(q)[1]
-                    alive = [i for i in alive if i not in combo]
-                    return True
-        return False
-
-    while alive and len(cur) - 1 > 0:
-        if not try_subsets():
-            break
+    cur = h
+    size = 1
+    # every modular factor has degree >= 1, so no larger subset fits in dmax
+    while size <= min(len(lifted), dmax):
+        for combo in combinations(lifted, size):
+            degsum = sum(len(G) - 1 for G in combo)
+            if degsum > dmax or degsum >= len(cur) - 1:
+                continue
+            cand = [cur[-1]]
+            for G in combo:
+                cand = gf_mul(cand, G, modulus)
+            cand = sym_mod(cand, modulus)
+            # the constant term of a factor divides lc(cur) cur(0): a cheap
+            # test that spares most trial divisions at a prime where h splits
+            if cur[0] and cand[0] and cur[-1] * cur[0] % cand[0]:
+                continue
+            cand = zz_primitive(cand)[1]
+            q = zz_divide_exact(cur, cand)
+            if q is not None:
+                factors.append(cand)
+                cur = q  # primitive by Gauss's lemma, as cur and cand are
+                lifted = [G for G in lifted if G not in combo]
+                break
+        else:
+            size += 1
     if 1 <= len(cur) - 1 <= dmax:
         # every proper factor of degree <= dmax has been removed, so the
         # remaining cofactor of small degree is itself irreducible

@@ -113,7 +113,7 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
     """Preimages under [m] of a +-symmetric set of affine points."""
     out: set[Point] = set()
     done: set[Point] = set()
-    for P in sorted(frontier, key=Point.sort_key):
+    for P in frontier:
         if P in done:
             continue
         done.add(P)

@@ -6,14 +6,16 @@ The families of Fujita and of Jeon, Kim and Lee realize (2, 16), (4, 8) and
 exact order N over QQ, so E(K)_tors has a point of order N over every K.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import point_order
 from quartic_torsion.ellcurve import Curve, Point
+from quartic_torsion.errors import SingularCurveError
 from quartic_torsion.exactmath import squarefree_part_rational
-from quartic_torsion.numfield import biquadratic_field, parse_field_spec, rational_roots
+from quartic_torsion.numfield import biquadratic_field, parse_field_spec, quadratic_field, rational_roots
 from quartic_torsion.torsion import torsion_over_field
 
 
@@ -112,3 +114,24 @@ def test_tate_normal_form_lower_bound(N, t, field):
     E, K = Curve([1 - c, -b, -b, 0, 0]), parse_field_spec(field)
     assert point_order(Point(E, K, (0, 0)), N) == N
     assert torsion_over_field(E, K).structure[1] % N == 0
+
+
+@pytest.mark.parametrize("N", (10, 12))
+def test_tate_normal_form_grows_full_two_torsion(N):
+    # E(QQ) = Z/N, N = 10 or 12, has one rational 2-torsion point, and the
+    # other two roots of the 2-division cubic generate QQ(sqrt(Delta)), so
+    # there E(K)_tors = Z/2 x Z/N, the only row of GROWTH_QUADRATIC[(1, N)]
+    # with full 2-torsion; seeded parameters, singular ones skipped
+    rng = random.Random(f"growth:{N}")
+    cases = 0
+    while cases < 6:
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        try:
+            b, c = KUBERT[N](t)
+            E = Curve([1 - c, -b, -b, 0, 0])
+        except (ZeroDivisionError, SingularCurveError):
+            continue
+        if squarefree_part_rational(E.disc) == 1:
+            continue
+        assert torsion_over_field(E, quadratic_field(E.disc)).structure == (2, N), t
+        cases += 1

@@ -119,3 +119,11 @@ def test_non_galois_field_exits_2():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "non-Galois" in out.stderr
+
+
+@pytest.mark.parametrize("argv", ([], ["0,0,0,-1,0"], ["0,0,0,-1,0", "-1", "-1"]), ids=len)
+def test_wrong_argument_count_prints_usage(argv, capsys):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == cli.USAGE + "\n"

@@ -277,6 +277,23 @@ def test_z13_factorization_multiplies_only_small_polynomials(monkeypatch):
     assert degrees and max(degrees) <= 4
 
 
+@pytest.mark.parametrize("ell", (5, 7, 13))
+def test_factorizer_splits_at_one_prime(ell, monkeypatch):
+    # psi_ell of the Z/13 witness is split by degree once, at the first good
+    # prime, not at several primes to pick the one with the fewest small factors
+    h = Curve.from_str("0,0,0,-2227,59534").division_polynomial(ell).to_int_poly()[1]
+    primes = []
+    ddf = zp.gf_ddf_bounded
+
+    def counting(f, p, dmax):
+        primes.append(p)
+        return ddf(f, p, dmax)
+
+    monkeypatch.setattr(zp, "gf_ddf_bounded", counting)
+    zp.zz_factor_bounded(h, 4)
+    assert len(primes) == 1, primes
+
+
 # every odd prime below 300, and three with deep 2-power parts of p - 1:
 # 1009 - 1 = 2^4 * 63, 7681 - 1 = 2^9 * 15, 65537 - 1 = 2^16
 SQRT_PRIMES = tuple(p for p in range(3, 300, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2))) + (
