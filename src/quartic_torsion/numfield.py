@@ -146,8 +146,7 @@ class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
     __slots__ = ("defining_poly", "degree", "disc", "galois_type", "_f_int", "_quadratics",
-                 "_sqrt_cache", "_split_primes", "_split_stream", "_split_lifts",
-                 "_residue_degrees")
+                 "_split_primes", "_split_stream", "_split_lifts", "_residue_degrees")
 
     def __init__(self, poly: RatPoly):
         """f = poly made monic integral.  f of degree 2 or 4 is reducible iff
@@ -170,7 +169,6 @@ class NumberField:
         else:
             self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
             self._quadratics = None
-        self._sqrt_cache: dict[int, "FieldElement"] = {}
         self._split_primes: list[tuple[int, tuple[int, ...]]] = []
         self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
         # p -> (p^N, rho, weights) at the highest p^N lifted so far; filled by
@@ -221,12 +219,6 @@ class NumberField:
         if self._quadratics is None:
             raise UnsupportedFieldError("quadratic subfields computed for quartic fields only")
         return self._quadratics
-
-    def sqrt_of_int(self, m: int) -> "FieldElement | None":
-        """A canonical square root of the integer m inside the field, if any."""
-        if m not in self._sqrt_cache:
-            self._sqrt_cache[m] = sqrt_in_field(self.element(m), self)
-        return self._sqrt_cache[m]
 
     def iter_split_primes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(p, (r_1, ..., r_d)) for every prime p > SPLIT_PRIME_FLOOR at which
@@ -934,24 +926,36 @@ def parse_field_spec(spec: str) -> NumberField:
 # ---------------------------------------------------------------------------
 
 
-def smallest_subfield(elements, subfields: dict[int, FieldElement]) -> int:
+def smallest_subfield(elements, K: NumberField) -> int:
     """The smallest subfield of K holding every element: 1 for QQ, m for
-    QQ(sqrt m), given as subfields[m] = sqrt m in K, and 0 for K itself.  The
-    quadratic subfields of K meet in QQ, so the answer is unique."""
-    if all(e.is_rational() for e in elements):
-        return 1
-    for m, w in subfields.items():
-        if all(_in_quadratic_span(e, w) for e in elements):
-            return m
-    return 0
+    QQ(sqrt m) with m in `K.quadratic_subfields()`, and 0 for K itself.
 
-
-def _in_quadratic_span(e: FieldElement, w: FieldElement) -> bool:
-    """Is e in QQ + QQ*w?  Only the theta-coordinates constrain this (the
-    rational coordinate is absorbed by the QQ*1 part): they must be
-    proportional to those of w, which the denominators do not change."""
-    es, ws = e.num[1:], w.num[1:]
-    k = next((i for i, c in enumerate(ws) if c), None)
-    if k is None:
-        return not any(es)
-    return all(ei * ws[k] == es[k] * wi for ei, wi in zip(es, ws))
+    Each element e is placed by its own square, with no square root taken.  An
+    irrational e lies in a quadratic subfield iff e^2 = a + b*e with a, b
+    rational: the theta-coordinates of e^2 are then b times those of e, which
+    are not all 0, and the rational ones give a.  As e = (b +- sqrt delta)/2,
+    delta = b^2 + 4a, QQ(e) = QQ(sqrt delta), which is QQ(sqrt m) for the one
+    squarefree m with delta/m a rational square.  In a K of degree <= 2 an
+    irrational e generates K, and so do two elements of different quadratic
+    subfields.  An e in a quadratic subfield that set-up did not list raises
+    InvariantViolationError."""
+    homes = set()
+    for e in elements:
+        if e.is_rational():
+            continue
+        if K.degree <= 2:
+            return 0
+        c, s = e.coeffs, (e * e).coeffs
+        k = next(i for i in range(1, K.degree) if c[i])
+        b = s[k] / c[k]
+        if any(s[i] != b * c[i] for i in range(1, K.degree)):
+            return 0
+        delta = b * b + 4 * (s[0] - b * c[0])
+        m = next((m for m in K.quadratic_subfields() if is_rational_square(delta / m)), None)
+        if m is None:
+            raise InvariantViolationError(f"{e!r} lies in QQ(sqrt {squarefree_part_rational(delta)}), "
+                                          f"which is not a listed quadratic subfield of {K!r}")
+        homes.add(m)
+    if len(homes) > 1:
+        return 0
+    return homes.pop() if homes else 1

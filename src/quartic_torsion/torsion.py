@@ -24,8 +24,12 @@ Each point's order is the lift level at which it appeared (p^k for a point of
 the p-primary part) times the coprime orders of the other primes' summands.
 Each affine point is mapped once to the smallest subfield of K holding its
 coordinates (`smallest_subfield`); the definition degrees, the order-7 check
-and the growth chain all read that map.  For a subfield F of K,
-E(F)_tors = E(K)_tors meet E(F): the points whose smallest subfield lies in F.
+and the growth chain all read that map.  A coordinate e is placed by its own
+square: an irrational e lies in a quadratic subfield iff e^2 = a + b*e with a,
+b rational, and then in QQ(sqrt(b^2 + 4a)).  So no square root of a quadratic
+subfield is taken, and the only square roots in K are those for y above.  For
+a subfield F of K, E(F)_tors = E(K)_tors meet E(F): the points whose smallest
+subfield lies in F.
 
 The classification tables do not steer the search; they only validate its
 result.  Every run checks what the curve, the field and the points decide:
@@ -53,7 +57,6 @@ from .errors import InconsistentCountsError, InvariantViolationError, Unsupporte
 from .exactmath import RatPoly, rat_to_str
 from .ellcurve import Curve, Point, curve_points_y, m_preimages
 from .numfield import (
-    FieldElement,
     GaloisType,
     NumberField,
     rational_roots,
@@ -287,13 +290,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         raise InvariantViolationError(
             f"order {order} of Z/{d1}+Z/{d2} does not divide the reduction bound {bound}")
     generators = _choose_generators(points, d1, d2)
-    subfields: dict[int, FieldElement] = {}
-    if K.degree == 4:
-        for m in sorted(K.quadratic_subfields()):
-            w = subfields[m] = K.sqrt_of_int(m)
-            if w is None:
-                _fail("growth_chain", f"QQ(sqrt {m}) is a subfield of {K!r} without sqrt {m}")
-    homes = {P: smallest_subfield(P.xy, subfields) for P in points if not P.is_infinity()}
+    homes = {P: smallest_subfield(P.xy, K) for P in points if not P.is_infinity()}
     defdeg: dict[int, int] = {}
     for P, h in homes.items():
         n = points[P]
@@ -312,10 +309,6 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     )
 
 
-def _fail(name: str, msg: str):
-    raise InvariantViolationError(f"{name}: {msg}")
-
-
 def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]],
                      st: tuple[int, int], points: dict[Point, int],
                      homes: dict[Point, int]) -> list[tuple[str, bool]]:
@@ -328,7 +321,8 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
     def record(name, ok, msg=""):
         checks.append((name, ok))
         if not ok:
-            _fail(name, msg or f"{E!r} over {K!r}: structure Z/{d1}+Z/{d2}")
+            msg = msg or f"{E!r} over {K!r}: structure Z/{d1}+Z/{d2}"
+            raise InvariantViolationError(f"{name}: {msg}")
 
     # full 5-torsion needs zeta5 in K (Weil pairing)
     if d1 % 5 == 0:

@@ -28,6 +28,12 @@ a route the engine does not take:
 - `_residue_degree`: the residue degree at p from the Frobenius powers
   x^(p^k) mod (f, p), against `NumberField.residue_degree`, which reads it
   off Legendre symbols of the quadratic subfields.
+- `span_subfield`: the smallest subfield of K holding some elements, from
+  sqrt m in K for each quadratic subfield QQ(sqrt m) and a span test, against
+  `numfield.smallest_subfield`, which reads it off each element's square.
+- `charpoly`: the characteristic polynomial of an element of K by
+  Faddeev-LeVerrier, which presents K by another defining polynomial for the
+  presentation-invariance tests of `torsion.torsion_over_field`.
 """
 
 from fractions import Fraction
@@ -240,3 +246,44 @@ def _residue_degree(f, p: int) -> int:
             composed = zp.gf_sub(mulmod(composed, xq), [-c % p], p)
         xq, k = composed, k + 1
     return k
+
+
+def span_subfield(elements, K: NumberField) -> int:
+    """The smallest subfield of K holding every element: 1 for QQ, m for
+    QQ(sqrt m) and 0 for K itself.  For each quadratic subfield, sqrt m is
+    lifted in K, and e lies in QQ + QQ*sqrt m iff its theta-coordinates are
+    proportional to those of sqrt m."""
+    if all(e.is_rational() for e in elements):
+        return 1
+    for m in sorted(K.quadratic_subfields()) if K.degree == 4 else ():
+        w = sqrt_in_field(K.element(m), K)
+        if w is None:
+            raise ValueError(f"QQ(sqrt {m}) is listed for {K!r}, which has no sqrt {m}")
+        if all(_in_span(e, w) for e in elements):
+            return m
+    return 0
+
+
+def _in_span(e, w) -> bool:
+    """Is e in QQ + QQ*w, w irrational?  The rational coordinate is free, so
+    the theta-coordinates of e must be proportional to those of w."""
+    es, ws = e.num[1:], w.num[1:]
+    k = next(i for i, c in enumerate(ws) if c)
+    return all(ei * ws[k] == es[k] * wi for ei, wi in zip(es, ws))
+
+
+def charpoly(alpha) -> RatPoly:
+    """det(x - M), M the matrix of multiplication by alpha in the power basis
+    of its field, by Faddeev-LeVerrier: with N_0 = 0 and c_n = 1,
+    N_k = M N_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M N_k) / k."""
+    K = alpha.field
+    n = K.degree
+    theta = K.gen()
+    M = list(zip(*((alpha * theta**j).coeffs for j in range(n))))
+    c = [Fraction(0)] * n + [Fraction(1)]
+    N = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        N = [[sum(M[i][t] * N[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(M[i][t] * N[t][i] for i in range(n) for t in range(n)) / k
+    return RatPoly(c)

@@ -14,7 +14,7 @@ from quartic_torsion import _intpoly as zp
 from quartic_torsion import exactmath, numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.ellcurve import Curve
-from quartic_torsion.errors import DegenerateTowerError, UnsupportedFieldError
+from quartic_torsion.errors import DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from quartic_torsion.exactmath import (
     RatPoly,
     factor_bounded,
@@ -1052,17 +1052,33 @@ class TestTowerField:
             checked += 1
 
 
+def _workload_fields(benchmark_cases, seeds):
+    """The distinct fields of the cases of every workload at the seeds."""
+    return {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
+            for seed in seeds for _, f in benchmark_cases(w, seed)}
+
+
 class TestQuadraticSubfields:
     def test_cyclotomic(self):
         assert ZETA5.quadratic_subfields() == {5}
         # cross-check: sqrt(5) really lies in the field
-        assert ZETA5.sqrt_of_int(5) is not None
+        assert sqrt_in_field(ZETA5.element(5), ZETA5) is not None
 
     def test_x4_plus_1(self):
         K = NumberField(RatPoly([1, 0, 0, 0, 1]))
         assert K.quadratic_subfields() == {-1, 2, -2}
         for m in (-1, 2, -2):
-            assert K.sqrt_of_int(m) is not None
+            assert sqrt_in_field(K.element(m), K) is not None
+
+    def test_every_workload_field_holds_its_square_roots(self, benchmark_cases):
+        # the engine places points by their squares and takes no sqrt m, so
+        # nothing on its path checks that K holds sqrt m for each listed
+        # QQ(sqrt m): check it on the quartic fields of seeds 0-5
+        quartics = [K for K in _workload_fields(benchmark_cases, range(6)) if K.degree == 4]
+        for K in quartics:
+            for m in K.quadratic_subfields():
+                assert sqrt_in_field(K.element(m), K) is not None, (K, m)
+        assert len(quartics) > 80
 
     def test_table_field(self):
         assert F_10_5.quadratic_subfields() == {5}
@@ -1116,8 +1132,7 @@ class TestResidueDegree:
         # every field of the seed-0 cases, at every prime from 5 to 199: the
         # lcm of the degrees of the factors of f mod p, or None when f is not
         # squarefree mod p
-        fields = {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
-                  for _, f in benchmark_cases(w, 0)}
+        fields = _workload_fields(benchmark_cases, range(1))
         primes = [p for p in range(5, 200) if all(p % q for q in range(2, isqrt(p) + 1))]
         nones = 0
         for K in fields:
@@ -1135,8 +1150,7 @@ class TestResidueDegree:
         # every field of every workload at seeds 0-5, at every prime from 5 to
         # 2000 that does not divide disc f: the Legendre-symbol rule against
         # the least k with x^(p^k) = x mod (f, p)
-        fields = {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
-                  for seed in range(6) for _, f in benchmark_cases(w, seed)}
+        fields = _workload_fields(benchmark_cases, range(6))
         primes = [p for p in range(5, 2000) if all(p % q for q in range(2, isqrt(p) + 1))]
         seen = set()
         for K in fields:
@@ -1300,21 +1314,42 @@ class TestPresentationInvariance:
 
 
 BIQ_2_3 = biquadratic_field(2, 3)
-SQRTS_2_3 = {m: BIQ_2_3.sqrt_of_int(m) for m in sorted(BIQ_2_3.quadratic_subfields())}
+SQRTS_2_3 = {m: sqrt_in_field(BIQ_2_3.element(m), BIQ_2_3) for m in sorted(BIQ_2_3.quadratic_subfields())}
 
 
 class TestSmallestSubfield:
     def test_rational_element(self):
         K = BIQ_2_3
-        assert smallest_subfield([K.element(7), K.element(Fraction(-2, 5))], SQRTS_2_3) == 1
+        assert smallest_subfield([K.element(7), K.element(Fraction(-2, 5))], K) == 1
 
     def test_theta(self):
-        assert smallest_subfield([BIQ_2_3.gen()], SQRTS_2_3) == 0
+        assert smallest_subfield([BIQ_2_3.gen()], BIQ_2_3) == 0
 
     @pytest.mark.parametrize("m", [2, 3, 6])
     def test_each_quadratic_subfield(self, m):
         assert sorted(SQRTS_2_3) == [2, 3, 6]
         e = SQRTS_2_3[m] * Fraction(2, 3) + 4
-        assert smallest_subfield([e], SQRTS_2_3) == m
-        assert smallest_subfield([BIQ_2_3.element(5), e], SQRTS_2_3) == m
-        assert smallest_subfield([e, BIQ_2_3.gen()], SQRTS_2_3) == 0
+        assert smallest_subfield([e], BIQ_2_3) == m
+        assert smallest_subfield([BIQ_2_3.element(5), e], BIQ_2_3) == m
+        assert smallest_subfield([e, BIQ_2_3.gen()], BIQ_2_3) == 0
+
+    def test_two_quadratic_subfields_give_the_field(self):
+        # QQ(sqrt 2) and QQ(sqrt 3) together generate K
+        assert smallest_subfield([SQRTS_2_3[2], SQRTS_2_3[3] + 1], BIQ_2_3) == 0
+
+    def test_quadratic_field(self):
+        # every irrational element generates a quadratic K
+        assert smallest_subfield([SQRT5.element(3), SQRT5.gen() * 2 + 1], SQRT5) == 0
+        assert smallest_subfield([SQRT5.element(Fraction(1, 3))], SQRT5) == 1
+
+    def test_cyclic_quartic(self):
+        # (1 + sqrt 5)/2 = -(zeta + zeta^4) in QQ(zeta5)
+        z = ZETA5.gen()
+        assert smallest_subfield([z + z**4, ZETA5.element(2)], ZETA5) == 5
+        assert smallest_subfield([z + z**2], ZETA5) == 0
+
+    def test_unlisted_quadratic_subfield_raises(self, monkeypatch):
+        monkeypatch.setattr(NumberField, "quadratic_subfields", lambda K: frozenset({2, 3}))
+        with pytest.raises(InvariantViolationError, match="QQ\\(sqrt 6\\)"):
+            smallest_subfield([SQRTS_2_3[6]], BIQ_2_3)
+        assert smallest_subfield([SQRTS_2_3[3]], BIQ_2_3) == 3

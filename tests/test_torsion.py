@@ -19,10 +19,12 @@ from sympy import primefactors
 
 from oracles import (
     change_model,
+    charpoly,
     count_torsion_in_field,
     point_order,
     quadratic_twist,
     short_model,
+    span_subfield,
     sqrt_reference_preimages,
 )
 from quartic_torsion import grouptables as gt
@@ -151,6 +153,19 @@ class TestWitnesses:
             report.structure, report.per_prime, report.point_definition_degrees)
         assert [name for name, _ in other.checks] == [name for name, _ in report.checks]
 
+    def test_placement_matches_span_oracle(self, witness):
+        report, _ = witness
+        _assert_placement_matches_span_oracle(report)
+
+
+def _assert_placement_matches_span_oracle(report):
+    # each affine point's smallest subfield, from the coordinates' squares,
+    # against sqrt m in K for each quadratic subfield and a span test
+    K = report.field_
+    for P in report.points:
+        if not P.is_infinity():
+            assert smallest_subfield(P.xy, K) == span_subfield(P.xy, K), P
+
 
 def test_thirteen_torsion_count():
     # |E(K)[13]| of the Z/13 witness from psi_13 and square roots in K
@@ -177,10 +192,9 @@ class TestSubfieldTorsion:
     def test_matches_recomputation_over_each_subfield(self, witness):
         report, _ = witness
         E, K = report.curve, report.field_
-        subfields = {m: K.sqrt_of_int(m) for m in sorted(K.quadratic_subfields())}
-        homes = {P: smallest_subfield(P.xy, subfields) for P in report.points if not P.is_infinity()}
+        homes = {P: smallest_subfield(P.xy, K) for P in report.points if not P.is_infinity()}
         assert subfield_torsion(report.points, homes, 1) == torsion_over_field(E, rational_field()).structure
-        for m in subfields:
+        for m in sorted(K.quadratic_subfields()):
             derived = subfield_torsion(report.points, homes, m)
             assert derived == torsion_over_field(E, quadratic_field(m)).structure
 
@@ -318,6 +332,27 @@ class TestPresentationInvariance:
         assert report.structure == (5, 5)
         assert report.point_definition_degrees == {5: 1}
 
+    def test_characteristic_polynomial_of_a_primitive_element(self, witness):
+        # K presented by the characteristic polynomial of one seeded primitive
+        # element: points are placed in subfields by their power-basis
+        # coordinates, and the report does not change
+        report, _ = witness
+        E, K = report.curve, report.field_
+        rng = random.Random(f"{E}|{K}|presentation")
+        L = K
+        while L == K:
+            alpha = K.element([rng.randrange(-2, 3) for _ in range(K.degree)])
+            try:
+                L = NumberField(charpoly(alpha))
+            except UnsupportedFieldError:
+                pass  # alpha is not primitive
+        assert L.galois_type is K.galois_type and L.quadratic_subfields() == K.quadratic_subfields()
+        other = torsion_over_field(E, L)
+        assert (other.structure, other.per_prime, other.point_definition_degrees) == (
+            report.structure, report.per_prime, report.point_definition_degrees)
+        assert [name for name, _ in other.checks] == [name for name, _ in report.checks]
+        _assert_placement_matches_span_oracle(other)
+
 
 # The full report of each known_groups benchmark row, with its curve and field specs.
 # The benchmark's correctness gate compares only the structure; this also pins
@@ -353,38 +388,30 @@ def test_every_point_on_the_curve(row):
 
 
 @pytest.mark.parametrize("row", PINNED_REPORTS, ids=ROW_IDS)
-def test_each_point_placed_in_a_subfield_once(row, monkeypatch):
-    # one square root per listed quadratic subfield, and each affine point
-    # tested against each of them at most once per coordinate
-    sqrt_of_int, span = NumberField.sqrt_of_int, numfield._in_quadratic_span
-    calls = {"sqrt_of_int": 0, "span": 0}
-
-    def counted_sqrt(K, m):
-        calls["sqrt_of_int"] += 1
-        return sqrt_of_int(K, m)
-
-    def counted_span(e, w):
-        calls["span"] += 1
-        return span(e, w)
-
-    K = parse_field_spec(row["field"])
-    monkeypatch.setattr(NumberField, "sqrt_of_int", counted_sqrt)
-    monkeypatch.setattr(numfield, "_in_quadratic_span", counted_span)
-    monkeypatch.setattr(torsion, "_in_quadratic_span", counted_span, raising=False)
-    report = torsion_over_field(Curve.from_str(row["curve"]), K)
-    listed = len(K.quadratic_subfields())
-    assert calls["sqrt_of_int"] <= listed
-    assert calls["span"] <= 2 * listed * (len(report.points) - 1)
+def test_placement_matches_span_oracle_on_pinned_rows(row):
+    _assert_placement_matches_span_oracle(_pinned_report(row["curve"], row["field"]))
 
 
-@pytest.mark.parametrize("curve, field", [("0,0,1,-1,0", "5;5;2"), ("0,0,0,-1,0", "-1,2")])
-def test_quadratic_subfield_without_square_root_raises(curve, field, monkeypatch):
-    # every quartic case checks that K holds sqrt m for each listed QQ(sqrt m),
-    # also when E(K)_tors is trivial and no point needs a subfield
-    K = parse_field_spec(field)
-    monkeypatch.setattr(NumberField, "sqrt_of_int", lambda K, m: None)
-    with pytest.raises(InvariantViolationError, match="without sqrt"):
-        torsion_over_field(Curve.from_str(curve), K)
+@pytest.mark.parametrize("curve, field", [("0,0,1,-1,0", "5;5;2"), ("5,-1,-2,1,-3", "13;13;3")])
+def test_trivial_torsion_takes_no_square_root(curve, field, monkeypatch):
+    # points are placed in subfields by their squares, so a quartic case with
+    # no affine point takes no square root in K, not even of a subfield's m
+    calls = []
+    sqrt = numfield.sqrt_in_field
+    for module in (numfield, ellcurve):
+        monkeypatch.setattr(module, "sqrt_in_field", lambda *args: calls.append(args) or sqrt(*args))
+    report = torsion_over_field(Curve.from_str(curve), parse_field_spec(field))
+    assert report.structure == (1, 1) and report.field_.degree == 4
+    assert calls == []
+
+
+def test_point_in_an_unlisted_quadratic_subfield_raises(monkeypatch):
+    # (i, 1 - i) on y^2 = x^3 - x lies in QQ(i), which QQ(i, sqrt 2) has but
+    # the patched list lacks: the run stops instead of filing it under K
+    K = parse_field_spec("-1,2")
+    monkeypatch.setattr(NumberField, "quadratic_subfields", lambda K: frozenset({2, -2}))
+    with pytest.raises(InvariantViolationError, match="not a listed quadratic subfield"):
+        torsion_over_field(Curve.from_str("0,0,0,-1,0"), K)
 
 
 # One sha256 of json.dumps(to_json_dict(), sort_keys=True) per distinct
