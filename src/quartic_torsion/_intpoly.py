@@ -18,7 +18,7 @@ is prime: they are exact modulo any m > 1 at which the one leading
 coefficient they invert is a unit, so `lift_factor` calls them modulo
 p^(2^k), where lc(h) is prime to p and every divisor is monic.
 
-Factor search runs at one prime, the first above PRIME_FLOOR = 60 that keeps
+Factor search runs at one prime, the first above PRIME_FLOOR = 58 that keeps
 h squarefree with a unit leading coefficient, and is capped by degree: the
 engine only ever needs irreducible factors whose roots can lie in a field of
 degree <= 4, so only the modular factors of degree <= dmax are split and
@@ -26,6 +26,12 @@ lifted, each on its own, and recombination runs once over their subsets of
 total degree <= dmax, at most O(k^4) of k lifts, instead of the full
 exponential Zassenhaus search.  The product of the factors of higher degree
 is only ever a quotient: it is never multiplied or lifted.
+
+Integers are factored by trial division below FACTOR_LIMIT = T = 10^6
+(`factor_int`).  What is left, r, has no prime factor below T, so an r < T^3
+is 1, p, p*q or p^2, and isqrt tells p^2 apart: enough for squarefree parts,
+for the least c with den | c^k, and for B's primes, exact below T^2.  A
+larger r raises DataFormatError, so every integer below 10^18 is factored.
 """
 
 from __future__ import annotations
@@ -33,20 +39,49 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable
-from itertools import combinations
+from itertools import chain, combinations, count
 from math import comb, gcd, isqrt
 
-from sympy import nextprime
+from .errors import DataFormatError, InvariantViolationError
 
-from .errors import InvariantViolationError
+# The primes of the factorization, of the modular gcd and of numfield's root
+# lift are the primes above PRIME_FLOOR in increasing order, skipping any that
+# divide a leading coefficient or the discriminant.  x^p mod h takes about
+# log2 p squarings, so small primes are cheap.  psi_l splits into linear
+# factors mod p, and recombination tries many subsets, only if p = 1 mod l;
+# the first prime, 59, is 1 mod no l in 3, 4, 5, 7 and 13.
+PRIME_FLOOR = 58
+FACTOR_LIMIT = 10**6
+_SMALL_PRIMES = [n for n in range(2, isqrt(FACTOR_LIMIT)) if all(n % d for d in range(2, isqrt(n) + 1))]
 
-# The primes of the factorization and of the modular gcd are the primes above
-# PRIME_FLOOR in increasing order, skipping any that divide a leading
-# coefficient or the discriminant (seen as loss of squarefreeness mod p).
-# x^p mod h takes about log2 p squarings, so small primes are cheap, and from
-# 61 on few of them divide the discriminant of a polynomial the engine factors.
-PRIME_FLOOR = 60
+
+def _prime_stream(start: int):
+    """The primes above start, in increasing order (exact below FACTOR_LIMIT^2)."""
+    yield from _SMALL_PRIMES[bisect_right(_SMALL_PRIMES, start):]
+    yield from (n for n in count(max(start, _SMALL_PRIMES[-1]) + 1) if factor_int(n) == [(n, 1)])
+
+
+def factor_int(n: int) -> list[tuple[int, int]]:
+    """The pairs (q, e), q increasing, with n = prod q^e for an integer n >= 1.
+    A q below FACTOR_LIMIT^2 is prime, a larger one p or p*q with e = 1, and a
+    part left past FACTOR_LIMIT^3 raises DataFormatError (module docstring)."""
+    out = []
+    for d in chain(_SMALL_PRIMES, range(_SMALL_PRIMES[-1] + 2, FACTOR_LIMIT, 2)):
+        if d * d > n:
+            break
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+    if n >= FACTOR_LIMIT**3:
+        raise DataFormatError(f"too large to factor: {n}, with no prime factor below {FACTOR_LIMIT}")
+    if n > 1:
+        r = isqrt(n)
+        out.append((r, 2) if r * r == n else (n, 1))
+    return out
 
 
 def trim(a: list[int]) -> list[int]:
@@ -393,13 +428,6 @@ def lift_factor(h: list[int], g: list[int], p: int, target: int) -> tuple[list[i
 # ---------------------------------------------------------------------------
 # Bounded-degree Zassenhaus
 # ---------------------------------------------------------------------------
-
-
-def _prime_stream(start: int):
-    p = start
-    while True:
-        p = int(nextprime(p))
-        yield p
 
 
 def zz_factor_bounded(h: list[int], dmax: int) -> list[list[int]]:

@@ -5,8 +5,10 @@
 CURVE is "a1,a2,a3,a4,a6[,label]" (rationals as "p" or "p/q"); FIELD is a
 field spec as `numfield.parse_field_spec` reads it, e.g. "q", "-1", "5;5;2"
 or "-1,2".  Prints `TorsionReport.to_json_dict()` as one JSON line and exits
-0; a malformed spec or a field outside the engine's scope exits 2 with the
-reason on stderr.  Both arguments are positional and may start with "-".
+0; a malformed spec, a field outside the engine's scope, or a field spec with
+an integer past the limit of `_intpoly.factor_int` (a part of 10^18 or more
+left by trial division below 10^6) exits 2 with the reason on stderr.  Both
+arguments are positional and may start with "-".
 """
 
 from __future__ import annotations

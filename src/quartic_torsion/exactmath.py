@@ -23,9 +23,7 @@ threads or processes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-
-from sympy import factorint
+from math import isqrt, lcm, prod
 
 from . import _intpoly as zp
 from .errors import DataFormatError
@@ -57,15 +55,13 @@ def is_rational_square(q: Fraction) -> bool:
 
 
 def squarefree_part_rational(q: Fraction) -> int:
-    """Squarefree integer m with q = m * (rational square), sign kept."""
+    """Squarefree integer m with q = m * (rational square), sign kept, read off
+    `_intpoly.factor_int` of |num| and of den apart (DataFormatError past its
+    limit); an unsplit p*q has odd exponent, as p and q do."""
     if q == 0:
         raise ValueError("squarefree part of 0")
-    n = q.numerator * q.denominator
-    out = -1 if n < 0 else 1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    return (-1 if q < 0 else 1) * prod(p for n in (abs(q.numerator), q.denominator)
+                                       for p, e in zp.factor_int(n) if e % 2)
 
 
 class DensePoly:

@@ -22,7 +22,7 @@ cubic, searched in QQ, never in K: whether f is irreducible, and a quartic
 field's Galois type and quadratic subfields (`_galois_structure`).
 
 Root-finding works at completely split primes.  `NumberField.iter_split_primes`
-lists, on first use and never at construction, the primes p > 50 at which f
+lists, on first use and never at construction, the primes p > 58 at which f
 has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
 gives a ring map from the p-integral elements of K onto F_p, theta -> r.
 `NumberField.residue_degree` gives, also lazily, the residue degree at any
@@ -69,7 +69,7 @@ bound, and a candidate is kept only if it passes exact substitution.  The
 bound makes the search complete, so there is no other method to fall back on.
 
 QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
-own: f = x, every prime p > 50 splits with the root 0, R = B = F = Delta = 1,
+own: f = x, every prime p > 58 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
 `rational_roots` searches one such field, built at import, and `sqrt_in_field`
 lifts the roots of y^2 - beta over QQ as over any other field.  A RatPoly over QQ
@@ -104,8 +104,6 @@ from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 
-from sympy import factorint
-
 from . import _intpoly as zp
 from .errors import DataFormatError, DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
@@ -129,17 +127,14 @@ class GaloisType(enum.Enum):
 
 
 def _integral_scale(poly: RatPoly) -> int:
-    """Smallest c >= 1 such that poly(x/c) * c^deg is integral (poly monic)."""
+    """Smallest c >= 1 such that poly(x/c) * c^deg is integral (poly monic):
+    the lcm over the coefficients a_i of the least c_i with den(a_i) | c_i^k,
+    k = deg - i, the product of q^ceil(e/k) over `_intpoly.factor_int` of
+    den(a_i) (DataFormatError past its limit), which takes an unsplit p*q
+    (e = 1) as it would take p and q."""
     d = poly.degree
-    need: dict[int, int] = {}
-    for i, coeff in enumerate(poly.coeffs[:-1]):
-        den = coeff.denominator
-        if den == 1:
-            continue
-        k = d - i
-        for p, e in factorint(den).items():
-            need[p] = max(need.get(p, 0), -(-e // k))
-    return prod(p**e for p, e in need.items())
+    return lcm(*(prod(q ** -(-e // (d - i)) for q, e in zp.factor_int(a.denominator))
+                 for i, a in enumerate(poly.coeffs[:-1])))
 
 
 class NumberField:
@@ -221,7 +216,7 @@ class NumberField:
         return self._quadratics
 
     def iter_split_primes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(p, (r_1, ..., r_d)) for every prime p > SPLIT_PRIME_FLOOR at which
+        """(p, (r_1, ..., r_d)) for every prime p > `_intpoly.PRIME_FLOOR` at which
         f has d = [K:QQ] distinct roots r_i mod p, in increasing order.  Found
         on first use and cached, never at construction."""
         i = 0
@@ -541,14 +536,11 @@ def _trager_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     return roots
 
 
-SPLIT_PRIME_FLOOR = 50
-
-
 def _split_prime_stream(f: RatPoly) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(p, (r_1, ..., r_d)) for each prime p > SPLIT_PRIME_FLOOR, in increasing
+    """(p, (r_1, ..., r_d)) for each prime p > `_intpoly.PRIME_FLOOR`, in increasing
     order, at which f has d = deg f distinct roots r_i mod p."""
     fi = [int(c) for c in f.coeffs]
-    for p in zp._prime_stream(SPLIT_PRIME_FLOOR):
+    for p in zp._prime_stream(zp.PRIME_FLOOR):
         roots = tuple(r for r in range(p) if _eval_mod(fi, r, p) == 0)
         if len(roots) == f.degree:
             yield p, roots
@@ -953,7 +945,7 @@ def smallest_subfield(elements, K: NumberField) -> int:
         delta = b * b + 4 * (s[0] - b * c[0])
         m = next((m for m in K.quadratic_subfields() if is_rational_square(delta / m)), None)
         if m is None:
-            raise InvariantViolationError(f"{e!r} lies in QQ(sqrt {squarefree_part_rational(delta)}), "
+            raise InvariantViolationError(f"{e!r} lies in QQ(sqrt {delta}), "
                                           f"which is not a listed quadratic subfield of {K!r}")
         homes.add(m)
     if len(homes) > 1:

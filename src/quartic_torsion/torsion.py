@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, lcm
 
-from sympy import nextprime, primefactors
-
 from . import grouptables as gt
+from ._intpoly import _prime_stream, factor_int
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import RatPoly, rat_to_str
 from .ellcurve import Curve, Point, curve_points_y, m_preimages
@@ -127,13 +126,6 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
     return out
 
 
-def _p_part(n: int, p: int) -> int:
-    q = 1
-    while n % (q * p) == 0:
-        q *= p
-    return q
-
-
 BOUND_PRIMES = 12
 
 
@@ -141,11 +133,11 @@ def reduction_bound(E: Curve, K: NumberField) -> int:
     """B, a multiple of #E(K)_tors: the gcd of #E~(F_(p^f)) over the first
     BOUND_PRIMES primes p >= 5 at which E has good reduction and p does not
     divide `K.disc`, f the residue degree at p (see the module docstring).
-    Stops early once B = 1."""
+    Stops early once B = 1.  B's primes come from `_intpoly.factor_int`,
+    exact below 10^12; a larger B could hide two primes above 10^6 in one
+    factor, but psi_l of such a prime l has degree above 10^11 anyway."""
     bound = used = 0
-    p = 3
-    while True:
-        p = nextprime(p)
+    for p in _prime_stream(4):
         f = K.residue_degree(p)
         n = None if f is None else E.reduction_order(p, f)
         if n is None:
@@ -275,7 +267,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     g = K.galois_type
     table = classification_table(g)
     bound = reduction_bound(E, K)
-    parts = {p: p_primary_part(E, K, p, _p_part(bound, p)) for p in primefactors(bound)}
+    parts = {p: p_primary_part(E, K, p, p**e) for p, e in factor_int(bound)}
     d1 = d2 = 1
     for (e1, e2), _ in parts.values():
         d1 *= e1

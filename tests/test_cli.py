@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ import pytest
 import quartic_torsion
 from quartic_torsion import cli
 from quartic_torsion.ellcurve import Curve
-from quartic_torsion.errors import EngineError
-from quartic_torsion.numfield import parse_field_spec
+from quartic_torsion.errors import DataFormatError, EngineError
+from quartic_torsion.numfield import GaloisType, parse_field_spec
 
 SRC = str(Path(quartic_torsion.__file__).resolve().parent.parent)
 
@@ -93,10 +94,13 @@ def test_fuzzed_specs_raise_only_engine_errors(parse, valid, argv, capsys):
     assert not escaped
 
 
-def _run(*args):
+def _python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "quartic_torsion.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run(*args):
+    return _python("-m", "quartic_torsion.cli", *args)
 
 
 def test_prints_report_as_json():
@@ -105,6 +109,39 @@ def test_prints_report_as_json():
     report = json.loads(out.stdout)
     assert report["structure"] == [4, 4]
     assert report["field"]["galois_type"] == "Biquadratic"
+
+
+def test_engine_never_imports_sympy():
+    # with the import of sympy made to fail, the engine still answers
+    out = _python("-c", "import sys; sys.modules['sympy'] = None; from quartic_torsion import cli; "
+                        "sys.exit(cli.main(['0,0,0,-1,0', '-1,2']))")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["structure"] == [4, 4]
+
+
+# the product of two primes near 10^20 and 3 * 10^20: trial division below
+# 10^6 leaves all of it, which is past 10^18
+PAST_LIMIT = (10**20 + 39) * (3 * 10**20 + 53)
+
+
+@pytest.mark.parametrize("spec", (str(PAST_LIMIT), f"1/{PAST_LIMIT},0,0,0"), ids=("quadratic", "denominator"))
+def test_spec_past_the_factoring_limit_raises_at_once(spec, capsys):
+    t = time.perf_counter()
+    with pytest.raises(DataFormatError):
+        parse_field_spec(spec)
+    assert time.perf_counter() - t < 1
+    assert cli.main(["0,0,0,-1,0", spec]) == 2
+    assert "too large to factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, n", ((1500007, 1500011), (1500007, 1500019)))
+def test_field_with_a_subfield_above_the_factoring_limit_builds(m, n):
+    # m*n is above 10^12, the square of the trial division limit: with
+    # 1500011 = 613 * 2447 trial division leaves the prime 1500007, and with
+    # the prime 1500019 it leaves m*n, two primes above 10^6 read as one factor
+    K = parse_field_spec(f"{m},{n}")
+    assert K.galois_type is GaloisType.Biquadratic
+    assert K.quadratic_subfields() == {m, n, m * n}
 
 
 def test_bad_spec_exits_2():

@@ -264,6 +264,12 @@ class TestSquarefreeIntegers:
         assert squarefree_part_rational(Fraction(4, 9)) == 1
         assert squarefree_part_rational(Fraction(80, 1)) == 5
 
+    def test_numerator_and_denominator_factored_apart(self):
+        # two primes near 10^10: each is far below the limit of trial
+        # division, their product of about 10^20 is not
+        p, q = 10000000019, 10000000033
+        assert squarefree_part_rational(Fraction(-p, 4 * q)) == -p * q
+
     def test_is_rational_square(self):
         assert is_rational_square(Fraction(4, 9))
         assert not is_rational_square(Fraction(8))

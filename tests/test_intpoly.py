@@ -1,5 +1,5 @@
 """The F_p[x] kernels of `_intpoly` against plain schoolbook references, and
-its integer factorizer against sympy.
+its polynomial and integer factorizers and its prime stream against sympy.
 
 `gf_mulmod` packs polynomials into ints with one 64-bit slot per coefficient
 from modulus degree 4 on, while 2n(p-1)^2 < 2^64; the primes below cover both
@@ -7,14 +7,18 @@ sides of that bound: 2, 3, 61, 1009 and 65521 pack, and 2^31 - 1 is past it
 from degree 2 on."""
 
 import random
-from itertools import product
-from math import isqrt
+from fractions import Fraction
+from itertools import islice, product
+from math import isqrt, prod
 
 import pytest
-from sympy import ZZ, Poly, nextprime, prevprime, symbols
+from sympy import ZZ, Poly, factorint, nextprime, prevprime, primefactors, symbols
 
 from quartic_torsion import _intpoly as zp
-from quartic_torsion.ellcurve import Curve
+from quartic_torsion import numfield, torsion
+from quartic_torsion.ellcurve import Curve, Point
+from quartic_torsion.errors import DataFormatError
+from quartic_torsion.exactmath import RatPoly, squarefree_part_rational
 
 PRIMES = (2, 3, 61, 1009, 65521, 2**31 - 1)
 DEGREES = range(1, 41)
@@ -309,3 +313,118 @@ def test_sqrt_squares_back(p):
     nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
     with pytest.raises(ValueError):
         zp.gf_sqrt(nonsquare, p)
+
+
+# ---------------------------------------------------------------------------
+# the integer factorization and the prime stream
+# ---------------------------------------------------------------------------
+
+T = zp.FACTOR_LIMIT
+
+
+def ref_factor_int(n):
+    """factor_int's contract from sympy.factorint: the primes below T with
+    their exponents, then the part above T as one pair, (p, 2) for p^2 and
+    (r, 1) for a prime or a product of two."""
+    small = sorted((p, e) for p, e in factorint(n).items() if p < T)
+    r = n // prod(p**e for p, e in small)
+    return small + ([(isqrt(r), 2) if isqrt(r) ** 2 == r else (r, 1)] if r > 1 else [])
+
+
+def factor_cases():
+    """Seeded integers below T^3: log-uniform random ones, products of two
+    primes above T, squares of primes above T, and three at the edges: the
+    largest prime below T^3, the square of the largest prime below T^1.5, and
+    the largest prime below T, the last one trial division finds, times the
+    largest prime below T^2."""
+    rng = random.Random("factor_int")
+    big = [nextprime(rng.randrange(T, 10**9)) for _ in range(8)]
+    cases = [rng.randrange(1, 10 ** rng.randrange(1, 19)) for _ in range(40)]
+    cases += [big[i] * big[i + 1] for i in range(0, 8, 2)] + [q * q for q in big[:4:2]]
+    cases += [prevprime(T**3), prevprime(isqrt(T**3)) ** 2, prevprime(T) * prevprime(T**2)]
+    return cases
+
+
+FACTOR_CASES = factor_cases()
+
+
+def test_factor_cases_cover_the_limit():
+    # the seeded cases reach each kind of part that trial division leaves
+    rests = [ref_factor_int(n)[-1] for n in FACTOR_CASES if n > 1]
+    assert any(q >= T * T and not factorint(q).get(q) for q, e in rests)   # p*q above T^2
+    assert any(q >= T and e == 2 for q, e in rests)                         # p^2, p above T
+    assert any(T * T <= q and factorint(q).get(q) for q, e in rests)        # a prime above T^2
+    assert all(n < T**3 for n in FACTOR_CASES)
+
+
+@pytest.mark.parametrize("n", FACTOR_CASES)
+def test_factor_int_against_sympy(n):
+    assert zp.factor_int(n) == ref_factor_int(n)
+
+
+@pytest.mark.parametrize("n", FACTOR_CASES)
+def test_squarefree_part_against_sympy(n):
+    # -12/n: a sign, and numerator and denominator factored as one integer
+    q = Fraction(-12, n)
+    assert squarefree_part_rational(q) == -prod(
+        p for p, e in factorint(abs(q.numerator * q.denominator)).items() if e % 2)
+
+
+def ref_integral_scale(poly):
+    """The least c with poly(x/c) c^deg integral, from sympy's factorint."""
+    need = {}
+    for i, a in enumerate(poly.coeffs[:-1]):
+        for p, e in factorint(a.denominator).items():
+            need[p] = max(need.get(p, 0), -(-e // (poly.degree - i)))
+    return prod(p**e for p, e in need.items())
+
+
+@pytest.mark.parametrize("i", range(len(FACTOR_CASES)))
+def test_integral_scale_against_sympy(i):
+    # each case a denominator of a monic quartic, at a position that turns
+    # with the case, next to a fixed smooth one
+    coeffs = [Fraction(1, 72)] + [Fraction(0)] * 3 + [Fraction(1)]
+    coeffs[1 + i % 3] = Fraction(5, FACTOR_CASES[i])
+    poly = RatPoly(coeffs)
+    assert numfield._integral_scale(poly) == ref_integral_scale(poly)
+
+
+def test_searched_primes_are_the_primes_of_b(monkeypatch):
+    # torsion_over_field searches exactly sympy's primefactors(B), each to
+    # its p-part, for every case that factor_int splits into primes: every
+    # part below T^2, or the square of a prime above T
+    E, K = Curve.from_str("0,0,1,-1,0"), numfield.parse_field_spec("5;5;2")
+    searched = []
+
+    def recording(E, K, p, bound):
+        searched.append((p, bound))
+        return (1, 1), {Point.infinity(E, K): 1}
+
+    monkeypatch.setattr(torsion, "p_primary_part", recording)
+    for B in [n for n in FACTOR_CASES if all(q < T * T for q, _ in ref_factor_int(n))]:
+        monkeypatch.setattr(torsion, "reduction_bound", lambda E, K, B=B: B)
+        searched.clear()
+        assert torsion.torsion_over_field(E, K).structure == (1, 1)
+        assert searched == [(p, p ** factorint(B)[p]) for p in primefactors(B)], B
+
+
+@pytest.mark.parametrize("n", (nextprime(T**3), nextprime(T**3) * 2**40, nextprime(T) ** 3,
+                               nextprime(T) * nextprime(T**2)))
+def test_factor_int_raises_past_the_limit(n):
+    # a part of T^3 or more left by trial division raises, whatever primes
+    # below T come with it
+    with pytest.raises(DataFormatError):
+        zp.factor_int(n)
+    with pytest.raises(DataFormatError):
+        squarefree_part_rational(Fraction(n))
+
+
+@pytest.mark.parametrize("start", (0, 1, 2, 4, 50, 60, 967, T))
+def test_prime_stream_against_nextprime(start):
+    # 300 primes from each start; the table of small primes ends at 997,
+    # below sqrt(T), so the last two starts run through its end and past it
+    expected, p = [], start
+    for _ in range(300):
+        p = nextprime(p)
+        expected.append(p)
+    assert list(islice(zp._prime_stream(start), 300)) == expected

@@ -14,13 +14,19 @@ from quartic_torsion import _intpoly as zp
 from quartic_torsion import exactmath, numfield
 from quartic_torsion._intpoly import gf_is_squarefree
 from quartic_torsion.ellcurve import Curve
-from quartic_torsion.errors import DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
+from quartic_torsion.errors import (
+    DataFormatError,
+    DegenerateTowerError,
+    InvariantViolationError,
+    UnsupportedFieldError,
+)
 from quartic_torsion.exactmath import (
     RatPoly,
     factor_bounded,
     is_rational_square,
     poly_xgcd,
     resultant,
+    squarefree_part_rational,
 )
 from quartic_torsion.numfield import (
     GaloisType,
@@ -247,12 +253,12 @@ class TestSplitPrimeCertificate:
         table = first_split_primes(K)
         assert len(table) == 3
         for p, roots in table:
-            assert p > numfield.SPLIT_PRIME_FLOOR and disc % p != 0
+            assert p > zp.PRIME_FLOOR and disc % p != 0
             assert len(set(roots)) == len(roots) == K.degree
             assert all(f(r) % p == 0 for r in roots)
         primes = [p for p, _ in table]
         assert primes == sorted(set(primes))
-        for p in range(numfield.SPLIT_PRIME_FLOOR + 1, primes[-1]):
+        for p in range(zp.PRIME_FLOOR + 1, primes[-1]):
             if p not in primes and all(p % k for k in range(2, p)):
                 assert sum(numfield._eval_mod(K._f_int, r, p) == 0 for r in range(p)) < K.degree, p
 
@@ -659,9 +665,9 @@ class TestRationalRoots:
             rational_roots(RatPoly([]))
 
     @pytest.mark.parametrize("h", [
-        RatPoly([-2, 0, 1]),                          # 2 is no square mod 53
-        RatPoly([Fraction(-1, 3), 0, 0, 53]),         # 53 | lc, so 53 is skipped
-        RatPoly([1, 53]),                             # 53 | lc: mod 53 a nonzero constant
+        RatPoly([-2, 0, 1]),                          # 2 is no square mod 59
+        RatPoly([Fraction(-1, 3), 0, 0, 59]),         # 59 | lc, so 59 is skipped
+        RatPoly([1, 59]),                             # 59 | lc: mod 59 a nonzero constant
         RatPoly([-1, 2]) * RatPoly([5, 3]) * RatPoly([-2, 0, 1]),
         RatPoly([0, 12, 0, 0, 3]),
     ])
@@ -793,7 +799,7 @@ class TestSquarefreeOnDemand:
 
     @pytest.mark.parametrize("spec", ("1,1,1,1", "-1,5", "-3"))
     def test_sqrt_takes_no_squarefree_part(self, monkeypatch, spec):
-        # x^2 - beta has a squarefree image at each split prime p > 50 unless
+        # x^2 - beta has a squarefree image at each split prime p > 58 unless
         # beta = 0 mod p, and these small betas are not
         def forbidden(h):
             raise AssertionError(f"squarefree part taken of {h!r}")
@@ -1349,7 +1355,19 @@ class TestSmallestSubfield:
         assert smallest_subfield([z + z**2], ZETA5) == 0
 
     def test_unlisted_quadratic_subfield_raises(self, monkeypatch):
+        # sqrt 6 = (0 +- sqrt 24)/2
         monkeypatch.setattr(NumberField, "quadratic_subfields", lambda K: frozenset({2, 3}))
-        with pytest.raises(InvariantViolationError, match="QQ\\(sqrt 6\\)"):
+        with pytest.raises(InvariantViolationError, match="QQ\\(sqrt 24\\)"):
             smallest_subfield([SQRTS_2_3[6]], BIQ_2_3)
         assert smallest_subfield([SQRTS_2_3[3]], BIQ_2_3) == 3
+
+    def test_unlisted_subfield_raises_past_the_factoring_limit(self, monkeypatch):
+        # e = s sqrt 6 with s a prime above 10^9 has delta = 24 s^2, which
+        # trial division below 10^6 cannot factor; the message quotes delta
+        # and does not factor it, so the typed error is the one raised
+        s = 10**9 + 7
+        monkeypatch.setattr(NumberField, "quadratic_subfields", lambda K: frozenset({2, 3}))
+        with pytest.raises(DataFormatError):
+            squarefree_part_rational(Fraction(24 * s * s))
+        with pytest.raises(InvariantViolationError, match=f"QQ\\(sqrt {24 * s * s}\\)"):
+            smallest_subfield([SQRTS_2_3[6] * s], BIQ_2_3)
