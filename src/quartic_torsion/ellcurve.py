@@ -3,8 +3,12 @@
 Curves carry their b-invariants and discriminant from construction.  Points
 live on a curve with coordinates in a designated NumberField; the
 chord-tangent group law, division polynomials (stored y-free),
-multiplication-by-m x-maps and m-th preimages (y from the formula for [m],
-not from a square root) are all exact.
+multiplication-by-m x-maps and m-th preimages are all exact.  A preimage
+under [m] of a point P != -P takes its y from the formula for [m], not from a
+square root.  Halving takes square roots instead of lifting a quartic: when
+E(K)[2] is full, `halves` reads the halves off the square roots of
+x_P - e_i (Knapp's criterion), and a point of order 2 is halved by one square
+root in `m_preimages`.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -319,16 +323,26 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     even step of the recurrence in `Curve._psi` (for m = 2, g_0 = 0 leaves
     the base case g_4), so psi_2m is never expanded.  If eta_P = 0, then
     P = -P, every point above a root maps to P, and its y is a square root
-    in K (`curve_points_y`)."""
+    in K (`curve_points_y`).  For m = 2 those roots need no lift: with
+    e = x_P, phi_2 - e psi_2^2 = ((x - e)^2 - T'(e)/4)^2, so the halves of P
+    have x = e +- sqrt(T'(e)/4), one square root in K, and T'(e) != 0 as E
+    is nonsingular.  This is the classical halving of a point of order 2:
+    T'(e)/4 = (e - e')(e - e'') for the other roots e', e'' of T/4 (Knapp,
+    Elliptic Curves, 1992, Thm 4.2)."""
     if P.is_infinity():
         raise ValueError("use the m-torsion kernel for P at infinity")
     if m < 2:
         raise ValueError("m must be >= 2")
+    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
+    eta_P = P.y + P.x * half_a1 + half_a3
+    if eta_P.is_zero() and m == 2:
+        e = P.x
+        s = sqrt_in_field(e * e * 3 + e * (E.b2 / 2) + E.b4 / 2, K)
+        xs = [] if s is None else [e + s, e - s]
+        return {Q for x in xs for Q in curve_points_y(E, x, K)}
     phi, psi_sq = E.mult_by_m_xmap(m)
     h = KPoly(K, phi.coeffs) - KPoly(K, psi_sq.coeffs).scale(P.x)
     xs = roots_in_field(h, K)
-    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
-    eta_P = P.y + P.x * half_a1 + half_a3
     if eta_P.is_zero():
         return {Q for x in xs for Q in curve_points_y(E, x, K)}
     T = E.two_division_poly()
@@ -343,5 +357,42 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
         eta = eta_P * scale / g_2m
         if eta * eta * 4 != t:
             raise InvariantViolationError(f"no point of E(K) above the root {x!r} of [{m}]x = x_P")
+        out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
+    return out
+
+
+def halves(E: Curve, P: Point, K: NumberField, es) -> set[Point]:
+    """All Q in E(K) with [2]Q = P, for affine P, given es, the x's of the
+    three points of order 2 of E(K).  In eta = y + (a1 x + a3)/2 the curve
+    is eta^2 = (x - e1)(x - e2)(x - e3), and P lies in 2E(K) iff every
+    x_P - e_i is a square in K (Knapp, Elliptic Curves, 1992, Thm 4.2).  Take
+    r_i with r_i^2 = x_P - e_i; then (r1 r2 r3)^2 = eta_P^2.  For each choice
+    of signs (a, b, c) = (+-r1, +-r2, +-r3) with abc = eta_P, the half has
+
+        x = x_P + ab + ac + bc,    eta = (a + b)(a + c)(b + c),
+
+    since x - e1 = (a + b)(a + c) and likewise for e2, e3.  Once r3 is signed
+    so that r1 r2 r3 = eta_P, the choices are the four with an even number of
+    minus signs; for eta_P = 0 some r_i is 0, and the four are still distinct.
+    No lift and no y by a square root are needed.  The curve equation
+    4 eta^2 = T(x), T = `two_division_poly`, is checked exactly, as in
+    `m_preimages`."""
+    rs = []
+    for e in es:
+        r = sqrt_in_field(P.x - e, K)
+        if r is None:
+            return set()
+        rs.append(r)
+    r1, r2, r3 = rs
+    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
+    if r1 * r2 * r3 != P.y + P.x * half_a1 + half_a3:
+        r3 = -r3
+    T = E.two_division_poly()
+    out = set()
+    for a, b, c in ((r1, r2, r3), (r1, -r2, -r3), (-r1, r2, -r3), (-r1, -r2, r3)):
+        x = P.x + a * b + a * c + b * c
+        eta = (a + b) * (a + c) * (b + c)
+        if eta * eta * 4 != T(x):
+            raise InvariantViolationError(f"the half above {x!r} of {P!r} is not on the curve")
         out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
     return out

@@ -14,22 +14,28 @@ not divide B aborts the run.
 The computation is per prime.  The points of order p come from the roots in K
 of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
 with y recovered by a square root in K.  Points of order p^k come from one
-lift loop for every p: solving phi_p(x) = x_P psi_p^2(x) over K for each point
-P of order p^(k-1).  Above each root, the y of the preimage follows from y_P
-by the formula for [p] (`m_preimages`); a square root in K is taken there only
-for the preimages of a point of order 2, where P = -P.
+lift loop for every p, which takes the preimages under [p] of each point P of
+order p^(k-1).  When E(K)[2] is full, P is halved by Knapp's criterion
+(`halves`): its halves are read off the square roots in K of x_P - e_i, e_i
+the x's of the points of order 2, and it has none if one is not a square.
+Otherwise the loop solves phi_p(x) = x_P psi_p^2(x) over K, and above each
+root the y of the preimage follows from y_P by the formula for [p]
+(`m_preimages`).  The one exception there is a point of order 2, P = -P,
+whose halves have x = x_P +- s for one square root s in K, and y by a square
+root.
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
 the p-primary part) times the coprime orders of the other primes' summands.
 Each affine point is mapped once to the smallest subfield of K holding its
 coordinates (`smallest_subfield`); the definition degrees, the order-7 check
-and the growth chain all read that map.  A coordinate e is placed by its own
-square: an irrational e lies in a quadratic subfield iff e^2 = a + b*e with a,
-b rational, and then in QQ(sqrt(b^2 + 4a)).  So no square root of a quadratic
-subfield is taken, and the only square roots in K are those for y above.  For
-a subfield F of K, E(F)_tors = E(K)_tors meet E(F): the points whose smallest
-subfield lies in F.
+and the growth chain all read that map.  -P = (x, -y - a1 x - a3) lies in
+every subfield holding P, so one point of each pair {P, -P} is placed.  A
+coordinate e is placed by its own square: an irrational e lies in a quadratic
+subfield iff e^2 = a + b*e with a, b rational, and then in QQ(sqrt(b^2 + 4a)).
+So no square root of a quadratic subfield is taken, and the only square roots
+in K are those of the search above.  For a subfield F of K, E(F)_tors =
+E(K)_tors meet E(F): the points whose smallest subfield lies in F.
 
 The classification tables do not steer the search; they only validate its
 result.  Every run checks what the curve, the field and the points decide:
@@ -54,7 +60,7 @@ from . import grouptables as gt
 from ._intpoly import _prime_stream, factor_int
 from .errors import InconsistentCountsError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import RatPoly, rat_to_str
-from .ellcurve import Curve, Point, curve_points_y, m_preimages
+from .ellcurve import Curve, Point, curve_points_y, halves, m_preimages
 from .numfield import (
     GaloisType,
     NumberField,
@@ -111,8 +117,9 @@ def classification_table(g: GaloisType) -> frozenset[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Point]:
-    """Preimages under [m] of a +-symmetric set of affine points."""
+def _lift_once(frontier: set[Point], preimages) -> set[Point]:
+    """Preimages of a +-symmetric set of affine points, from `preimages(P)`
+    for one point P of each pair {P, -P}."""
     out: set[Point] = set()
     done: set[Point] = set()
     for P in frontier:
@@ -120,7 +127,7 @@ def _lift_once(E: Curve, K: NumberField, frontier: set[Point], m: int) -> set[Po
             continue
         done.add(P)
         done.add(-P)
-        pre = m_preimages(E, P, K, m)
+        pre = preimages(P)
         out |= pre
         out |= {-Q for Q in pre}
     return out
@@ -161,13 +168,21 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     the curve's own factors of that polynomial (`Curve.x_division_factors`),
     factored once per [K:QQ].  A point found at lift level k has order
     exactly p^k: the frontier at level k-1 holds every point of order
-    p^(k-1), and a preimage under [p] of such a point has order p^k."""
+    p^(k-1), and a preimage under [p] of such a point has order p^k.  When
+    E(K)[2] is full, the halves come from the square roots of x_P - e_i
+    (`halves`), with e_i the x's of the three points of order 2; otherwise
+    from `m_preimages`."""
     xs = roots_in_field(E.x_division_poly(p), K, partial(E.x_division_factors, p))
     frontier = {P for x in xs for P in curve_points_y(E, x, K)}
+    if p == 2 and len(frontier) == 3:
+        es = [P.x for P in frontier]
+        preimages = lambda P: halves(E, P, K, es)
+    else:
+        preimages = lambda P: m_preimages(E, P, K, p)
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
     q = p * p
     while frontier and len(pts) * p <= bound:
-        frontier = _lift_once(E, K, frontier, p)
+        frontier = _lift_once(frontier, preimages)
         pts.update(dict.fromkeys(frontier, q))
         q *= p
     return structure_of_orders(pts.values()), pts
@@ -238,18 +253,15 @@ def _choose_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point
     point of order d1 whose cyclic group meets that of the first trivially."""
     if d2 == 1:
         return []
-    by_order: dict[int, list[Point]] = {}
-    for P, n in points.items():
-        by_order.setdefault(n, []).append(P)
-    for lst in by_order.values():
-        lst.sort(key=Point.sort_key)
-    g2 = by_order[d2][0]
+    # only the points of orders d1 and d2 are read, so only they are sorted
+    ordered = sorted((P for P, n in points.items() if n in (d1, d2)), key=Point.sort_key)
+    g2 = next(P for P in ordered if points[P] == d2)
     if d1 == 1:
         return [g2]
     span2 = set(_multiples(g2, d2))
-    for g1 in by_order[d1]:
+    for g1 in ordered:
         # <g1> + <g2> has d1 * d2 points iff <g1> meets <g2> only in O
-        if not span2.intersection(_multiples(g1, d1)[1:]):
+        if points[g1] == d1 and not span2.intersection(_multiples(g1, d1)[1:]):
             return [g1, g2]
     raise InvariantViolationError("no generating pair found for computed structure")
 
@@ -282,7 +294,11 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         raise InvariantViolationError(
             f"order {order} of Z/{d1}+Z/{d2} does not divide the reduction bound {bound}")
     generators = _choose_generators(points, d1, d2)
-    homes = {P: smallest_subfield(P.xy, K) for P in points if not P.is_infinity()}
+    # -P = (x, -y - a1 x - a3) lies in every subfield that holds P
+    homes: dict[Point, int] = {}
+    for P in points:
+        if not P.is_infinity() and P not in homes:
+            homes[P] = homes[-P] = smallest_subfield(P.xy, K)
     defdeg: dict[int, int] = {}
     for P, h in homes.items():
         n = points[P]

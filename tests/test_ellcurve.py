@@ -1,10 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import (
     c_invariants,
+    change_model,
     j_invariant,
     knapp_preimages,
     lutz_nagell_torsion,
@@ -14,10 +20,13 @@ from oracles import (
     sqrt_reference_preimages,
     two_torsion,
 )
-from quartic_torsion.errors import SingularCurveError
-from quartic_torsion.exactmath import RatPoly, factor_bounded, poly_gcd
-from quartic_torsion.ellcurve import Curve, Point, curve_points_y, m_preimages
+import quartic_torsion
+from quartic_torsion import ellcurve
+from quartic_torsion.errors import InvariantViolationError, SingularCurveError
+from quartic_torsion.exactmath import RatPoly, factor_bounded, poly_gcd, squarefree_part_rational
+from quartic_torsion.ellcurve import Curve, Point, curve_points_y, halves, m_preimages
 from quartic_torsion.numfield import (
+    KPoly,
     biquadratic_field,
     parse_field_spec,
     quadratic_field,
@@ -277,6 +286,133 @@ class TestTwoPreimages:
         R = next(iter(pts))
         assert R.scalar_mul(8).is_infinity() is False
         assert R.scalar_mul(16).is_infinity()
+
+
+PINNED_REPORTS = json.loads((Path(__file__).parent / "data" / "known_groups_reports.json").read_text())
+
+
+def _es(E, K):
+    return [T.x for T in two_torsion(E, K) if not T.is_infinity()]
+
+
+def _seeded_halving_cases(seed, n):
+    """(E, K, R, points) with E(K)[2] full: a seeded model of y^2 = (x - e1)(x -
+    e2)(x - e3) with a1, a3 != 0 in general, a quadratic or biquadratic K
+    over which a point R above a seeded rational x lies, and R, [2]R, R + T
+    for T in E(K)[2] and the points of order 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        e1, e2, e3 = rng.sample(range(-9, 10), 3)
+        E0 = Curve([0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3])
+        u, r, s, t = (rng.choice([1, -1, 2, Fraction(1, 2)]), rng.randrange(-3, 4),
+                      rng.randrange(-2, 3), rng.randrange(-3, 4))
+        E = change_model(E0, u, r, s, t)
+        x0 = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
+        v = E.two_division_poly()(x0)
+        if v == 0:
+            continue
+        d, m = squarefree_part_rational(v), rng.choice([-7, -3, -2, -1, 2, 3, 5, 6])
+        if d == 1:
+            K = quadratic_field(m)
+        elif rng.random() < 0.5 or m == d:
+            K = quadratic_field(d)
+        else:
+            K = biquadratic_field(d, m)
+        R = curve_points_y(E, K.element(x0), K)[0]
+        torsion2 = two_torsion(E, K)
+        points = {R, R + R} | {R + T for T in torsion2} | torsion2
+        out.append((E, K, R, {P for P in points if not P.is_infinity()}))
+    return out
+
+
+class TestHalves:
+    """Knapp's halving with E(K)[2] full, against the lift of m_preimages."""
+
+    @pytest.mark.parametrize("row", [row for row in PINNED_REPORTS if row["report"]["structure"][0] % 2 == 0],
+                             ids=lambda row: f"{row['curve']}@{row['field']}")
+    def test_every_point_of_the_pinned_rows(self, row):
+        E, K = Curve.from_str(row["curve"]), parse_field_spec(row["field"])
+        es = _es(E, K)
+        assert len(es) == 3
+        for P in torsion_over_field(E, K).points:
+            if not P.is_infinity():
+                assert halves(E, P, K, es) == m_preimages(E, P, K, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_points_of_infinite_order(self, seed):
+        for E, K, R, points in _seeded_halving_cases(seed, 4):
+            es = _es(E, K)
+            for P in points:
+                assert halves(E, P, K, es) == m_preimages(E, P, K, 2)
+            assert R in halves(E, R + R, K, es)
+
+    def test_cases_reach_both_answers(self):
+        # the seeded points include some that halve and some that do not
+        sizes = {len(halves(E, P, K, _es(E, K)))
+                 for seed in (0, 1, 2) for E, K, _, points in _seeded_halving_cases(seed, 4) for P in points}
+        assert sizes == {0, 4}
+
+    def test_wrong_root_raises(self, monkeypatch):
+        # a root r with r^2 != x_P - e puts the half off the curve
+        E, K = E_X3_X, parse_field_spec("-1,2")
+        P = Point(E, K, (0, 0))
+        sqrt = ellcurve.sqrt_in_field
+        monkeypatch.setattr(ellcurve, "sqrt_in_field", lambda b, K: sqrt(b, K) * 2)
+        with pytest.raises(InvariantViolationError):
+            halves(E, P, K, _es(E, K))
+
+    def test_wrong_root_raises_without_asserts(self):
+        # the same for a wrong x of a point of order 2, with asserts stripped:
+        # x_P - e is 4 for e = -4, a square, so only the curve check can fail
+        code = (
+            "from quartic_torsion.ellcurve import Curve, Point, halves\n"
+            "from quartic_torsion.errors import InvariantViolationError\n"
+            "from quartic_torsion.numfield import parse_field_spec\n"
+            "E, K = Curve([0, 0, 0, -1, 0]), parse_field_spec('-1,2')\n"
+            "P = Point(E, K, (0, 0))\n"
+            "assert False, 'asserts run'\n"
+            "try:\n"
+            "    halves(E, P, K, [K.element(0), K.element(-4), K.element(-1)])\n"
+            "except InvariantViolationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(quartic_torsion.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("curve, field", [
+    ("1,-1,1,-1,-14", "13;13;2"),   # 17a1: E(K)[2] = Z/2, halved to Z/4
+    ("1,1,1,35,-28", "1,1,1,1"),    # Z/8, E(K)[2] = Z/2
+    ("0,0,0,-1,0", "-1,2"),         # E(K)[2] full
+    ("0,-47,0,4096,0", "-7,-15"),   # E(K)[2] full, halving chain to Z/16
+    ("0,0,0,-1,0", "QQ"),           # no half over QQ
+])
+def test_order_two_halving_lifts_no_polynomial(monkeypatch, curve, field):
+    # the halves of a point of order 2 have x = e +- sqrt(T'(e)/4): no lift of
+    # the degree-4 phi_2 - e psi_2^2, a square, and so no squarefree part
+    E, K = Curve.from_str(curve), parse_field_spec(field)
+    order_two = [T for T in two_torsion(E, K) if not T.is_infinity()]
+    expected = [sqrt_reference_preimages(E, T, K, 2) for T in order_two]
+
+    def forbidden(*args):
+        raise AssertionError("order-2 halving lifted a polynomial")
+
+    monkeypatch.setattr(KPoly, "squarefree", forbidden)
+    monkeypatch.setattr(ellcurve, "roots_in_field", forbidden)
+    assert [m_preimages(E, T, K, 2) for T in order_two] == expected
+    assert any(expected) == (field != "QQ")
+
+
+def test_order_two_halving_end_to_end_takes_no_squarefree_part(monkeypatch):
+    # 17a1 over a cyclic quartic: Z/4 from one point of order 2
+    monkeypatch.setattr(KPoly, "squarefree", lambda h: pytest.fail(f"squarefree part of {h!r}"))
+    report = torsion_over_field(Curve.from_str("1,-1,1,-1,-14"), parse_field_spec("13;13;2"))
+    assert report.structure == (1, 4)
 
 
 class TestPreimagesByFormula:

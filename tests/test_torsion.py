@@ -530,34 +530,72 @@ def test_rational_field_factors_no_division_polynomial(monkeypatch):
     assert factored == [] and E._factor_cache == {}
 
 
+# cases whose lifts run m_preimages: one point of order 2, so that its halves
+# take one square root and those of a point of order 4 the lift (Z/8 over
+# QQ(zeta5) and 17a1 over a cyclic quartic), and an odd lift (Z/9)
+M_PREIMAGE_LIFTS = [("1,1,1,35,-28", "1,1,1,1", (1, 8)), ("1,-1,1,-1,-14", "13;13;2", (1, 4)),
+                    ("1,-1,1,-14,29", "1,1,1,1", (1, 9))]
+PINNED_CASES = [(row["curve"], row["field"], tuple(row["report"]["structure"])) for row in PINNED_REPORTS]
+
+
 def test_lift_preimages_match_the_square_root_reference(monkeypatch):
-    # every lift of the known_groups rows finds the reference's points, and
-    # takes a square root in K only to lift a point of order 2 (P = -P)
-    sqrt, preimages = ellcurve.sqrt_in_field, torsion.m_preimages
+    # every preimage the lift takes, whether by `halves` (E(K)[2] full) or by
+    # `m_preimages`, is the reference's, over the known_groups rows and the
+    # cases above; m_preimages takes a square root in K only when P = -P
+    sqrt, preimages, halves = ellcurve.sqrt_in_field, torsion.m_preimages, torsion.halves
     forbid = [False]
-    branches = set()
+    paths = set()
 
     def guarded_sqrt(*args):
         if forbid[0]:
-            raise AssertionError("square root taken for a preimage of P != -P")
+            raise AssertionError("square root taken in m_preimages for P != -P")
         return sqrt(*args)
 
-    def checked(E, P, K, m):
+    def checked_preimages(E, P, K, m):
         forbid[0] = P != -P
         try:
             out = preimages(E, P, K, m)
         finally:
             forbid[0] = False
         assert out == sqrt_reference_preimages(E, P, K, m)
-        branches.add(P != -P)
+        paths.add(("m_preimages", m, P == -P))
+        return out
+
+    def checked_halves(E, P, K, es):
+        out = halves(E, P, K, es)
+        assert out == sqrt_reference_preimages(E, P, K, 2)
+        paths.add(("halves", 2, P == -P))
         return out
 
     monkeypatch.setattr(ellcurve, "sqrt_in_field", guarded_sqrt)
-    monkeypatch.setattr(torsion, "m_preimages", checked)
-    for row in PINNED_REPORTS:
-        report = torsion_over_field(Curve.from_str(row["curve"]), parse_field_spec(row["field"]))
-        assert list(report.structure) == row["report"]["structure"]
-    assert branches == {True, False}
+    monkeypatch.setattr(torsion, "m_preimages", checked_preimages)
+    monkeypatch.setattr(torsion, "halves", checked_halves)
+    for curve, field, structure in PINNED_CASES + M_PREIMAGE_LIFTS:
+        assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == structure
+    assert paths == {("halves", 2, True), ("halves", 2, False), ("m_preimages", 2, True),
+                     ("m_preimages", 2, False), ("m_preimages", 3, False)}
+
+
+# the cases with E(K)[2] full and a point of order 4, found by halving
+FULL_TWO_TORSION = [c for c in PINNED_CASES + list(WITNESSES) if c[2][0] % 2 == c[2][1] % 4 == 0]
+
+
+@pytest.mark.parametrize("curve, field, expected", FULL_TWO_TORSION)
+def test_full_two_torsion_halves_without_the_lift(monkeypatch, curve, field, expected):
+    # with E(K)[2] full every halving is Knapp's, and no point is halved by
+    # the lift of m_preimages(., 2)
+    preimages, halves = torsion.m_preimages, torsion.halves
+    halved = []
+
+    def odd_only(E, P, K, m):
+        if m == 2:
+            raise AssertionError("m_preimages(., 2) called with E(K)[2] full")
+        return preimages(E, P, K, m)
+
+    monkeypatch.setattr(torsion, "m_preimages", odd_only)
+    monkeypatch.setattr(torsion, "halves", lambda *args: halved.append(args[1]) or halves(*args))
+    assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == expected
+    assert halved
 
 
 class TestReductionBound:
