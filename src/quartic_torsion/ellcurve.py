@@ -7,8 +7,8 @@ multiplication-by-m x-maps and m-th preimages are all exact.  A preimage
 under [m] of a point P != -P takes its y from the formula for [m], not from a
 square root.  Halving takes square roots instead of lifting a quartic: when
 E(K)[2] is full, `halves` reads the halves off the square roots of
-x_P - e_i (Knapp's criterion), and a point of order 2 is halved by one square
-root in `m_preimages`.
+x_P - e_i (Knapp's criterion), the third of them by a division, and a point
+of order 2 is halved by one square root in `m_preimages`.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -182,9 +182,11 @@ class Curve:
 class Point:
     """Point on E with coordinates in a designated field (None = infinity).
     The constructor checks the curve equation; the sums and negatives of the
-    group law lie on the curve by construction and skip it."""
+    group law lie on the curve by construction and skip it.  A point is not
+    changed once built, so its hash is computed on first use and kept in
+    `_hash`."""
 
-    __slots__ = ("curve", "field", "xy")
+    __slots__ = ("curve", "field", "xy", "_hash")
 
     def __init__(self, curve: Curve, field: NumberField, xy=None):
         self.curve = curve
@@ -228,7 +230,11 @@ class Point:
 
     def __hash__(self):
         # the points of one search share a curve and a field; == still compares them
-        return hash(self.xy)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self.xy)
+            return h
 
     def __repr__(self):
         if self.is_infinity():
@@ -366,27 +372,33 @@ def halves(E: Curve, P: Point, K: NumberField, es) -> set[Point]:
     three points of order 2 of E(K).  In eta = y + (a1 x + a3)/2 the curve
     is eta^2 = (x - e1)(x - e2)(x - e3), and P lies in 2E(K) iff every
     x_P - e_i is a square in K (Knapp, Elliptic Curves, 1992, Thm 4.2).  Take
-    r_i with r_i^2 = x_P - e_i; then (r1 r2 r3)^2 = eta_P^2.  For each choice
-    of signs (a, b, c) = (+-r1, +-r2, +-r3) with abc = eta_P, the half has
+    r_i with r_i^2 = x_P - e_i; then (r1 r2 r3)^2 = eta_P^2.  So when
+    r1 r2 != 0, x_P - e3 is a square, and r3 = eta_P / (r1 r2) is the root
+    with r1 r2 r3 = eta_P: one inverse in place of a square root.  When
+    r1 r2 = 0, P has order 2 with x_P in {e1, e2}, eta_P = 0, and r3 is a
+    square root.  For each choice of signs (a, b, c) = (+-r1, +-r2, +-r3)
+    with abc = eta_P, the half has
 
         x = x_P + ab + ac + bc,    eta = (a + b)(a + c)(b + c),
 
-    since x - e1 = (a + b)(a + c) and likewise for e2, e3.  Once r3 is signed
-    so that r1 r2 r3 = eta_P, the choices are the four with an even number of
-    minus signs; for eta_P = 0 some r_i is 0, and the four are still distinct.
-    No lift and no y by a square root are needed.  The curve equation
-    4 eta^2 = T(x), T = `two_division_poly`, is checked exactly, as in
-    `m_preimages`."""
-    rs = []
-    for e in es:
-        r = sqrt_in_field(P.x - e, K)
-        if r is None:
-            return set()
-        rs.append(r)
-    r1, r2, r3 = rs
+    since x - e1 = (a + b)(a + c) and likewise for e2, e3.  The choices are
+    the four with an even number of minus signs; for eta_P = 0 some r_i is 0,
+    and the four are still distinct.  No lift and no y by a square root are
+    needed.  The curve equation 4 eta^2 = T(x), T = `two_division_poly`, is
+    checked exactly, as in `m_preimages`."""
+    e1, e2, e3 = es
     half_a1, half_a3 = E.a1 / 2, E.a3 / 2
-    if r1 * r2 * r3 != P.y + P.x * half_a1 + half_a3:
-        r3 = -r3
+    eta_P = P.y + P.x * half_a1 + half_a3
+    r1 = sqrt_in_field(P.x - e1, K)
+    if r1 is None:
+        return set()
+    r2 = sqrt_in_field(P.x - e2, K)
+    if r2 is None:
+        return set()
+    r12 = r1 * r2
+    r3 = sqrt_in_field(P.x - e3, K) if r12.is_zero() else eta_P / r12
+    if r3 is None:
+        return set()
     T = E.two_division_poly()
     out = set()
     for a, b, c in ((r1, r2, r3), (r1, -r2, -r3), (-r1, r2, -r3), (-r1, -r2, r3)):

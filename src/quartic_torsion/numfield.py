@@ -68,16 +68,24 @@ image is tried; two extra p-adic digits keep wrong matchings from passing the
 bound, and a candidate is kept only if it passes exact substitution.  The
 bound makes the search complete, so there is no other method to fall back on.
 
+A square root takes the same prime choice and the same recombination
+(`_split_images`, `_lifted_roots`) with half the lifting (`sqrt_in_field`).
+For beta = num/den, a = num * den lies in Z[theta] and y^2 - a is already h~.
+An image y^2 - a(r_i) is settled by Euler's criterion on a(r_i), and one root
+s_i is lifted per image, -s_i being the other.  As -gamma is a root with
+gamma, only the 2^(d-1) sign choices with the first sign + are tried, and the
+first that passes the exact check is the answer.
+
 QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
 own: f = x, every prime p > 58 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
 `rational_roots` searches one such field, built at import, and `sqrt_in_field`
-lifts the roots of y^2 - beta over QQ as over any other field.  A RatPoly over QQ
-is lifted directly, with no factorization: its one image leaves no matchings
-to prune.  The factorizer serves only [K:QQ] > 1, where a rational h is
-factored over QQ first and only factors of degree dividing [K:QQ] are lifted;
-a caller that meets one h over many fields may hand its factors in
-(`roots_in_field`).
+lifts y^2 - beta over QQ as over any other field, with one root and no
+matching.  A RatPoly over QQ is lifted directly, with no factorization: its
+one image leaves no matchings to prune.  The factorizer serves only
+[K:QQ] > 1, where a rational h is factored over QQ first and only factors of
+degree dividing [K:QQ] are lifted; a caller that meets one h over many fields
+may hand its factors in (`roots_in_field`).
 
 The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
 so each field keeps them per split prime at the highest precision any search
@@ -660,38 +668,34 @@ def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]
     return not any(v)
 
 
-def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
-    """Roots in K of h in K[x], lifted at a split prime.  Every root returned
-    has passed exact substitution.  An image with no root mod p ends the
-    search at once, at any split prime; `_image_roots` finds the roots of each
-    image, a quadratic one from its discriminant.
-
-    One squarefree image proves h squarefree: if h = g^2 k with deg g > 0, the
-    monic g~ has algebraic-integer roots, so its coefficients are p-integral
-    (p does not divide disc f), and g~(theta -> r)^2 divides every image.
-    So h is reduced to its squarefree part only at a split prime where no
-    image is squarefree.
-
-    The roots rho_i of f mod q and the Lagrange weights come from the field's
-    lift context (`_split_prime_lift`), lifted once per field and prime to the
-    highest precision needed so far; only the roots of the images are lifted
-    here, each from its residue mod p."""
-    if h.degree == 0:
-        return set()
-    D, ht = _scaled_monic(h)
-    # h squarefree: only the finitely many p dividing Norm(disc h~) fail
+def _split_images(K: NumberField, image_roots) -> Iterator[tuple[int, tuple[int, ...], list]]:
+    """(p, rs, [image_roots(r, p) for r in rs]) at each split prime p of K in
+    turn, rs the roots of f mod p.  image_roots(r, p) gives the roots mod p of
+    the image at theta -> r, or None where that image does not settle the
+    lift at p.  The stream ends at the first image with no root mod p: a root
+    in K would map to one, so there is none, at any split prime."""
     for p, rs in K.iter_split_primes():
-        root_lists = []
+        lists = []
         for r in rs:
-            rts = _image_roots([_eval_mod(a, r, p) for a in ht], p)
+            rts = image_roots(r, p)
             if rts == []:
-                return set()
-            root_lists.append(rts)
-        if None not in root_lists:
-            break
-        if all(rts is None for rts in root_lists):
-            h = h.squarefree()
-            D, ht = _scaled_monic(h)
+                return
+            lists.append(rts)
+        yield p, rs, lists
+
+
+def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ...],
+                  root_lists: list[list[int]], pm: bool = False) -> list[list[int]]:
+    """Delta * beta in Z[theta] for the roots beta of the monic h~ in K, from
+    root_lists[i], the roots mod p of the squarefree image at theta -> rs[i]:
+    each is lifted mod q = p^N > 2 L p^2, and the matchings of one lifted
+    root per image are recombined.  A matching within the bound L is kept
+    only if h~ vanishes at it exactly (`_vanishes_at`).
+
+    With pm, h~ = y^2 - a and root_lists[i] holds one root s_i, whose
+    negative is the other: the matchings are the 2^(d-1) sign choices with
+    the first sign +, which meet exactly one of +-gamma, and the first gamma
+    that passes is returned alone."""
     L = _coordinate_bound(K, ht)
     q = p
     while q <= 2 * L * p * p:
@@ -703,8 +707,10 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     for rho_i, weight, rts in zip(rho, weights, root_lists):
         hi = [_eval_mod(a, rho_i, q) for a in ht]
         vecs.append([[b * c % q for c in weight] for b in (_lift_root(hi, x, p, q) for x in rts)])
+    if pm:
+        vecs[1:] = [[v, [-c % q for c in v]] for (v,) in vecs[1:]]
     Delta = abs(K.disc)
-    roots = set()
+    gammas = []
     half = q // 2
     for choice in product(*vecs):
         gamma = []
@@ -716,8 +722,46 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
             gamma.append(v)
         else:
             if _vanishes_at(ht, gamma, Delta, K._f_int):
-                roots.add(FieldElement(K, gamma, Delta * D))
-    return roots
+                gammas.append(gamma)
+                if pm:
+                    break
+    return gammas
+
+
+def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
+    """Roots in K of h in K[x], lifted at a split prime.  Every root returned
+    has passed exact substitution.  An image with no root mod p ends the
+    search at once, at any split prime (`_split_images`); `_image_roots` finds
+    the roots of each image, a quadratic one from its discriminant.
+
+    One squarefree image proves h squarefree: if h = g^2 k with deg g > 0, the
+    monic g~ has algebraic-integer roots, so its coefficients are p-integral
+    (p does not divide disc f), and g~(theta -> r)^2 divides every image.
+    So h is reduced to its squarefree part only at a split prime where no
+    image is squarefree.
+
+    The roots rho_i of f mod q and the Lagrange weights come from the field's
+    lift context (`_split_prime_lift`), lifted once per field and prime to the
+    highest precision needed so far; only the roots of the images are lifted
+    here, each from its residue mod p (`_lifted_roots`).  `sqrt_in_field`
+    shares the prime choice and the lift, with one root lifted per image."""
+    if h.degree == 0:
+        return set()
+    D, ht = _scaled_monic(h)
+    # h squarefree: only the finitely many p dividing Norm(disc h~) fail; the
+    # images read ht when they are taken, so a squarefree part serves the
+    # primes after it
+    images = lambda r, p: _image_roots([_eval_mod(a, r, p) for a in ht], p)
+    for p, rs, root_lists in _split_images(K, images):
+        if None not in root_lists:
+            break
+        if all(rts is None for rts in root_lists):
+            h = h.squarefree()
+            D, ht = _scaled_monic(h)
+    else:
+        return set()
+    Delta = abs(K.disc)
+    return {FieldElement(K, gamma, Delta * D) for gamma in _lifted_roots(K, ht, p, rs, root_lists)}
 
 
 def _image_roots(img: list[int], p: int) -> list[int] | None:
@@ -781,17 +825,43 @@ def rational_roots(h: RatPoly) -> set[Fraction]:
     return {r.rational_value() for r in roots_in_field(h, _QQ)}
 
 
+def _sqrt_image(a: list[int], r: int, p: int) -> list[int] | None:
+    """[s] with s^2 = a(r) mod p, [] when a(r) is a nonsquare mod p (Euler's
+    criterion), and None when a(r) = 0 mod p."""
+    v = _eval_mod(a, r, p)
+    if v == 0:
+        return None
+    if pow(v, (p - 1) // 2, p) != 1:
+        return []
+    return [zp.gf_sqrt(v, p)]
+
+
 def sqrt_in_field(beta, K: NumberField):
     """Some gamma in K with gamma^2 = beta, or None; deterministic choice
-    (first nonzero power-basis coordinate positive).  gamma is a root of
-    y^2 - beta in K, from `roots_in_field` for every K, QQ included; the
-    roots are +-gamma, which have the same canonical sign."""
+    (first nonzero power-basis coordinate positive).  The roots of y^2 - beta
+    are +-gamma, which have the same canonical sign.
+
+    Its own lift, for every K, QQ included.  a = beta den^2 = num den lies in
+    Z[theta], and y^2 - a is the h~ of `_hensel_roots`, whose roots are
+    den * (+-gamma).  An image a(r_i) that is a nonsquare mod a split prime
+    (Euler's criterion) ends the search.  At the first split prime p where
+    no image a(r_i) is 0 mod p, one root s_i of y^2 = a(rho_i) is lifted per
+    image, -s_i being the other, and the 2^(d-1) sign choices with the first
+    sign + are recombined until one passes y^2 = a exactly (`_lifted_roots`
+    with pm).  That is the only substitution check."""
     beta = K.element(beta)
     if beta.is_zero():
         return K.zero()
-    h = KPoly(K, [-beta, K.zero(), K.one()])
-    roots = roots_in_field(h, K)
-    return next(iter(roots)).canonical_sign() if roots else None
+    a = [c * beta.den for c in beta.num]
+    for p, rs, images in _split_images(K, partial(_sqrt_image, a)):
+        if None not in images:
+            break
+    else:
+        return None
+    d = K.degree
+    ht = [[-c for c in a], [0] * d, [1] + [0] * (d - 1)]
+    gammas = _lifted_roots(K, ht, p, rs, images, pm=True)
+    return FieldElement(K, gammas[0], abs(K.disc) * beta.den).canonical_sign() if gammas else None
 
 
 # ---------------------------------------------------------------------------

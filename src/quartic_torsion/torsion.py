@@ -27,6 +27,10 @@ root.
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
 the p-primary part) times the coprime orders of the other primes' summands.
+Each lift also records [p]Q for every preimage Q, so a point Q of order p^k
+reaches [p^(k-1)]Q, its ancestor of order p, by k - 1 lookups.  The
+generators are chosen by comparing those ancestors (`_choose_generators`),
+with no multiples of the candidates listed.
 Each affine point is mapped once to the smallest subfield of K holding its
 coordinates (`smallest_subfield`); the definition degrees, the order-7 check
 and the growth chain all read that map.  -P = (x, -y - a1 x - a3) lies in
@@ -117,19 +121,20 @@ def classification_table(g: GaloisType) -> frozenset[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _lift_once(frontier: set[Point], preimages) -> set[Point]:
-    """Preimages of a +-symmetric set of affine points, from `preimages(P)`
-    for one point P of each pair {P, -P}."""
-    out: set[Point] = set()
+def _lift_once(frontier, preimages) -> dict[Point, Point]:
+    """{Q: [p]Q} for the preimages Q of a +-symmetric set of affine points,
+    from `preimages(P)` for one point P of each pair {P, -P}: [p](-Q) = -P."""
+    out: dict[Point, Point] = {}
     done: set[Point] = set()
     for P in frontier:
         if P in done:
             continue
+        neg = -P
         done.add(P)
-        done.add(-P)
+        done.add(neg)
         pre = preimages(P)
-        out |= pre
-        out |= {-Q for Q in pre}
+        out.update(dict.fromkeys(pre, P))
+        out.update((-Q, neg) for Q in pre)
     return out
 
 
@@ -156,12 +161,13 @@ def reduction_bound(E: Curve, K: NumberField) -> int:
 
 
 def p_primary_part(E: Curve, K: NumberField, p: int,
-                   bound: int) -> tuple[tuple[int, int], dict[Point, int]]:
-    """Exact p-primary subgroup of E(K)_tors as {point: order}, identity
-    included, given `bound`, a power of p that the order of that subgroup
-    divides (the p-part of `reduction_bound`).  The lift from E(K)[p^k] stops
-    once |E(K)[p^k]| * p exceeds `bound`: a point of order p^(k+1) would
-    multiply the group's order by at least p.  The frontier starts as the
+                   bound: int) -> tuple[tuple[int, int], dict[Point, int], dict[Point, Point]]:
+    """Exact p-primary subgroup of E(K)_tors: its structure, its points as
+    {point: order}, identity included, and the lift tree {Q: [p]Q} of every
+    point of order p^2 or more, given `bound`, a power of p that the order of
+    that subgroup divides (the p-part of `reduction_bound`).  The lift from
+    E(K)[p^k] stops once |E(K)[p^k]| * p exceeds `bound`: a point of order
+    p^(k+1) would multiply the group's order by at least p.  The frontier starts as the
     points of order p: those above the roots of `x_division_poly(p)`.  For
     p = 2 that is the 2-division cubic, on whose roots the discriminant in y
     vanishes, so each root gives one point.  Over K != QQ the roots come from
@@ -171,7 +177,9 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     p^(k-1), and a preimage under [p] of such a point has order p^k.  When
     E(K)[2] is full, the halves come from the square roots of x_P - e_i
     (`halves`), with e_i the x's of the three points of order 2; otherwise
-    from `m_preimages`."""
+    from `m_preimages`.  Walking the tree from a point of order p^k up to one
+    of order p gives its ancestor [p^(k-1)]Q, with no group law
+    (`_choose_generators`)."""
     xs = roots_in_field(E.x_division_poly(p), K, partial(E.x_division_factors, p))
     frontier = {P for x in xs for P in curve_points_y(E, x, K)}
     if p == 2 and len(frontier) == 3:
@@ -180,12 +188,14 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     else:
         preimages = lambda P: m_preimages(E, P, K, p)
     pts = {Point.infinity(E, K): 1} | dict.fromkeys(frontier, p)
+    parents: dict[Point, Point] = {}
     q = p * p
     while frontier and len(pts) * p <= bound:
         frontier = _lift_once(frontier, preimages)
+        parents.update(frontier)
         pts.update(dict.fromkeys(frontier, q))
         q *= p
-    return structure_of_orders(pts.values()), pts
+    return structure_of_orders(pts.values()), pts, parents
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +242,14 @@ def _point_order(m: int, n: int) -> int:
     return m * n
 
 
-def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve, K: NumberField) -> dict[Point, int]:
-    """Every sum of one point from each p-primary part, with its order."""
-    pts = {Point.infinity(E, K): 1}
+def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve,
+                     K: NumberField) -> dict[Point, tuple[int, tuple[Point, ...]]]:
+    """Every sum of one point from each p-primary part, with its order and
+    its components, one per part in the order of `parts`."""
+    pts = {Point.infinity(E, K): (1, ())}
     for ppts in parts.values():
-        pts = {a + b: _point_order(m, n) for a, m in pts.items() for b, n in ppts.items()}
+        pts = {a + b: (_point_order(m, n), cs + (b,))
+               for a, (m, cs) in pts.items() for b, n in ppts.items()}
     return pts
 
 
@@ -248,30 +261,47 @@ def subfield_torsion(points: dict[Point, int], homes: dict[Point, int], m: int) 
                                if P.is_infinity() or homes[P] in (1, m))
 
 
-def _choose_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point]:
+def _choose_generators(group: dict[Point, tuple[int, tuple[Point, ...]]], d1: int, d2: int,
+                       trees: list[tuple[int, dict[Point, Point]]]) -> list[Point]:
     """The first point of order d2 in sort order, and for Z/d1+Z/d2 the first
-    point of order d1 whose cyclic group meets that of the first trivially."""
+    point of order d1 whose cyclic group meets that of the first only in O.
+    `group` is `_enumerate_group`'s, and trees[i] = (l, {Q: [l]Q}) is the lift
+    tree of the l-primary part that gave each point's i-th component.
+
+    With d1 | d2, <g1> and <g2> meet only in O iff for no prime l | d1 they
+    share their subgroup of order l.  That of <g> is generated by
+    [l^(k-1)]g_l, g_l of order l^k the l-component of g, which is the
+    ancestor of g_l of order l in its lift tree.  So g1 is rejected iff for
+    some l | d1 its ancestor R1 lies in <R2>, R2 that of g2.  The nonzero
+    points of <R2> are +-R2, ..., +-[(l-1)/2]R2: R2 itself for l = 2, +-R2
+    for l = 3, and (l-3)/2 additions for l >= 5, once per report."""
     if d2 == 1:
         return []
     # only the points of orders d1 and d2 are read, so only they are sorted
-    ordered = sorted((P for P, n in points.items() if n in (d1, d2)), key=Point.sort_key)
-    g2 = next(P for P in ordered if points[P] == d2)
+    ordered = sorted((P for P, (n, _) in group.items() if n in (d1, d2)), key=Point.sort_key)
+    g2 = next(P for P in ordered if group[P][0] == d2)
     if d1 == 1:
         return [g2]
-    span2 = set(_multiples(g2, d2))
+
+    def ancestor(P, i):
+        R, tree = group[P][1][i], trees[i][1]
+        while R in tree:
+            R = tree[R]
+        return R
+
+    spans = []
+    for i, (l, _) in enumerate(trees):
+        if d1 % l == 0:
+            R = M = ancestor(g2, i)
+            span = {R, -R}
+            for _ in range((l - 3) // 2):
+                M = M + R
+                span |= {M, -M}
+            spans.append((i, span))
     for g1 in ordered:
-        # <g1> + <g2> has d1 * d2 points iff <g1> meets <g2> only in O
-        if points[g1] == d1 and not span2.intersection(_multiples(g1, d1)[1:]):
+        if group[g1][0] == d1 and all(ancestor(g1, i) not in span for i, span in spans):
             return [g1, g2]
     raise InvariantViolationError("no generating pair found for computed structure")
-
-
-def _multiples(P: Point, n: int) -> list[Point]:
-    """[0]P, [1]P, ..., [n-1]P."""
-    out = [Point.infinity(P.curve, P.field)]
-    for _ in range(n - 1):
-        out.append(out[-1] + P)
-    return out
 
 
 def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
@@ -281,19 +311,21 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
     bound = reduction_bound(E, K)
     parts = {p: p_primary_part(E, K, p, p**e) for p, e in factor_int(bound)}
     d1 = d2 = 1
-    for (e1, e2), _ in parts.values():
+    for (e1, e2), _, _ in parts.values():
         d1 *= e1
         d2 *= e2
     order = d1 * d2
-    nontrivial = {p: pts for p, (_, pts) in parts.items() if len(pts) > 1}
-    points = _enumerate_group(nontrivial, E, K)
+    nontrivial = {p: part for p, part in parts.items() if len(part[1]) > 1}
+    group = _enumerate_group({p: pts for p, (_, pts, _) in nontrivial.items()}, E, K)
+    points = {P: n for P, (n, _) in group.items()}
     if len(points) != order:
         raise InvariantViolationError(
             f"assembled group has {len(points)} points, structure says {order}")
     if bound % order:
         raise InvariantViolationError(
             f"order {order} of Z/{d1}+Z/{d2} does not divide the reduction bound {bound}")
-    generators = _choose_generators(points, d1, d2)
+    generators = _choose_generators(group, d1, d2,
+                                    [(p, tree) for p, (_, _, tree) in nontrivial.items()])
     # -P = (x, -y - a1 x - a3) lies in every subfield that holds P
     homes: dict[Point, int] = {}
     for P in points:
@@ -310,7 +342,7 @@ def torsion_over_field(E: Curve, K: NumberField) -> TorsionReport:
         galois_type=g,
         structure=(d1, d2),
         generators=generators,
-        per_prime={p: stp for p, (stp, _) in parts.items() if stp != (1, 1)},
+        per_prime={p: stp for p, (stp, _, _) in parts.items() if stp != (1, 1)},
         point_definition_degrees=defdeg,
         checks=checks,
         points=points,

@@ -19,6 +19,10 @@ with the engine:
   which come from the lift loop.
 - `point_order`: the order of a point by repeated addition, against the orders
   `torsion.torsion_over_field` reads off the lift levels.
+- `multiples_generators`: the generators by the rule of
+  `torsion._choose_generators`, with each cyclic subgroup listed by repeated
+  addition, where the engine compares the ancestors of order l in its lift
+  trees.
 - `sqrt_reference_preimages`: the m-th preimages of a point from the roots of
   phi_m - x_P psi_m^2 and square roots in K, against `ellcurve.m_preimages`,
   which solves the same polynomial but takes y from the formula for [m] when
@@ -61,6 +65,32 @@ def point_order(P: Point, bound: int) -> int | None:
         if acc.is_infinity():
             return k
         acc = acc + P
+    return None
+
+
+def _multiples(P: Point, n: int) -> list[Point]:
+    """[0]P, [1]P, ..., [n-1]P."""
+    out = [Point.infinity(P.curve, P.field)]
+    for _ in range(n - 1):
+        out.append(out[-1] + P)
+    return out
+
+
+def multiples_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point] | None:
+    """Generators of Z/d1 + Z/d2, given as {point: order}: the first point g2
+    of order d2 in sort order, and for d1 > 1 the first point g1 of order d1
+    such that no nonzero multiple of g1 is a multiple of g2.  None if there is
+    no such g1."""
+    if d2 == 1:
+        return []
+    ordered = sorted(points, key=Point.sort_key)
+    g2 = next(P for P in ordered if points[P] == d2)
+    if d1 == 1:
+        return [g2]
+    span2 = set(_multiples(g2, d2))
+    for g1 in ordered:
+        if points[g1] == d1 and not span2.intersection(_multiples(g1, d1)[1:]):
+            return [g1, g2]
     return None
 
 

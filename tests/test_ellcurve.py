@@ -120,6 +120,36 @@ class TestGroupLaw:
         assert point_order(P, 5) == 5
 
 
+class TestPointHash:
+    """A point's hash is computed once and kept; equal points hash alike
+    however they were built."""
+
+    @pytest.mark.parametrize("curve, field, P, R", [
+        # (-2, 3) + (2, 5) on y^2 = x^3 + 17 has x = 1/4: Fraction coordinates
+        (Curve([0, 0, 0, 0, 17]), Q, (-2, 3), (2, 5)),
+        # (i, 1 - i) on y^2 = x^3 - x over QQ(i), and (0, 0)
+        (E_X3_X, quadratic_field(-1), ([0, 1], [1, -1]), (0, 0)),
+        # 11a1 over QQ(zeta5), a1 = 0 but a3 != 0: -P is not (x, -y)
+        (E11A1, parse_field_spec("1,1,1,1"), (5, 5), (16, -61)),
+    ])
+    def test_equal_points_hash_alike(self, curve, field, P, R):
+        P, R = Point(curve, field, P), Point(curve, field, R)
+        S = P + R
+        x, y = S.xy
+        built = [S, Point(curve, field, (x, y)), Point._on_curve(curve, field, x, y),
+                 -(-S), (S + P) + (-P), (S + S) + (-S)]
+        assert all(T == S for T in built)
+        assert {hash(T) for T in built} == {hash(S.xy)}
+        assert all(T._hash == hash(S.xy) for T in built)
+        assert len(set(built)) == 1
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        P = Point(E_X3_X, quadratic_field(-1), ([0, 1], [1, -1]))
+        first = hash(P)
+        monkeypatch.setattr(type(P.x), "__hash__", lambda self: 0 / 0)
+        assert hash(P) == first and P in {P}
+
+
 class TestDivisionPolynomials:
     def test_psi2_squared(self):
         E = E11A1
@@ -352,6 +382,25 @@ class TestHalves:
         sizes = {len(halves(E, P, K, _es(E, K)))
                  for seed in (0, 1, 2) for E, K, _, points in _seeded_halving_cases(seed, 4) for P in points}
         assert sizes == {0, 4}
+
+    def test_third_root_by_a_division(self, monkeypatch):
+        # r3 = eta_P / (r1 r2) when r1 r2 != 0: two square roots per point; a
+        # point of order 2 with x_P = e1 or e2 takes the third square root
+        E, K = E_X3_X, parse_field_spec("-1,2")
+        es = _es(E, K)
+        sqrt, taken = ellcurve.sqrt_in_field, []
+        monkeypatch.setattr(ellcurve, "sqrt_in_field", lambda b, K: taken.append(b) or sqrt(b, K))
+        report = torsion_over_field(E, K)
+        counts = {}
+        for P in report.points:
+            if not P.is_infinity():
+                taken.clear()
+                got = halves(E, P, K, es)
+                roots, most = len(taken), 3 if P.x in es[:2] else 2
+                assert roots == most if got else roots <= most, P
+                assert got == m_preimages(E, P, K, 2)
+                counts[most, len(got)] = roots
+        assert counts.keys() >= {(2, 4), (3, 4)}
 
     def test_wrong_root_raises(self, monkeypatch):
         # a root r with r^2 != x_P - e puts the half off the curve

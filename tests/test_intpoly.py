@@ -398,7 +398,7 @@ def test_searched_primes_are_the_primes_of_b(monkeypatch):
 
     def recording(E, K, p, bound):
         searched.append((p, bound))
-        return (1, 1), {Point.infinity(E, K): 1}
+        return (1, 1), {Point.infinity(E, K): 1}, {}
 
     monkeypatch.setattr(torsion, "p_primary_part", recording)
     for B in [n for n in FACTOR_CASES if all(q < T * T for q, _ in ref_factor_int(n))]:

@@ -870,8 +870,8 @@ def _isqrt_reference(q):
 
 
 class TestSqrtOverRationals:
-    """QQ has no square-root path of its own: y^2 - beta is lifted as in any
-    other field."""
+    """QQ has no square-root path of its own: y^2 - beta goes to the split
+    primes of the degree-1 field and is lifted there, as in any other field."""
 
     def cases(self):
         rng = random.Random(41)
@@ -885,13 +885,13 @@ class TestSqrtOverRationals:
 
     def test_matches_isqrt(self, monkeypatch):
         lifted = []
-        hensel_roots = numfield._hensel_roots
+        split_images = numfield._split_images
 
-        def counted(h, K):
-            lifted.append(h)
-            return hensel_roots(h, K)
+        def counted(K, image_roots):
+            lifted.append(K)
+            return split_images(K, image_roots)
 
-        monkeypatch.setattr(numfield, "_hensel_roots", counted)
+        monkeypatch.setattr(numfield, "_split_images", counted)
         Q = rational_field()
         cases = self.cases()
         for beta in cases:
@@ -900,7 +900,8 @@ class TestSqrtOverRationals:
                 assert got is None, beta
             else:
                 assert got == Q.element(expected) and got.rational_value() >= 0, beta
-        assert len(lifted) == len(cases) - 1  # every beta but 0
+        # every beta but 0 takes the split-prime step, in QQ itself
+        assert lifted == [Q] * (len(cases) - 1)
 
 
 class TestGaloisType:
@@ -1062,6 +1063,51 @@ def _workload_fields(benchmark_cases, seeds):
     """The distinct fields of the cases of every workload at the seeds."""
     return {parse_field_spec(f) for w in ("known_groups", "curve_sweep", "field_sweep")
             for seed in seeds for _, f in benchmark_cases(w, seed)}
+
+
+class TestSqrtAgainstNormMethod:
+    """`sqrt_in_field` takes its own lift: one root per image and the sign
+    choices with the first sign +.  It gives the roots the norm method gives
+    y^2 - beta."""
+
+    def test_every_workload_field(self, benchmark_cases, monkeypatch):
+        # squares, nonsquares and 0, over every field of seeds 0-2; p0^2 x^2
+        # and p0 x^2 vanish at every image mod the first split prime p0, so
+        # the lift goes on to a later prime, where only the first is a square
+        lifted_at = []
+        lifted_roots = numfield._lifted_roots
+        monkeypatch.setattr(numfield, "_lifted_roots",
+                            lambda K, ht, p, *args, **kw: lifted_at.append(p)
+                            or lifted_roots(K, ht, p, *args, **kw))
+        rng = random.Random(53)
+        fields = sorted(_workload_fields(benchmark_cases, range(3)), key=repr)
+        found = set()
+        for K in fields:
+            p0, _ = next(K.iter_split_primes())
+            assert sqrt_in_field(K.zero(), K) == K.zero()
+            assert numfield._trager_roots(KPoly(K, [0, 1]), K) == {K.zero()}
+            x = _random_element(K, rng, (1, 2, 3))
+            while x.is_zero():
+                x = _random_element(K, rng, (1, 2, 3))
+            for kind, beta in (("square", x * x), ("any", _random_element(K, rng, (1, 5))),
+                               ("vanishing square", x * x * (p0 * p0)),
+                               ("vanishing nonsquare", x * x * p0)):
+                if beta.is_zero():
+                    continue
+                lifted_at.clear()
+                root = sqrt_in_field(beta, K)
+                expected = numfield._trager_roots(KPoly(K, [-beta, 0, 1]), K)
+                assert expected == (set() if root is None else {root, -root}), (K, beta)
+                assert root is None or root == root.canonical_sign()
+                if kind.startswith("vanishing"):
+                    assert all(p > p0 for p in lifted_at), (K, beta)
+                    assert lifted_at or root is None, (K, beta)
+                    assert (root is not None) == (kind == "vanishing square"), (K, beta)
+                    found.add(kind)
+                found.add((kind, root is None))
+        assert len(fields) > 70
+        assert {("square", False), ("any", True)} <= found
+        assert {"vanishing square", "vanishing nonsquare"} <= found
 
 
 class TestQuadraticSubfields:

@@ -21,6 +21,7 @@ from oracles import (
     change_model,
     charpoly,
     count_torsion_in_field,
+    multiples_generators,
     point_order,
     quadratic_twist,
     short_model,
@@ -574,6 +575,50 @@ def test_lift_preimages_match_the_square_root_reference(monkeypatch):
         assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == structure
     assert paths == {("halves", 2, True), ("halves", 2, False), ("m_preimages", 2, True),
                      ("m_preimages", 2, False), ("m_preimages", 3, False)}
+
+
+@pytest.mark.parametrize("curve, field, expected", PINNED_CASES + list(WITNESSES))
+def test_generators_match_the_multiples_rule(curve, field, expected):
+    # the lift trees' ancestors choose what listing each cyclic group by
+    # repeated addition chooses
+    report = _pinned_report(curve, field)
+    assert report.structure == expected
+    assert report.generators == multiples_generators(report.points, *expected)
+
+
+@pytest.mark.parametrize("curve, field, expected",
+                         [c for c in PINNED_CASES + list(WITNESSES) if c[2][0] > 1])
+def test_generators_match_the_multiples_rule_in_any_order(monkeypatch, curve, field, expected):
+    # the same rule under seeded orders of the points that put g2 first and
+    # then every candidate g1 whose cyclic group meets <g2> outside O, so
+    # that the subgroup test must reject each of them
+    choose, seen = torsion._choose_generators, []
+    monkeypatch.setattr(torsion, "_choose_generators", lambda *args: seen.append(args) or choose(*args))
+    report = torsion_over_field(Curve.from_str(curve), parse_field_spec(field))
+    ((group, d1, d2, trees),) = seen
+    assert (d1, d2) == expected
+    points, g2 = report.points, report.generators[1]
+    span2 = {g2.scalar_mul(k) for k in range(d2)}
+    meets = [P for P, n in points.items() if n == d1 and P != g2
+             and any(P.scalar_mul(j) in span2 for j in range(1, d1))]
+    rest = [P for P in points if P != g2 and P not in meets]
+    assert meets and rest
+    rng = random.Random(f"{curve} over {field}")
+    for _ in range(3):
+        rng.shuffle(meets)
+        rng.shuffle(rest)
+        rank = {P: i for i, P in enumerate([g2] + meets + rest)}
+        monkeypatch.setattr(ellcurve.Point, "sort_key", lambda P: rank[P])
+        got = choose(group, d1, d2, trees)
+        assert got == multiples_generators(points, d1, d2)
+        assert got[1] == g2 and got[0] not in meets
+
+
+def test_generator_cases_cover_every_subgroup_test():
+    # l = 5 (11a1 over QQ(zeta5)), two primes l = 2, 3 (the Hesse 6x6 rows),
+    # and a g2 of order 16, whose ancestor of order 2 is three levels up
+    structures = {expected for _, _, expected in PINNED_CASES + list(WITNESSES)}
+    assert {(5, 5), (6, 6), (2, 16)} <= structures
 
 
 # the cases with E(K)[2] full and a point of order 4, found by halving
