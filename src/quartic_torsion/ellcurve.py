@@ -18,12 +18,12 @@ order n.
 
 A Curve keeps, each filled on first use and never at construction, what the
 engine asks of it again for every field it is searched over: the division
-polynomials psi_n by n, and the factors over QQ of `x_division_poly(n)` of
-degree <= d by (n, d), d = [K:QQ].  Nothing is keyed by a field, so a curve
-keeps no field alive, and every value is a function of the a-invariants alone.
-a_p and the rational roots of the 2-division cubic are not kept: only a curve
-searched over many fields asks for them again, and they cost little next to
-that search.
+polynomials psi_n by n, the factors over QQ of `x_division_poly(n)` of
+degree <= d by (n, d), d = [K:QQ], and a_p by p, which `reduction_order`
+counts from p residues and every field's reduction bound asks for at the same
+small primes.  Nothing is keyed by a field, so a curve keeps no field alive,
+and every value is a function of the a-invariants alone.  The rational roots
+of the 2-division cubic are not kept: they are found once per report.
 """
 
 from __future__ import annotations
@@ -32,29 +32,40 @@ from fractions import Fraction
 
 from .errors import DataFormatError, InvariantViolationError, SingularCurveError
 from .exactmath import RatPoly, factor_bounded, rat_from_str, rat_to_str
-from .numfield import FieldElement, KPoly, NumberField, roots_in_field, sqrt_in_field
+from .numfield import FieldElement, KPoly, NumberField, rat_eval, roots_in_field, sqrt_in_field
+
+
+def _invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, disc) of the a-invariants, in the type of the
+    a-invariants: ints for an integral model, Fractions otherwise."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
 class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "disc", "label", "_psi_cache", "_factor_cache")
+                 "disc", "label", "_psi_cache", "_factor_cache", "_ap_cache")
 
     def __init__(self, a_invariants, label: str | None = None):
-        a1, a2, a3, a4, a6 = (Fraction(a) for a in a_invariants)
-        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        self.b2 = a1 * a1 + 4 * a2
-        self.b4 = 2 * a4 + a1 * a3
-        self.b6 = a3 * a3 + 4 * a6
-        self.b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        self.disc = (-self.b2**2 * self.b8 - 8 * self.b4**3 - 27 * self.b6**2
-                     + 9 * self.b2 * self.b4 * self.b6)
+        a = tuple(Fraction(a) for a in a_invariants)
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a
+        if all(c.denominator == 1 for c in a):
+            # the values of the Fraction path, without a gcd per operation
+            self.b2, self.b4, self.b6, self.b8, self.disc = map(
+                Fraction, _invariants(*(c.numerator for c in a)))
+        else:
+            self.b2, self.b4, self.b6, self.b8, self.disc = _invariants(*a)
         if self.disc == 0:
-            raise SingularCurveError(f"singular curve {list(map(rat_to_str, (a1, a2, a3, a4, a6)))}")
+            raise SingularCurveError(f"singular curve {list(map(rat_to_str, a))}")
         self.label = label
         self._psi_cache: dict[int, RatPoly] = {}
         self._factor_cache: dict[tuple[int, int], frozenset[RatPoly]] = {}
+        self._ap_cache: dict[int, int | None] = {}
 
     @property
     def a_invariants(self):
@@ -139,8 +150,10 @@ class Curve:
         squares mod p, which gives a_p = p + 1 - #E~(F_p).  Then
         #E~(F_q) = q + 1 - s_f with s_0 = 2, s_1 = a_p and
         s_k = a_p s_(k-1) - p s_(k-2), the power sums of Frobenius.  a_p is
-        counted anew on each call."""
-        ap = self._frobenius_trace(p)
+        counted on the first call for each p and kept."""
+        if p not in self._ap_cache:
+            self._ap_cache[p] = self._frobenius_trace(p)
+        ap = self._ap_cache[p]
         if ap is None:
             return None
         s_prev, s = 2, ap
@@ -184,9 +197,10 @@ class Point:
     The constructor checks the curve equation; the sums and negatives of the
     group law lie on the curve by construction and skip it.  A point is not
     changed once built, so its hash is computed on first use and kept in
-    `_hash`."""
+    `_hash`, and its negative is built on first use and kept in `_neg` on
+    both points, so that -(-P) is P."""
 
-    __slots__ = ("curve", "field", "xy", "_hash")
+    __slots__ = ("curve", "field", "xy", "_hash", "_neg")
 
     def __init__(self, curve: Curve, field: NumberField, xy=None):
         self.curve = curve
@@ -241,16 +255,20 @@ class Point:
             return "Point(O)"
         return f"Point({self.x.coeffs}, {self.y.coeffs})"
 
-    def sort_key(self):
-        if self.is_infinity():
-            return (0,)
-        return (1, self.x.sort_key(), self.y.sort_key())
-
     def __neg__(self) -> "Point":
+        """(x, -y - a1 x - a3), which is (x, -y) when a1 = a3 = 0."""
+        try:
+            return self._neg
+        except AttributeError:
+            pass
         if self.is_infinity():
             return self
         x, y = self.xy
-        return Point._on_curve(self.curve, self.field, x, -y - x * self.curve.a1 - self.curve.a3)
+        E = self.curve
+        y = -y - x * E.a1 - E.a3 if E.a1 or E.a3 else -y
+        self._neg = neg = Point._on_curve(E, self.field, x, y)
+        neg._neg = self
+        return neg
 
     def __add__(self, other: "Point") -> "Point":
         if self.curve != other.curve or self.field != other.field:
@@ -263,7 +281,7 @@ class Point:
         x1, y1 = self.xy
         x2, y2 = other.xy
         if x1 == x2:
-            if y2 == -y1 - x1 * E.a1 - E.a3:
+            if y2 == (-self).xy[1]:
                 return Point.infinity(E, self.field)
             # doubling
             den = y1 + y1 + x1 * E.a1 + E.a3
@@ -271,9 +289,13 @@ class Point:
             lam = num / den
         else:
             lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + lam * E.a1 - E.a2 - x1 - x2
-        y3 = -(lam + E.a1) * x3 - nu - E.a3
+        # x3 = lam^2 + a1 lam - a2 - x1 - x2, y3 = lam (x1 - x3) - y1 - a1 x3 - a3
+        x3 = lam * lam - x1 - x2
+        if E.a1 or E.a2:
+            x3 = x3 + lam * E.a1 - E.a2
+        y3 = lam * (x1 - x3) - y1
+        if E.a1 or E.a3:
+            y3 = y3 - x3 * E.a1 - E.a3
         return Point._on_curve(E, self.field, x3, y3)
 
     def scalar_mul(self, n: int) -> "Point":
@@ -291,22 +313,29 @@ class Point:
         return out
 
 
+def _eta_shift(E: Curve, x: FieldElement, t: FieldElement, sign: int) -> FieldElement:
+    """t + sign (a1 x + a3)/2: eta = y + (a1 x + a3)/2 from y for sign 1, and
+    y from eta for sign -1.  t itself when a1 = a3 = 0."""
+    if not (E.a1 or E.a3):
+        return t
+    return t + (x * E.a1 + E.a3) * Fraction(sign, 2)
+
+
 def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
     """All points of E(K) above a given x-coordinate: y = (-B +- sqrt T(x))/2.
     The curve equation is y^2 + By + C = 0 with B = a1 x + a3, and its
     discriminant B^2 - 4C is exactly T(x), T = `two_division_poly` (the
     4 eta^2 = T(x) of `m_preimages`).  So each y is a root, and the points are
     built without a second check of the curve equation."""
-    B = x * E.a1 + E.a3
-    g = sqrt_in_field(E.two_division_poly()(x), K)
+    g = sqrt_in_field(rat_eval(E.two_division_poly(), x), K)
     if g is None:
         return []
-    two_inv = Fraction(1, 2)
-    y1 = (-B + g) * two_inv
+    # y = eta - B/2 for the two eta = +-g/2
+    eta = g * Fraction(1, 2)
+    y1 = _eta_shift(E, x, eta, -1)
     if g.is_zero():
         return [Point._on_curve(E, K, x, y1)]
-    y2 = (-B - g) * two_inv
-    return [Point._on_curve(E, K, x, y1), Point._on_curve(E, K, x, y2)]
+    return [Point._on_curve(E, K, x, y1), Point._on_curve(E, K, x, _eta_shift(E, x, -eta, -1))]
 
 
 def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
@@ -339,8 +368,7 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
         raise ValueError("use the m-torsion kernel for P at infinity")
     if m < 2:
         raise ValueError("m must be >= 2")
-    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
-    eta_P = P.y + P.x * half_a1 + half_a3
+    eta_P = _eta_shift(E, P.x, P.y, 1)
     if eta_P.is_zero() and m == 2:
         e = P.x
         s = sqrt_in_field(e * e * 3 + e * (E.b2 / 2) + E.b4 / 2, K)
@@ -355,15 +383,15 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     gs = [E._psi(n) for n in range(m - 2, m + 3)]
     out = set()
     for x in xs:
-        g_lo2, g_lo1, g_m, g_hi1, g_hi2 = (g(x) for g in gs)
-        t = T(x)
+        g_lo2, g_lo1, g_m, g_hi1, g_hi2 = (rat_eval(g, x) for g in gs)
+        t = rat_eval(T, x)
         g_2m = g_m * (g_hi2 * g_lo1 * g_lo1 - g_lo2 * g_hi1 * g_hi1)
         g_m2 = g_m * g_m
         scale = g_m2 * g_m2 * (t * t if m % 2 == 0 else 1)
         eta = eta_P * scale / g_2m
         if eta * eta * 4 != t:
             raise InvariantViolationError(f"no point of E(K) above the root {x!r} of [{m}]x = x_P")
-        out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
+        out.add(Point._on_curve(E, K, x, _eta_shift(E, x, eta, -1)))
     return out
 
 
@@ -383,28 +411,32 @@ def halves(E: Curve, P: Point, K: NumberField, es) -> set[Point]:
 
     since x - e1 = (a + b)(a + c) and likewise for e2, e3.  The choices are
     the four with an even number of minus signs; for eta_P = 0 some r_i is 0,
-    and the four are still distinct.  No lift and no y by a square root are
-    needed.  The curve equation 4 eta^2 = T(x), T = `two_division_poly`, is
-    checked exactly, as in `m_preimages`."""
+    and the four are still distinct.  With u = r1 r2, v = r1 r3 and
+    w = r2 r3, taken once, x - x_P = ab + ac + bc is +-u +- v +- w, and
+    eta = (a + b + c)(x - x_P) - abc = (a + b + c)(x - x_P) - eta_P: two
+    products per half.  No lift and no y by a square root are needed.  The
+    curve equation 4 eta^2 = T(x), T = `two_division_poly`, is checked
+    exactly, as in `m_preimages`."""
     e1, e2, e3 = es
-    half_a1, half_a3 = E.a1 / 2, E.a3 / 2
-    eta_P = P.y + P.x * half_a1 + half_a3
+    eta_P = _eta_shift(E, P.x, P.y, 1)
     r1 = sqrt_in_field(P.x - e1, K)
     if r1 is None:
         return set()
     r2 = sqrt_in_field(P.x - e2, K)
     if r2 is None:
         return set()
-    r12 = r1 * r2
-    r3 = sqrt_in_field(P.x - e3, K) if r12.is_zero() else eta_P / r12
+    u = r1 * r2
+    r3 = sqrt_in_field(P.x - e3, K) if u.is_zero() else eta_P / u
     if r3 is None:
         return set()
+    v, w = r1 * r3, r2 * r3
     T = E.two_division_poly()
     out = set()
-    for a, b, c in ((r1, r2, r3), (r1, -r2, -r3), (-r1, r2, -r3), (-r1, -r2, r3)):
-        x = P.x + a * b + a * c + b * c
-        eta = (a + b) * (a + c) * (b + c)
-        if eta * eta * 4 != T(x):
+    for s, dx in ((r1 + r2 + r3, u + v + w), (r1 - r2 - r3, w - u - v),
+                  (r2 - r1 - r3, v - u - w), (r3 - r1 - r2, u - v - w)):
+        x = P.x + dx
+        eta = s * dx - eta_P
+        if eta * eta * 4 != rat_eval(T, x):
             raise InvariantViolationError(f"the half above {x!r} of {P!r} is not on the curve")
-        out.add(Point._on_curve(E, K, x, eta - x * half_a1 - half_a3))
+        out.add(Point._on_curve(E, K, x, _eta_shift(E, x, eta, -1)))
     return out

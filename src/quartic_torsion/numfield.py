@@ -6,16 +6,21 @@ An element is stored as one integer vector over Z[theta] and one denominator
 (Cohen, A Course in Computational Algebraic Number Theory, 4.2): num in the
 power basis 1, theta, ..., theta^(d-1) and den > 0 with gcd(den, *num) = 1, so
 each element has exactly one (num, den).  Sums and products are integer
-arithmetic, a product reduced modulo the monic integral f (`_mul_mod_f`, the
-multiply the root lift uses too).  The inverse solves M x = e_0, M the integer
-matrix of multiplication by num, by fraction-free Gaussian elimination
-(Bareiss, Math. Comp. 22, 1968); by Cramer's rule det(M) * x is integral, so
-the inverse is den * (det(M) * x) / det(M) with no fraction on the way.
-`FieldElement.coeffs` gives the coordinates as Fractions for reports, sorting
-and the tests.  A polynomial over K is a `KPoly`: its ring operations, division
-with remainder, derivative and evaluation are those of `exactmath.DensePoly`,
-the dense base it shares with `RatPoly`, and only `gcd` and `squarefree` are
-its own.
+arithmetic.  A product is written out in closed form for each degree 1, 2 and
+4, reduced modulo the monic integral f (`_mul_mod_f`, the multiply that the
+root lift, `rat_eval` and `smallest_subfield` use too).  The inverse is
+den / num_0 for d = 1 and den times the conjugate over the norm for d = 2; for
+d = 4 it solves M x = e_0, M the integer matrix of multiplication by num, by
+fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968): by
+Cramer's rule det(M) * x is integral, so the inverse is den * (det(M) * x) /
+det(M) with no fraction on the way.  `rat_eval` evaluates a rational
+polynomial at an element by Horner's rule over Z[theta], normalized once.
+`FieldElement.coeffs` gives the coordinates as Fractions for reports and the
+tests; nothing sorts by them (`torsion._sort_keys` orders points in integers).
+A polynomial over K is a `KPoly`: its ring operations, division with
+remainder, derivative and evaluation are those of `exactmath.DensePoly`, the
+dense base it shares with `RatPoly`, and only `gcd` and `squarefree` are its
+own.
 
 Set-up decides the rest from the rational roots of f and of its resolvent
 cubic, searched in QQ, never in K: whether f is irreducible, and a quartic
@@ -357,11 +362,19 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """den * x / det, where M x = e_0 and M is the integer matrix of
-        multiplication by num, solved by Bareiss elimination."""
+        multiplication by num, solved by Bareiss elimination for d = 4.  For
+        d <= 2 that is den / num_0, and den * num' / Norm(num) with the
+        conjugate num' = num_0 - num_1 f_1 - num_1 theta."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field._f_int
         d = len(f) - 1
+        if d == 1:
+            return FieldElement(self.field, (self.den,), self.num[0])
+        if d == 2:
+            a0, a1 = self.num
+            c = a0 - a1 * f[1]
+            return FieldElement(self.field, (self.den * c, -self.den * a1), a0 * c + a1 * a1 * f[0])
         # column j of M is num * theta^j; the rows are augmented with e_0
         cols = [self.num]
         for _ in range(d - 1):
@@ -422,9 +435,6 @@ class FieldElement:
         if self.is_zero():
             return Fraction(0)
         return resultant(self.field.defining_poly, RatPoly(self.coeffs))
-
-    def sort_key(self):
-        return self.coeffs
 
     def canonical_sign(self) -> "FieldElement":
         """Among {self, -self} the one whose first nonzero coordinate is > 0."""
@@ -642,19 +652,45 @@ def _split_prime_lift(K: NumberField, p: int, rs: tuple[int, ...],
 
 
 def _mul_mod_f(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> list[int]:
-    """a * b in Z[theta], f monic."""
-    d = len(f) - 1
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k]
-        if c:
-            for i in range(d):
-                prod[k - d + i] -= c * f[i]
-    return prod[:d]
+    """a * b in Z[theta], f monic of degree 1, 2 or 4: the product of the
+    two polynomials with theta^k, k >= d, reduced by theta^d = -sum f_i
+    theta^i from the top down, written out for each degree."""
+    if len(a) == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        f0, f1, f2, f3, _ = f
+        c6 = a3 * b3
+        c5 = a2 * b3 + a3 * b2 - c6 * f3
+        c4 = a1 * b3 + a2 * b2 + a3 * b1 - c6 * f2 - c5 * f3
+        return [a0 * b0 - c4 * f0,
+                a0 * b1 + a1 * b0 - c5 * f0 - c4 * f1,
+                a0 * b2 + a1 * b1 + a2 * b0 - c6 * f0 - c5 * f1 - c4 * f2,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c6 * f1 - c5 * f2 - c4 * f3]
+    if len(a) == 2:
+        a0, a1 = a
+        b0, b1 = b
+        c2 = a1 * b1
+        return [a0 * b0 - c2 * f[0], a0 * b1 + a1 * b0 - c2 * f[1]]
+    return [a[0] * b[0]]
+
+
+def rat_eval(h: RatPoly, x: FieldElement) -> FieldElement:
+    """h(x) for h in QQ[y] and x = num/den in K, equal to `DensePoly.__call__`
+    but with one normalization: Horner's rule over Z[theta] gives
+    D den^n h(x) = sum_k (D h_k) num^k den^(n-k), n = deg h and D the lcm of
+    the denominators of h, and the one FieldElement divides it back."""
+    K = x.field
+    if h.is_zero():
+        return K.zero()
+    D, cs = h.cleared()
+    num, den, f = x.num, x.den, K._f_int
+    v = [cs[-1]] + [0] * (K.degree - 1)
+    power = 1
+    for c in reversed(cs[:-1]):
+        power *= den
+        v = _mul_mod_f(v, num, f)
+        v[0] += c * power
+    return FieldElement(K, v, D * power)
 
 
 def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]) -> bool:
@@ -813,7 +849,7 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
             elif K.degree % q.degree == 0:
                 roots |= _hensel_roots(KPoly(K, q.coeffs), K)
     for r in roots:
-        if not h(r).is_zero():
+        if not (h(r) if isinstance(h, KPoly) else rat_eval(h, r)).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")
     return roots
 
@@ -992,30 +1028,31 @@ def smallest_subfield(elements, K: NumberField) -> int:
     """The smallest subfield of K holding every element: 1 for QQ, m for
     QQ(sqrt m) with m in `K.quadratic_subfields()`, and 0 for K itself.
 
-    Each element e is placed by its own square, with no square root taken.  An
-    irrational e lies in a quadratic subfield iff e^2 = a + b*e with a, b
-    rational: the theta-coordinates of e^2 are then b times those of e, which
-    are not all 0, and the rational ones give a.  As e = (b +- sqrt delta)/2,
-    delta = b^2 + 4a, QQ(e) = QQ(sqrt delta), which is QQ(sqrt m) for the one
-    squarefree m with delta/m a rational square.  In a K of degree <= 2 an
-    irrational e generates K, and so do two elements of different quadratic
-    subfields.  An e in a quadratic subfield that set-up did not list raises
-    InvariantViolationError."""
+    Each element e = c/den is placed by its own square s/den^2, with no
+    square root taken and in integers only.  An irrational e lies in a
+    quadratic subfield iff e^2 = a + b*e with a, b rational: the
+    theta-coordinates of s are then b*den times those of c, which are not all
+    0, so s_i c_k = s_k c_i for every i >= 1, k the first i with c_i != 0.
+    As e = (b +- sqrt delta)/2, delta = b^2 + 4a, QQ(e) = QQ(sqrt delta), and
+    delta = N / (c_k den)^2 with N = s_k^2 + 4 c_k (s_0 c_k - s_k c_0).  So
+    QQ(e) = QQ(sqrt m) for the one squarefree m with N m a square.  In a K of
+    degree <= 2 an irrational e generates K, and so do two elements of
+    different quadratic subfields.  An e in a quadratic subfield that set-up
+    did not list raises InvariantViolationError, which quotes delta."""
     homes = set()
     for e in elements:
         if e.is_rational():
             continue
         if K.degree <= 2:
             return 0
-        c, s = e.coeffs, (e * e).coeffs
+        c, s = e.num, _mul_mod_f(e.num, e.num, K._f_int)
         k = next(i for i in range(1, K.degree) if c[i])
-        b = s[k] / c[k]
-        if any(s[i] != b * c[i] for i in range(1, K.degree)):
+        if any(s[i] * c[k] != s[k] * c[i] for i in range(1, K.degree)):
             return 0
-        delta = b * b + 4 * (s[0] - b * c[0])
-        m = next((m for m in K.quadratic_subfields() if is_rational_square(delta / m)), None)
+        N = s[k] * s[k] + 4 * c[k] * (s[0] * c[k] - s[k] * c[0])
+        m = next((m for m in K.quadratic_subfields() if is_rational_square(N * m)), None)
         if m is None:
-            raise InvariantViolationError(f"{e!r} lies in QQ(sqrt {delta}), "
+            raise InvariantViolationError(f"{e!r} lies in QQ(sqrt {Fraction(N, (c[k] * e.den) ** 2)}), "
                                           f"which is not a listed quadratic subfield of {K!r}")
         homes.add(m)
     if len(homes) > 1:

@@ -245,11 +245,30 @@ def _point_order(m: int, n: int) -> int:
 def _enumerate_group(parts: dict[int, dict[Point, int]], E: Curve,
                      K: NumberField) -> dict[Point, tuple[int, tuple[Point, ...]]]:
     """Every sum of one point from each p-primary part, with its order and
-    its components, one per part in the order of `parts`."""
+    its components, one per part in the order of `parts`.  Both sets are
+    closed under negation and (-a) + (-b) = -(a + b), so one addition serves
+    each pair {(a, b), (-a, -b)}: b runs over every point for one a of each
+    pair {a, -a} with a != -a, and over one b of each pair {b, -b} for
+    a = -a."""
     pts = {Point.infinity(E, K): (1, ())}
     for ppts in parts.values():
-        pts = {a + b: (_point_order(m, n), cs + (b,))
-               for a, (m, cs) in pts.items() for b, n in ppts.items()}
+        reps = {}  # one b of each pair {b, -b}
+        for b, n in ppts.items():
+            if -b not in reps:
+                reps[b] = n
+        out, done = {}, set()
+        for a, (m, cs) in pts.items():
+            if a in done:
+                continue
+            na = -a
+            done.add(na)
+            ncs = pts[na][1]
+            for b, n in (reps if na == a else ppts).items():
+                order = _point_order(m, n)
+                s = a + b
+                out[s] = (order, cs + (b,))
+                out[-s] = (order, ncs + (-b,))
+        pts = out
     return pts
 
 
@@ -259,6 +278,24 @@ def subfield_torsion(points: dict[Point, int], homes: dict[Point, int], m: int) 
     subfield as `smallest_subfield` gives it."""
     return structure_of_orders(n for P, n in points.items()
                                if P.is_infinity() or homes[P] in (1, m))
+
+
+def _sort_keys(points) -> dict[Point, tuple[int, ...]]:
+    """{P: key} with keys that order the points exactly as the Fraction tuples
+    (x coordinates, then y coordinates) do, the identity first: each
+    coordinate is written over one common denominator of all the points, Lx
+    for the x's and Ly for the y's, and key = (1, Lx x, Ly y) in integers."""
+    affine = [P.xy for P in points if not P.is_infinity()]
+    Lx = lcm(*(x.den for x, _ in affine))
+    Ly = lcm(*(y.den for _, y in affine))
+    keys = {}
+    for P in points:
+        if P.is_infinity():
+            keys[P] = (0,)
+        else:
+            x, y = P.xy
+            keys[P] = (1, *(c * (Lx // x.den) for c in x.num), *(c * (Ly // y.den) for c in y.num))
+    return keys
 
 
 def _choose_generators(group: dict[Point, tuple[int, tuple[Point, ...]]], d1: int, d2: int,
@@ -278,7 +315,8 @@ def _choose_generators(group: dict[Point, tuple[int, tuple[Point, ...]]], d1: in
     if d2 == 1:
         return []
     # only the points of orders d1 and d2 are read, so only they are sorted
-    ordered = sorted((P for P, (n, _) in group.items() if n in (d1, d2)), key=Point.sort_key)
+    keys = _sort_keys([P for P, (n, _) in group.items() if n in (d1, d2)])
+    ordered = sorted(keys, key=keys.__getitem__)
     g2 = next(P for P in ordered if group[P][0] == d2)
     if d1 == 1:
         return [g2]
@@ -366,7 +404,8 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
 
     # full 5-torsion needs zeta5 in K (Weil pairing)
     if d1 % 5 == 0:
-        record("full_five_needs_zeta5", bool(roots_in_field(CYCLOTOMIC5, K)))
+        # Phi_5 is irreducible over QQ, so it is its own factor
+        record("full_five_needs_zeta5", bool(roots_in_field(CYCLOTOMIC5, K, lambda d: (CYCLOTOMIC5,))))
     # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
     # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
     if d2 % 2 == 0:

@@ -22,7 +22,11 @@ with the engine:
 - `multiples_generators`: the generators by the rule of
   `torsion._choose_generators`, with each cyclic subgroup listed by repeated
   addition, where the engine compares the ancestors of order l in its lift
-  trees.
+  trees.  It sorts by `point_sort_key`, the coordinates as Fractions, where
+  the engine sorts by integer keys (`torsion._sort_keys`).
+- `all_pairs_group`: every sum of one point from each p-primary part by one
+  addition per pair, against `torsion._enumerate_group`, which adds once per
+  pair {(a, b), (-a, -b)}.
 - `sqrt_reference_preimages`: the m-th preimages of a point from the roots of
   phi_m - x_P psi_m^2 and square roots in K, against `ellcurve.m_preimages`,
   which solves the same polynomial but takes y from the formula for [m] when
@@ -76,14 +80,21 @@ def _multiples(P: Point, n: int) -> list[Point]:
     return out
 
 
-def multiples_generators(points: dict[Point, int], d1: int, d2: int) -> list[Point] | None:
+def point_sort_key(P: Point) -> tuple:
+    """The identity first, then the affine points by their x coordinates and
+    then their y coordinates, as Fractions."""
+    return (0,) if P.is_infinity() else (1, P.x.coeffs, P.y.coeffs)
+
+
+def multiples_generators(points: dict[Point, int], d1: int, d2: int,
+                         key=point_sort_key) -> list[Point] | None:
     """Generators of Z/d1 + Z/d2, given as {point: order}: the first point g2
-    of order d2 in sort order, and for d1 > 1 the first point g1 of order d1
-    such that no nonzero multiple of g1 is a multiple of g2.  None if there is
-    no such g1."""
+    of order d2 in the order of `key`, and for d1 > 1 the first point g1 of
+    order d1 such that no nonzero multiple of g1 is a multiple of g2.  None if
+    there is no such g1."""
     if d2 == 1:
         return []
-    ordered = sorted(points, key=Point.sort_key)
+    ordered = sorted(points, key=key)
     g2 = next(P for P in ordered if points[P] == d2)
     if d1 == 1:
         return [g2]
@@ -92,6 +103,15 @@ def multiples_generators(points: dict[Point, int], d1: int, d2: int) -> list[Poi
         if points[g1] == d1 and not span2.intersection(_multiples(g1, d1)[1:]):
             return [g1, g2]
     return None
+
+
+def all_pairs_group(parts, E: Curve, K: NumberField) -> dict:
+    """{a + b: (order, components)} over all pairs, one part at a time, as
+    `torsion._enumerate_group` gives it; orders of coprime parts multiply."""
+    pts = {Point.infinity(E, K): (1, ())}
+    for ppts in parts.values():
+        pts = {a + b: (m * n, cs + (b,)) for a, (m, cs) in pts.items() for b, n in ppts.items()}
+    return pts
 
 
 def two_torsion(E: Curve, K: NumberField) -> set[Point]:
@@ -113,7 +133,7 @@ def knapp_preimages(E: Curve, P: Point, K: NumberField) -> set[Point]:
     if P.is_infinity():
         return two_torsion(E, K)
     cubic = RatPoly([16 * E.b6, 8 * E.b4, E.b2, 1])
-    rs = sorted(roots_in_field(cubic, K), key=lambda r: r.sort_key())
+    rs = sorted(roots_in_field(cubic, K), key=lambda r: r.coeffs)
     if len(rs) != 3:
         raise ValueError("Knapp halving needs full 2-torsion over K")
     X = P.x * 4

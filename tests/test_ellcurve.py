@@ -58,6 +58,28 @@ class TestInvariants:
         with pytest.raises(SingularCurveError):
             Curve([0, 0, 0, 0, 0])
 
+    def test_integer_path_equals_the_fraction_path(self, monkeypatch):
+        # seeded integral and rational models: integral a-invariants take the
+        # integer path, the others the Fraction path, with the same values
+        rng = random.Random(22)
+        invariants, types = ellcurve._invariants, set()
+        monkeypatch.setattr(ellcurve, "_invariants",
+                            lambda *a: types.add(type(a[0])) or invariants(*a))
+        built = {False: 0, True: 0}
+        for rational in (False, True) * 30:
+            a = [Fraction(rng.randrange(-99, 100), rng.choice((2, 3, 7, 36)) if rational else 1)
+                 for _ in range(5)]
+            try:
+                E = Curve(a)
+            except SingularCurveError:
+                continue
+            got = (E.b2, E.b4, E.b6, E.b8, E.disc)
+            assert got == invariants(*a) and all(type(v) is Fraction for v in got), a
+            c4, c6 = c_invariants(E)
+            assert 4 * E.b8 == E.b2 * E.b6 - E.b4**2 and 1728 * E.disc == c4**3 - c6**2
+            built[all(c.denominator == 1 for c in a)] += 1
+        assert min(built.values()) >= 20 and types == {int, Fraction}
+
     def test_b8_identity(self):
         rng = random.Random(21)
         for _ in range(20):
@@ -118,6 +140,24 @@ class TestGroupLaw:
         assert P.scalar_mul(5).is_infinity()
         assert not P.scalar_mul(2).is_infinity()
         assert point_order(P, 5) == 5
+
+
+class TestNegation:
+    @pytest.mark.parametrize("curve, field, order", [("0,0,0,-1,0", "-1,2", 16),
+                                                     ("1,1,1,-10,-10", "-1,5", 32)])
+    def test_negative_is_kept_on_both_points(self, curve, field, order):
+        # with a1 = a3 = 0 and with a1 = a3 = 1: -P is (x, -y - a1 x - a3),
+        # and -(-P) is P itself
+        E, K = Curve.from_str(curve), parse_field_spec(field)
+        O = Point.infinity(E, K)
+        assert -O is O
+        points = [Point(E, K, P.xy) for P in torsion_over_field(E, K).points if not P.is_infinity()]
+        assert len(points) == order - 1
+        for P in points:
+            x, y = P.xy
+            N = -P
+            assert N == Point(E, K, (x, -y - x * E.a1 - E.a3))
+            assert -N is P and -P is N and N + P == O
 
 
 class TestPointHash:
@@ -599,6 +639,17 @@ class TestCurveCaches:
             for p, f in ((5, 1), (5, 2), (7, 4), (13, 2)):
                 assert E.reduction_order(p, f) == Curve.from_str(self.SPEC).reduction_order(p, f)
         assert sorted(E._factor_cache) == [(2, 4), (3, 2), (3, 4)]
+
+    def test_a_p_is_counted_once_per_prime(self, monkeypatch):
+        # 14a1 has bad reduction at 7, which is kept as None
+        E = Curve.from_str(self.SPEC)
+        asked = [(p, f) for p in (5, 7, 13, 5) for f in (1, 2, 4)]
+        expected = [Curve.from_str(self.SPEC).reduction_order(p, f) for p, f in asked]
+        trace, counted = Curve._frobenius_trace, []
+        monkeypatch.setattr(Curve, "_frobenius_trace", lambda E, p: counted.append(p) or trace(E, p))
+        assert [E.reduction_order(p, f) for p, f in asked] == expected
+        assert counted == [5, 7, 13] and expected[3:6] == [None] * 3
+        assert E._ap_cache == {5: 5 + 1 - expected[0], 7: None, 13: 13 + 1 - expected[6]}
 
     def test_a_search_keys_nothing_by_field(self):
         E = Curve.from_str(self.SPEC)

@@ -35,6 +35,7 @@ from quartic_torsion.numfield import (
     biquadratic_field,
     parse_field_spec,
     quadratic_field,
+    rat_eval,
     rational_field,
     rational_roots,
     roots_in_field,
@@ -151,6 +152,46 @@ class TestFieldElementArithmetic:
                 assert got.coeffs == want, (op, a, b)
                 assert _is_canonical(got), (op, got.num, got.den)
                 assert got == K.element(want) and hash(got) == hash(K.element(want))
+
+    def test_closed_forms_on_every_workload_field(self, benchmark_cases):
+        # the product written out per degree and the inverse for d <= 2 (and
+        # Bareiss for d = 4), with coordinates past 2^200 over large
+        # denominators, on every field of seeds 0-2 of the three workloads
+        rng = random.Random(61)
+        degrees = set()
+        for K in sorted(_workload_fields(benchmark_cases, range(3)), key=repr):
+            f = K.defining_poly
+            degrees.add(K.degree)
+            for _ in range(3):
+                x, y = (K.element([Fraction(rng.randrange(-2**230, 2**230), rng.randrange(1, 2**70))
+                                   for _ in range(K.degree)]) for _ in range(2))
+                assert max(map(abs, x.num + y.num)) > 2**200
+                a, b = x.coeffs, y.coeffs
+                for got, want in ((x * y, _reference_mul(a, b, f)), (x * x, _reference_mul(a, a, f)),
+                                  (x.inverse(), _reference_inverse(a, f))):
+                    assert got.coeffs == want, (K, a, b)
+                    assert _is_canonical(got)
+        assert degrees == {1, 2, 4}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_rat_eval_is_horner_in_field_elements(self, spec):
+        # D den^n h(num/den) over Z[theta] with one normalization equals
+        # Horner's rule over FieldElements, for the zero polynomial, constants
+        # and rational x among the rest
+        K = parse_field_spec(spec)
+        rng = random.Random(62)
+        polys = [RatPoly([]), RatPoly([Fraction(-3, 7)])] + [
+            RatPoly([Fraction(rng.randrange(-50, 51), rng.randrange(1, 30)) for _ in range(n + 1)])
+            for n in range(1, 9)]
+        xs = [K.zero(), K.one(), K.element(Fraction(-5, 6))] + [
+            _random_element(K, rng, (1, 2, 3, 7, 10**12)) for _ in range(6)]
+        for h in polys:
+            for x in xs:
+                got = rat_eval(h, x)
+                assert got == h(x) and _is_canonical(got), (h, x)
+                if x.is_rational():
+                    assert got == h(x.rational_value())
+        assert rat_eval(RatPoly([]), xs[-1]) == K.zero()
 
     @pytest.mark.parametrize("spec", SPECS[1:])
     def test_inverse_of_theta_swaps_pivot(self, spec):

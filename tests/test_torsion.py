@@ -18,11 +18,13 @@ import pytest
 from sympy import primefactors
 
 from oracles import (
+    all_pairs_group,
     change_model,
     charpoly,
     count_torsion_in_field,
     multiples_generators,
     point_order,
+    point_sort_key,
     quadratic_twist,
     short_model,
     span_subfield,
@@ -608,10 +610,66 @@ def test_generators_match_the_multiples_rule_in_any_order(monkeypatch, curve, fi
         rng.shuffle(meets)
         rng.shuffle(rest)
         rank = {P: i for i, P in enumerate([g2] + meets + rest)}
-        monkeypatch.setattr(ellcurve.Point, "sort_key", lambda P: rank[P])
+        monkeypatch.setattr(torsion, "_sort_keys", lambda pts: {P: rank[P] for P in pts})
         got = choose(group, d1, d2, trees)
-        assert got == multiples_generators(points, d1, d2)
+        assert got == multiples_generators(points, d1, d2, key=rank.__getitem__)
         assert got[1] == g2 and got[0] not in meets
+
+
+@pytest.mark.parametrize("curve, field, expected", PINNED_CASES + list(WITNESSES))
+def test_integer_keys_order_as_the_fraction_keys(curve, field, expected):
+    # every point of E(K)_tors, the identity included, in the one order of
+    # the Fraction coordinates
+    points = list(_pinned_report(curve, field).points)
+    keys = torsion._sort_keys(points)
+    assert len(set(keys.values())) == len(points) == prod(expected)
+    assert sorted(points, key=keys.__getitem__) == sorted(points, key=point_sort_key)
+    assert sorted(reversed(points), key=keys.__getitem__) == sorted(points, key=point_sort_key)
+
+
+TWO_PRIME_CASES = [c for c in PINNED_CASES + list(WITNESSES) if len(primefactors(c[2][1])) > 1]
+
+
+@pytest.mark.parametrize("curve, field, expected", TWO_PRIME_CASES)
+def test_enumerate_group_matches_all_pairs(monkeypatch, curve, field, expected):
+    # one addition per pair {(a, b), (-a, -b)} gives every sum, order and
+    # component that one addition per pair gives
+    enumerate_group, seen = torsion._enumerate_group, []
+    monkeypatch.setattr(torsion, "_enumerate_group", lambda *args: seen.append(args) or enumerate_group(*args))
+    assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == expected
+    ((parts, E, K),) = seen
+    assert len(parts) > 1
+    add, added = ellcurve.Point.__add__, []
+    monkeypatch.setattr(ellcurve.Point, "__add__", lambda a, b: added.append(1) or add(a, b))
+    group = enumerate_group(parts, E, K)
+    # the pairs (a, b) with a = -a and b = -b are their own partners
+    pairs, n, fixed = 0, 1, 1
+    for ppts in parts.values():
+        own = sum(1 for b in ppts if b == -b)
+        pairs += (n * len(ppts) + fixed * own) // 2
+        n, fixed = n * len(ppts), fixed * own
+    assert len(added) == pairs
+    monkeypatch.undo()
+    assert group == all_pairs_group(parts, E, K)
+    assert len(group) == prod(expected)
+
+
+def test_two_prime_cases_cover_cyclic_and_noncyclic_groups():
+    assert {(6, 6), (2, 6), (1, 6), (1, 12), (2, 12)} <= {c[2] for c in TWO_PRIME_CASES}
+
+
+def test_full_five_check_factors_nothing(monkeypatch):
+    # Phi_5 is irreducible over QQ, so the full 5-torsion check hands it to
+    # roots_in_field as its own factor
+    factored, factor = [], numfield.factor_bounded
+    monkeypatch.setattr(numfield, "factor_bounded", lambda h, d: factored.append(h) or factor(h, d))
+    K = parse_field_spec("1,1,1,1")
+    report = torsion_over_field(Curve.from_str("0,-1,1,-10,-20"), K)
+    assert report.structure == (5, 5) and ("full_five_needs_zeta5", True) in report.checks
+    assert torsion.CYCLOTOMIC5 not in factored
+    # the spy sees Phi_5 where it is factored
+    assert len(numfield.roots_in_field(torsion.CYCLOTOMIC5, K)) == 4
+    assert torsion.CYCLOTOMIC5 in factored
 
 
 def test_generator_cases_cover_every_subgroup_test():
