@@ -5,10 +5,10 @@ live on a curve with coordinates in a designated NumberField; the
 chord-tangent group law, division polynomials (stored y-free),
 multiplication-by-m x-maps and m-th preimages are all exact.  A preimage
 under [m] of a point P != -P takes its y from the formula for [m], not from a
-square root.  Halving takes square roots instead of lifting a quartic: when
-E(K)[2] is full, `halves` reads the halves off the square roots of
-x_P - e_i (Knapp's criterion), the third of them by a division, and a point
-of order 2 is halved by one square root in `m_preimages`.
+square root.  Halving lifts no polynomial: `halves` reads the halves of any
+affine P off square roots in K, given one rational root e1 of the 2-division
+cubic (Knapp's criterion), and takes a division in place of the second square
+root when E(K)[2] is full.
 
 Division polynomials use the y-free convention: psi_n is a polynomial in x
 alone for odd n, and for even n the stored polynomial is psi_n / psi_2, with
@@ -339,7 +339,7 @@ def curve_points_y(E: Curve, x: FieldElement, K: NumberField) -> list[Point]:
 
 
 def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
-    """All Q in E(K) with [m]Q = P, for affine P and m >= 2.
+    """All Q in E(K) with [m]Q = P, for affine P != -P and m >= 2.
 
     x_Q runs over the roots in K of phi_m - x_P psi_m^2, and y_Q comes from
     the formula for [m], not from a square root in K.  Put
@@ -352,37 +352,25 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
     (Silverman, AEC, Ex. 3.7; Washington, Elliptic Curves, Thm 3.6).  Above a
     root x_Q lie Q and -Q in E(K-bar), and [m] maps one of them to P; neither
     g_2m nor g_m T^e vanishes at x_Q, or [m]Q = +-P would be O or of order 2.
-    So if eta_P != 0 the preimage has eta_Q = eta_P g_m^4 T^e / g_2m at x_Q,
-    an element of K; the curve equation 4 eta_Q^2 = T(x_Q) is checked
+    So the preimage has eta_Q = eta_P g_m^4 T^e / g_2m at x_Q, an element of
+    K, as eta_P != 0; the curve equation 4 eta_Q^2 = T(x_Q) is checked
     exactly.  g_2m(x_Q) comes from g_(m-2)(x_Q), ..., g_(m+2)(x_Q) by the
     even step of the recurrence in `Curve._psi` (for m = 2, g_0 = 0 leaves
-    the base case g_4), so psi_2m is never expanded.  If eta_P = 0, then
-    P = -P, every point above a root maps to P, and its y is a square root
-    in K (`curve_points_y`).  For m = 2 those roots need no lift: with
-    e = x_P, phi_2 - e psi_2^2 = ((x - e)^2 - T'(e)/4)^2, so the halves of P
-    have x = e +- sqrt(T'(e)/4), one square root in K, and T'(e) != 0 as E
-    is nonsingular.  This is the classical halving of a point of order 2:
-    T'(e)/4 = (e - e')(e - e'') for the other roots e', e'' of T/4 (Knapp,
-    Elliptic Curves, 1992, Thm 4.2)."""
+    the base case g_4), so psi_2m is never expanded.  P = -P raises
+    ValueError: the search lifts such a point only for p = 2, by `halves`."""
     if P.is_infinity():
         raise ValueError("use the m-torsion kernel for P at infinity")
     if m < 2:
         raise ValueError("m must be >= 2")
     eta_P = _eta_shift(E, P.x, P.y, 1)
-    if eta_P.is_zero() and m == 2:
-        e = P.x
-        s = sqrt_in_field(e * e * 3 + e * (E.b2 / 2) + E.b4 / 2, K)
-        xs = [] if s is None else [e + s, e - s]
-        return {Q for x in xs for Q in curve_points_y(E, x, K)}
+    if eta_P.is_zero():
+        raise ValueError("P = -P: halve a point of order 2 with `halves`")
     phi, psi_sq = E.mult_by_m_xmap(m)
     h = KPoly(K, phi.coeffs) - KPoly(K, psi_sq.coeffs).scale(P.x)
-    xs = roots_in_field(h, K)
-    if eta_P.is_zero():
-        return {Q for x in xs for Q in curve_points_y(E, x, K)}
     T = E.two_division_poly()
     gs = [E._psi(n) for n in range(m - 2, m + 3)]
     out = set()
-    for x in xs:
+    for x in roots_in_field(h, K):
         g_lo2, g_lo1, g_m, g_hi1, g_hi2 = (rat_eval(g, x) for g in gs)
         t = rat_eval(T, x)
         g_2m = g_m * (g_hi2 * g_lo1 * g_lo1 - g_lo2 * g_hi1 * g_hi1)
@@ -397,46 +385,59 @@ def m_preimages(E: Curve, P: Point, K: NumberField, m: int) -> set[Point]:
 
 def halves(E: Curve, P: Point, K: NumberField, es) -> set[Point]:
     """All Q in E(K) with [2]Q = P, for affine P, given es, the x's of the
-    three points of order 2 of E(K).  In eta = y + (a1 x + a3)/2 the curve
-    is eta^2 = (x - e1)(x - e2)(x - e3), and P lies in 2E(K) iff every
-    x_P - e_i is a square in K (Knapp, Elliptic Curves, 1992, Thm 4.2).  Take
-    r_i with r_i^2 = x_P - e_i; then (r1 r2 r3)^2 = eta_P^2.  So when
-    r1 r2 != 0, x_P - e3 is a square, and r3 = eta_P / (r1 r2) is the root
-    with r1 r2 r3 = eta_P: one inverse in place of a square root.  When
-    r1 r2 = 0, P has order 2 with x_P in {e1, e2}, eta_P = 0, and r3 is a
-    square root.  For each choice of signs (a, b, c) = (+-r1, +-r2, +-r3)
-    with abc = eta_P, the half has
+    points of order 2 of E(K): one of them or all three.  In
+    eta = y + (a1 x + a3)/2 the curve is eta^2 = (x - e1)(x - e2)(x - e3),
+    e1 = es[0], with e2, e3 in K-bar.  By Knapp's criterion (Elliptic Curves,
+    1992, Thm 4.2) the halves of P in E(K-bar) have
 
-        x = x_P + ab + ac + bc,    eta = (a + b)(a + c)(b + c),
+        x = x_P + ab + ac + bc,    eta = (a + b)(a + c)(b + c)
 
-    since x - e1 = (a + b)(a + c) and likewise for e2, e3.  The choices are
-    the four with an even number of minus signs; for eta_P = 0 some r_i is 0,
-    and the four are still distinct.  With u = r1 r2, v = r1 r3 and
-    w = r2 r3, taken once, x - x_P = ab + ac + bc is +-u +- v +- w, and
-    eta = (a + b + c)(x - x_P) - abc = (a + b + c)(x - x_P) - eta_P: two
-    products per half.  No lift and no y by a square root are needed.  The
-    curve equation 4 eta^2 = T(x), T = `two_division_poly`, is checked
-    exactly, as in `m_preimages`."""
-    e1, e2, e3 = es
-    eta_P = _eta_shift(E, P.x, P.y, 1)
-    r1 = sqrt_in_field(P.x - e1, K)
-    if r1 is None:
+    for a^2 = x_P - e1, b^2 = x_P - e2, c^2 = x_P - e3 and abc = eta_P,
+    since x - e1 = (a + b)(a + c) and likewise for e2, e3.  With s = bc and
+    t = b + c this reads x = x_P + at + s, eta = (x - e1) t, and, as
+    e1 + e2 + e3 = -b2/4,
+
+        t^2 = b^2 + c^2 + 2s = 2 x_P + e1 + b2/4 + 2s.
+
+    So only e1 is needed.  A half Q in E(K) has t = eta_Q / (x_Q - e1) in K,
+    and a = +-r in K, r = sqrt(x_P - e1), since x([2]Q) - e1 is a square in
+    K (the easy half of the criterion).  If r != 0 then s = eta_P / a; if
+    r = 0 then P = (e1, .) has order 2, and s^2 = (e1 - e2)(e1 - e3) =
+    T'(e1)/4 = 3 e1^2 + (b2/2) e1 + b4/2, T = `two_division_poly`.  Either
+    way (a, s) runs over (r, s) and (-r, -s), and t over the square roots of
+    t^2 in K.
+    Each such (a, s, t) is a half: the roots b, c of z^2 - tz + s have
+    {b^2, c^2} = {x_P - e2, x_P - e3} and abc = eta_P.  If the pair (r, s)
+    has (b, c), the pair (-r, -s) has (b, -c), so t1 t2 = b^2 - c^2 =
+    +-(e3 - e2), which is not 0 as E is nonsingular.  So with all three e's
+    in K, t2 is in K iff t1 is, and t2 = (e3 - e2) / t1 up to its sign: a
+    division in place of a square root.  The curve equation 4 eta^2 = T(x)
+    is checked exactly for every half, as in `m_preimages`."""
+    e1 = es[0]
+    r = sqrt_in_field(P.x - e1, K)
+    if r is None:
         return set()
-    r2 = sqrt_in_field(P.x - e2, K)
-    if r2 is None:
-        return set()
-    u = r1 * r2
-    r3 = sqrt_in_field(P.x - e3, K) if u.is_zero() else eta_P / u
-    if r3 is None:
-        return set()
-    v, w = r1 * r3, r2 * r3
+    if r.is_zero():
+        s = sqrt_in_field(e1 * e1 * 3 + e1 * (E.b2 / 2) + E.b4 / 2, K)
+        if s is None:
+            return set()
+    else:
+        s = _eta_shift(E, P.x, P.y, 1) / r
+    c = P.x * 2 + e1 + E.b2 / 4
+    t1 = sqrt_in_field(c + s * 2, K)
+    if len(es) == 1:
+        t2 = sqrt_in_field(c - s * 2, K)
+    else:
+        t2 = None if t1 is None else (es[2] - es[1]) / t1
     T = E.two_division_poly()
     out = set()
-    for s, dx in ((r1 + r2 + r3, u + v + w), (r1 - r2 - r3, w - u - v),
-                  (r2 - r1 - r3, v - u - w), (r3 - r1 - r2, u - v - w)):
-        x = P.x + dx
-        eta = s * dx - eta_P
-        if eta * eta * 4 != rat_eval(T, x):
-            raise InvariantViolationError(f"the half above {x!r} of {P!r} is not on the curve")
-        out.add(Point._on_curve(E, K, x, _eta_shift(E, x, eta, -1)))
+    for a, s, t in ((r, s, t1), (-r, -s, t2)):
+        if t is None:
+            continue
+        for t in (t, -t):
+            x = P.x + a * t + s
+            eta = (x - e1) * t
+            if eta * eta * 4 != rat_eval(T, x):
+                raise InvariantViolationError(f"the half above {x!r} of {P!r} is not on the curve")
+            out.add(Point._on_curve(E, K, x, _eta_shift(E, x, eta, -1)))
     return out

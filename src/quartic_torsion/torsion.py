@@ -15,14 +15,12 @@ The computation is per prime.  The points of order p come from the roots in K
 of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
 with y recovered by a square root in K.  Points of order p^k come from one
 lift loop for every p, which takes the preimages under [p] of each point P of
-order p^(k-1).  When E(K)[2] is full, P is halved by Knapp's criterion
-(`halves`): its halves are read off the square roots in K of x_P - e_i, e_i
-the x's of the points of order 2, and it has none if one is not a square.
-Otherwise the loop solves phi_p(x) = x_P psi_p^2(x) over K, and above each
-root the y of the preimage follows from y_P by the formula for [p]
-(`m_preimages`).  The one exception there is a point of order 2, P = -P,
-whose halves have x = x_P +- s for one square root s in K, and y by a square
-root.
+order p^(k-1), by one rule for each kind of prime.  For p = 2, P is halved by
+Knapp's criterion (`halves`): its halves are read off square roots in K,
+given the x of one point of order 2, and it has none if one of them is not in
+K.  For odd p the loop solves phi_p(x) = x_P psi_p^2(x) over K, and above
+each root the y of the preimage follows from y_P by the formula for [p]
+(`m_preimages`).
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -174,15 +172,15 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     the curve's own factors of that polynomial (`Curve.x_division_factors`),
     factored once per [K:QQ].  A point found at lift level k has order
     exactly p^k: the frontier at level k-1 holds every point of order
-    p^(k-1), and a preimage under [p] of such a point has order p^k.  When
-    E(K)[2] is full, the halves come from the square roots of x_P - e_i
-    (`halves`), with e_i the x's of the three points of order 2; otherwise
-    from `m_preimages`.  Walking the tree from a point of order p^k up to one
-    of order p gives its ancestor [p^(k-1)]Q, with no group law
-    (`_choose_generators`)."""
+    p^(k-1), and a preimage under [p] of such a point has order p^k.  p
+    alone picks the rule: for p = 2 the halves come from square roots in K
+    (`halves`), given the x's of the points of order 2, one or three; for odd
+    p the preimages come from `m_preimages`.  Walking the tree from a point
+    of order p^k up to one of order p gives its ancestor [p^(k-1)]Q, with no
+    group law (`_choose_generators`)."""
     xs = roots_in_field(E.x_division_poly(p), K, partial(E.x_division_factors, p))
     frontier = {P for x in xs for P in curve_points_y(E, x, K)}
-    if p == 2 and len(frontier) == 3:
+    if p == 2:
         es = [P.x for P in frontier]
         preimages = lambda P: halves(E, P, K, es)
     else:

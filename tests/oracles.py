@@ -5,12 +5,12 @@ with the engine:
 
 - `lutz_nagell_torsion`: E(QQ)_tors by Lutz-Nagell on an integral short
   model, against `torsion.torsion_over_field` over QQ.
-- `knapp_preimages`: halving by the square criterion on the roots of the
-  2-division cubic, against `ellcurve.m_preimages(E, P, K, 2)`.  The
-  engine's `ellcurve.halves` shares the criterion when E(K)[2] is full, so
-  against `halves` only the route differs: the oracle works on a rescaled
-  cubic, takes each half's y by a square root and keeps the candidates that
-  [2] maps to P, where `halves` reads x and y off the roots in closed form.
+- `knapp_preimages`: halving by the square criterion on the three roots of
+  the 2-division cubic, against `ellcurve.halves`, which shares the
+  criterion, so only the route differs: the oracle needs E(K)[2] full, works
+  on a rescaled cubic, takes each half's y by a square root and keeps the
+  candidates that [2] maps to P, where `halves` needs one root and reads x
+  and y off square roots in closed form.
 - `two_torsion`: E(K)[2] from the roots of the 2-division cubic, the
   preimages of infinity for `knapp_preimages` and the starting points of the
   halving chains in `tests/test_ellcurve.py`.
@@ -29,8 +29,9 @@ with the engine:
   pair {(a, b), (-a, -b)}.
 - `sqrt_reference_preimages`: the m-th preimages of a point from the roots of
   phi_m - x_P psi_m^2 and square roots in K, against `ellcurve.m_preimages`,
-  which solves the same polynomial but takes y from the formula for [m] when
-  P != -P, and against `ellcurve.halves`, which solves no polynomial.
+  which solves the same polynomial but takes y from the formula for [m], and
+  against `ellcurve.halves`, which solves no polynomial, with one root of the
+  2-division cubic or all three.
 - `c_invariants` and `j_invariant`: c4, c6 and j from the b-invariants, which
   the model and twist oracles below are built on.
 - `short_model`, `change_model` and `quadratic_twist`: other curves over QQ

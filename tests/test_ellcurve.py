@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from quartic_torsion.errors import InvariantViolationError, SingularCurveError
 from quartic_torsion.exactmath import RatPoly, factor_bounded, poly_gcd, squarefree_part_rational
 from quartic_torsion.ellcurve import Curve, Point, curve_points_y, halves, m_preimages
 from quartic_torsion.numfield import (
+    GaloisType,
     KPoly,
     biquadratic_field,
     parse_field_spec,
@@ -301,7 +303,7 @@ class TestTwoPreimages:
     def test_knapp_fails_over_q(self):
         # P = (0,0) on y^2 = x^3 - x: x - alpha values {0, 1, -1}; -1 not a square
         P = Point(E_X3_X, Q, (0, 0))
-        assert m_preimages(E_X3_X, P, Q, 2) == set()
+        assert halves(E_X3_X, P, Q, _es(E_X3_X, Q)) == set()
         assert knapp_preimages(E_X3_X, P, Q) == set()
 
     def test_preimages_of_infinity(self):
@@ -311,29 +313,34 @@ class TestTwoPreimages:
         assert all(R.scalar_mul(2) == O for R in pre)
 
     def test_halving_over_q(self):
-        # on y^2 = x^3 + 1: [2](2,3) = (0,1), so (0,1) halves to (2,+-3) etc.
+        # on y^2 = x^3 + 1: [2](2,3) = (0,1), so (0,1) halves to (2,+-3) etc.;
+        # E(QQ)[2] = Z/2, so halves gets the one x of order 2
         P = Point(E_X3_1, Q, (0, 1))
-        pre = m_preimages(E_X3_1, P, Q, 2)
+        es = _es(E_X3_1, Q)
+        assert es == [-1]
+        pre = halves(E_X3_1, P, Q, es)
         assert Point(E_X3_1, Q, (2, 3)) in pre
         for R in pre:
             assert R.scalar_mul(2) == P
 
     def test_cross_path_agreement(self):
-        # curves with full rational 2-torsion: Knapp path == phi_2 root path
+        # curves with full rational 2-torsion: Knapp's oracle == halves
         K = quadratic_field(6)
         for E in (E_X3_X, Curve([0, 1, 0, -2, 0])):
             for P in two_torsion(E, K) - {Point.infinity(E, K)}:
-                assert m_preimages(E, P, K, 2) == knapp_preimages(E, P, K)
+                assert halves(E, P, K, _es(E, K)) == knapp_preimages(E, P, K)
 
     def test_cross_path_agreement_off_two_torsion(self):
         # halving points of order 4, where P != -P: of the two points above
-        # an x-root, either one may be the half of P
+        # an x-root, either one may be the half of P, and the lift of
+        # m_preimages(., 2) finds the same halves
         E = Curve([0, -47, 0, 4096, 0])
         K = biquadratic_field(-7, -15)
-        fours = {P for T in two_torsion(E, K) if not T.is_infinity() for P in m_preimages(E, T, K, 2)}
+        es = _es(E, K)
+        fours = {P for T in two_torsion(E, K) if not T.is_infinity() for P in halves(E, T, K, es)}
         assert fours
         for P in fours:
-            assert m_preimages(E, P, K, 2) == knapp_preimages(E, P, K)
+            assert halves(E, P, K, es) == m_preimages(E, P, K, 2) == knapp_preimages(E, P, K)
 
     def test_fujita_halving_chain(self):
         # y^2 = x(x^2 - 47x + 4096) over QQ(sqrt(-7), sqrt(-15)) has a point
@@ -342,6 +349,7 @@ class TestTwoPreimages:
         K = biquadratic_field(-7, -15)
         lvl = two_torsion(E, K)
         assert len(lvl) == 4
+        es = _es(E, K)
         pts = set(lvl)
         order = 2
         for _ in range(3):
@@ -349,7 +357,7 @@ class TestTwoPreimages:
             for P in pts:
                 if P.is_infinity():
                     continue
-                nxt |= m_preimages(E, P, K, 2)
+                nxt |= halves(E, P, K, es)
             assert nxt, f"halving chain stopped at order {order}"
             pts = nxt
             order *= 2
@@ -396,8 +404,54 @@ def _seeded_halving_cases(seed, n):
     return out
 
 
+# 14a1, 17a1 and a curve with E(QQ) = Z/8: E(QQ)[2] = Z/2, and rank 0
+ONE_ROOT_CURVES = ("1,0,1,4,-6", "1,-1,1,-1,-14", "1,1,1,35,-28")
+
+
+def _seeded_one_root_cases(seed):
+    """(E, K, R, points) for each curve of ONE_ROOT_CURVES and each kind of
+    K (quadratic, cyclic quartic, biquadratic) with E(K)[2] = Z/2: R lies
+    above a seeded rational x at which T(x) is not a rational square, so R
+    is not a point over QQ, where the curves have only torsion, and points
+    are R, [2]R, R + T and T, the point of order 2."""
+    rng = random.Random(seed)
+    out = []
+    for spec in ONE_ROOT_CURVES:
+        E = Curve.from_str(spec)
+        for kind in ("quadratic", "cyclic", "biquadratic"):
+            K = None
+            while K is None or len(_es(E, K)) != 1:
+                x0 = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
+                v = E.two_division_poly()(x0)
+                d = squarefree_part_rational(v) if v else 1
+                # the cyclic quartic d;d;u holds QQ(sqrt d) when d - u^2 is a square
+                us = [u for u in range(1, isqrt(max(d, 0)) + 1)
+                      if u * u < d and isqrt(d - u * u) ** 2 == d - u * u]
+                m = rng.choice([m for m in (-7, -3, -2, -1, 2, 3, 5, 6) if m != d])
+                if d == 1 or (kind == "cyclic" and not us):
+                    K = None
+                elif kind == "quadratic":
+                    K = quadratic_field(d)
+                elif kind == "cyclic":
+                    K = parse_field_spec(f"{d};{d};{rng.choice(us)}")
+                else:
+                    K = biquadratic_field(d, m)
+            R = curve_points_y(E, K.element(x0), K)[0]
+            (T,) = two_torsion(E, K) - {Point.infinity(E, K)}
+            out.append((E, K, R, {R, R + R, R + T, T}))
+    return out
+
+
+def _one_root_points_over_q():
+    """(E, QQ, points) for each curve of ONE_ROOT_CURVES: its affine points
+    over QQ, all of them torsion."""
+    return [(E, Q, {P for P in lutz_nagell_torsion(E)[1] if not P.is_infinity()})
+            for E in map(Curve.from_str, ONE_ROOT_CURVES)]
+
+
 class TestHalves:
-    """Knapp's halving with E(K)[2] full, against the lift of m_preimages."""
+    """Knapp's halving from one root of the 2-division cubic or from all
+    three, against the square-root reference."""
 
     @pytest.mark.parametrize("row", [row for row in PINNED_REPORTS if row["report"]["structure"][0] % 2 == 0],
                              ids=lambda row: f"{row['curve']}@{row['field']}")
@@ -407,14 +461,14 @@ class TestHalves:
         assert len(es) == 3
         for P in torsion_over_field(E, K).points:
             if not P.is_infinity():
-                assert halves(E, P, K, es) == m_preimages(E, P, K, 2)
+                assert halves(E, P, K, es) == halves(E, P, K, es[:1]) == sqrt_reference_preimages(E, P, K, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_points_of_infinite_order(self, seed):
         for E, K, R, points in _seeded_halving_cases(seed, 4):
             es = _es(E, K)
             for P in points:
-                assert halves(E, P, K, es) == m_preimages(E, P, K, 2)
+                assert halves(E, P, K, es) == halves(E, P, K, es[:1]) == sqrt_reference_preimages(E, P, K, 2)
             assert R in halves(E, R + R, K, es)
 
     def test_cases_reach_both_answers(self):
@@ -423,9 +477,36 @@ class TestHalves:
                  for seed in (0, 1, 2) for E, K, _, points in _seeded_halving_cases(seed, 4) for P in points}
         assert sizes == {0, 4}
 
-    def test_third_root_by_a_division(self, monkeypatch):
-        # r3 = eta_P / (r1 r2) when r1 r2 != 0: two square roots per point; a
-        # point of order 2 with x_P = e1 or e2 takes the third square root
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_root_on_seeded_points(self, seed):
+        # E(K)[2] = Z/2 over quadratic, cyclic and biquadratic K, a1, a3 != 0
+        cases = _seeded_one_root_cases(seed)
+        assert {K.galois_type for E, K, _, _ in cases} == {
+            GaloisType.Quadratic, GaloisType.CyclicQuartic, GaloisType.Biquadratic}
+        for E, K, R, points in cases:
+            es = _es(E, K)
+            for P in points:
+                assert halves(E, P, K, es) == sqrt_reference_preimages(E, P, K, 2), (E, K, P)
+            assert R in halves(E, R + R, K, es)
+
+    def test_one_root_over_q(self):
+        for E, K, points in _one_root_points_over_q():
+            es = _es(E, K)
+            assert len(es) == 1
+            for P in points:
+                assert halves(E, P, K, es) == sqrt_reference_preimages(E, P, K, 2), (E, P)
+
+    def test_one_root_cases_reach_every_answer(self):
+        # no half and two halves, each for a point of order 2 and for P != -P
+        cases = [(E, K, points) for seed in (0, 1) for E, K, _, points in _seeded_one_root_cases(seed)]
+        seen = {(P == -P, len(halves(E, P, K, _es(E, K))))
+                for E, K, points in cases + _one_root_points_over_q() for P in points}
+        assert seen == {(True, 0), (True, 2), (False, 0), (False, 2)}
+
+    def test_second_t_by_a_division(self, monkeypatch):
+        # with all three e's, t2 = (e3 - e2) / t1: two square roots per point,
+        # r and t1, and a third for s when x_P = e1; one e takes t2 by a
+        # square root as well, and both give the same halves
         E, K = E_X3_X, parse_field_spec("-1,2")
         es = _es(E, K)
         sqrt, taken = ellcurve.sqrt_in_field, []
@@ -434,12 +515,15 @@ class TestHalves:
         counts = {}
         for P in report.points:
             if not P.is_infinity():
-                taken.clear()
-                got = halves(E, P, K, es)
-                roots, most = len(taken), 3 if P.x in es[:2] else 2
-                assert roots == most if got else roots <= most, P
-                assert got == m_preimages(E, P, K, 2)
-                counts[most, len(got)] = roots
+                most = 3 if P.x == es[0] else 2
+                got = []
+                for extra, e in ((0, es), (1, es[:1])):
+                    taken.clear()
+                    got.append(halves(E, P, K, e))
+                    roots = len(taken)
+                    assert roots == most + extra if got[-1] else roots <= most + extra, P
+                assert got[0] == got[1] == sqrt_reference_preimages(E, P, K, 2)
+                counts[most, len(got[0])] = roots
         assert counts.keys() >= {(2, 4), (3, 4)}
 
     def test_wrong_root_raises(self, monkeypatch):
@@ -452,8 +536,9 @@ class TestHalves:
             halves(E, P, K, _es(E, K))
 
     def test_wrong_root_raises_without_asserts(self):
-        # the same for a wrong x of a point of order 2, with asserts stripped:
-        # x_P - e is 4 for e = -4, a square, so only the curve check can fail
+        # the same for a wrong e2, with asserts stripped: e2 and e3 enter
+        # only through t2 = (e3 - e2) / t1, so only the curve check can see
+        # that the second pair of halves is wrong
         code = (
             "from quartic_torsion.ellcurve import Curve, Point, halves\n"
             "from quartic_torsion.errors import InvariantViolationError\n"
@@ -482,18 +567,22 @@ class TestHalves:
     ("0,0,0,-1,0", "QQ"),           # no half over QQ
 ])
 def test_order_two_halving_lifts_no_polynomial(monkeypatch, curve, field):
-    # the halves of a point of order 2 have x = e +- sqrt(T'(e)/4): no lift of
-    # the degree-4 phi_2 - e psi_2^2, a square, and so no squarefree part
+    # the halves of a point of order 2, and theirs, come from square roots:
+    # no lift of the degree-4 phi_2 - x_P psi_2^2, and no squarefree part
     E, K = Curve.from_str(curve), parse_field_spec(field)
+    es = _es(E, K)
     order_two = [T for T in two_torsion(E, K) if not T.is_infinity()]
     expected = [sqrt_reference_preimages(E, T, K, 2) for T in order_two]
+    fours = {P for pre in expected for P in pre}
+    expected_halves = {P: sqrt_reference_preimages(E, P, K, 2) for P in fours}
 
     def forbidden(*args):
-        raise AssertionError("order-2 halving lifted a polynomial")
+        raise AssertionError("halving lifted a polynomial")
 
     monkeypatch.setattr(KPoly, "squarefree", forbidden)
     monkeypatch.setattr(ellcurve, "roots_in_field", forbidden)
-    assert [m_preimages(E, T, K, 2) for T in order_two] == expected
+    assert [halves(E, T, K, es) for T in order_two] == expected
+    assert {P: halves(E, P, K, es) for P in fours} == expected_halves
     assert any(expected) == (field != "QQ")
 
 
@@ -529,6 +618,16 @@ class TestPreimagesByFormula:
         P = Point(E_X3_1, Q, (2, 3))
         with pytest.raises(ValueError):
             m_preimages(E_X3_1, P, Q, 1)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("curve", ["0,0,0,0,1", "1,-1,1,-1,-14"], ids=["x3+1", "17a1"])
+    def test_point_of_order_two_rejected(self, curve, m):
+        # P = -P is halved by `halves`; the lift of m_preimages refuses it
+        E = Curve.from_str(curve)
+        (P,) = two_torsion(E, Q) - {Point.infinity(E, Q)}
+        assert P == -P
+        with pytest.raises(ValueError):
+            m_preimages(E, P, Q, m)
 
 
 class TestLutzNagell:

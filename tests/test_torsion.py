@@ -101,6 +101,10 @@ WITNESSES = (
     # X1(13) at x = -2 gives j = -60698457/40960 with the kernel's x in
     # QQ(sqrt 17), and a search over its twists gave this model
     ("0,0,0,-2227,59534", "17;17;4", (1, 13)),
+    # the one group of the cyclic theorem that no other Tier-1 case has: E(QQ)
+    # = Z/2 gains full 2-torsion over QQ(sqrt 13) inside K; from the frozen
+    # curve_sweep pool
+    ("2,-4,-2,-5,5", "13;13;3", (2, 2)),
 )
 
 
@@ -146,15 +150,9 @@ class TestWitnesses:
         # and small rational r, s, t: the report does not change
         report, _ = witness
         E, K = report.curve, report.field_
-        rng = random.Random(f"{E}|{K}")
-        u = rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)))
-        r, s, t = (Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(3))
-        F = change_model(E, u, r, s, t)
-        assert F.disc == E.disc / Fraction(u) ** 12
-        other = torsion_over_field(F, K)
-        assert (other.structure, other.per_prime, other.point_definition_degrees) == (
-            report.structure, report.per_prime, report.point_definition_degrees)
-        assert [name for name, _ in other.checks] == [name for name, _ in report.checks]
+        F = _other_model(E, K)
+        assert E.disc / F.disc in {1, 2**12, Fraction(1, 2**12)}
+        assert _invariants(torsion_over_field(F, K)) == _invariants(report)
 
     def test_placement_matches_span_oracle(self, witness):
         report, _ = witness
@@ -340,20 +338,8 @@ class TestPresentationInvariance:
         # element: points are placed in subfields by their power-basis
         # coordinates, and the report does not change
         report, _ = witness
-        E, K = report.curve, report.field_
-        rng = random.Random(f"{E}|{K}|presentation")
-        L = K
-        while L == K:
-            alpha = K.element([rng.randrange(-2, 3) for _ in range(K.degree)])
-            try:
-                L = NumberField(charpoly(alpha))
-            except UnsupportedFieldError:
-                pass  # alpha is not primitive
-        assert L.galois_type is K.galois_type and L.quadratic_subfields() == K.quadratic_subfields()
-        other = torsion_over_field(E, L)
-        assert (other.structure, other.per_prime, other.point_definition_degrees) == (
-            report.structure, report.per_prime, report.point_definition_degrees)
-        assert [name for name, _ in other.checks] == [name for name, _ in report.checks]
+        other = torsion_over_field(report.curve, _other_presentation(report.curve, report.field_))
+        assert _invariants(other) == _invariants(report)
         _assert_placement_matches_span_oracle(other)
 
 
@@ -425,18 +411,86 @@ def test_point_in_an_unlisted_quadratic_subfield_raises(monkeypatch):
 SEED0_DIGESTS = json.loads((Path(__file__).parent / "data" / "seed0_report_digests.json").read_text())
 
 
-def test_seed0_reports_unchanged():
-    assert len(SEED0_DIGESTS) == 138
+@cache
+def _seed0_reports():
+    """The report of every seed-0 case, in the order of SEED0_DIGESTS, with
+    one field per field spec."""
     fields = {}
-    changed = []
+    reports = []
     for row in SEED0_DIGESTS:
         if row["field"] not in fields:
             fields[row["field"]] = parse_field_spec(row["field"])
-        report = torsion_over_field(Curve.from_str(row["curve"]), fields[row["field"]])
+        reports.append(torsion_over_field(Curve.from_str(row["curve"]), fields[row["field"]]))
+    return reports
+
+
+def test_seed0_reports_unchanged():
+    assert len(SEED0_DIGESTS) == 138
+    changed = []
+    for row, report in zip(SEED0_DIGESTS, _seed0_reports()):
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         if hashlib.sha256(text.encode()).hexdigest() != row["sha256"]:
             changed.append(f"{row['curve']} over {row['field']}: {text}")
     assert not changed, "\n".join(changed)
+
+
+def _invariants(report):
+    return (report.structure, report.per_prime, report.point_definition_degrees,
+            [name for name, _ in report.checks])
+
+
+def _other_model(E, K):
+    """E under one change of variables seeded by the case, with u in
+    {+-1, +-2, +-1/2} and small rational r, s, t."""
+    rng = random.Random(f"{E}|{K}")
+    u = rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)))
+    r, s, t = (Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))) for _ in range(3))
+    return change_model(E, u, r, s, t)
+
+
+def _other_presentation(E, K):
+    """K presented by the characteristic polynomial of one primitive element
+    seeded by the case, with the same Galois type and, for a quartic K, the
+    same quadratic subfields."""
+    rng = random.Random(f"{E}|{K}|presentation")
+    L = K
+    while L == K:
+        alpha = K.element([rng.randrange(-2, 3) for _ in range(K.degree)])
+        try:
+            L = NumberField(charpoly(alpha))
+        except UnsupportedFieldError:
+            pass  # alpha is not primitive
+    assert L.galois_type is K.galois_type
+    assert K.degree < 4 or L.quadratic_subfields() == K.quadratic_subfields()
+    return L
+
+
+@pytest.mark.parametrize("change", ["model", "presentation"])
+def test_seed0_reports_invariant(change):
+    # every seed-0 case under a seeded change of model of E, or over K
+    # presented by another defining polynomial: the same structure,
+    # per-prime parts, definition degrees and checks
+    changed = []
+    for report in _seed0_reports():
+        E, K = report.curve, report.field_
+        other = (torsion_over_field(_other_model(E, K), K) if change == "model"
+                 else torsion_over_field(E, _other_presentation(E, K)))
+        if _invariants(other) != _invariants(report):
+            changed.append(f"{E!r} over {K!r}: {_invariants(other)} != {_invariants(report)}")
+    assert not changed, "\n".join(changed)
+
+
+def test_every_theorem_group_has_a_row():
+    # each group of the two theorems is the answer of at least one case that
+    # Tier-1 pins: a known_groups row, a witness or a seed-0 case
+    rows = {}
+    for curve, field, expected in PINNED_CASES + list(WITNESSES):
+        rows.setdefault(parse_field_spec(field).galois_type, set()).add(expected)
+    for report in _seed0_reports():
+        rows.setdefault(report.galois_type, set()).add(report.structure)
+    for g, table in ((GaloisType.CyclicQuartic, gt.THM_CYCLIC_QUARTIC),
+                     (GaloisType.Biquadratic, gt.THM_BIQUADRATIC)):
+        assert sorted(table - rows[g]) == [], g
 
 
 @pytest.mark.parametrize("order", ("given", "reversed"))
@@ -533,41 +587,41 @@ def test_rational_field_factors_no_division_polynomial(monkeypatch):
     assert factored == [] and E._factor_cache == {}
 
 
-# cases whose lifts run m_preimages: one point of order 2, so that its halves
-# take one square root and those of a point of order 4 the lift (Z/8 over
-# QQ(zeta5) and 17a1 over a cyclic quartic), and an odd lift (Z/9)
+# cases with one point of order 2, so that `halves` gets one e and halves it
+# and a point of order 4 (Z/8 over QQ(zeta5) and 17a1 over a cyclic
+# quartic), and an odd lift by m_preimages (Z/9)
 M_PREIMAGE_LIFTS = [("1,1,1,35,-28", "1,1,1,1", (1, 8)), ("1,-1,1,-1,-14", "13;13;2", (1, 4)),
                     ("1,-1,1,-14,29", "1,1,1,1", (1, 9))]
 PINNED_CASES = [(row["curve"], row["field"], tuple(row["report"]["structure"])) for row in PINNED_REPORTS]
 
 
 def test_lift_preimages_match_the_square_root_reference(monkeypatch):
-    # every preimage the lift takes, whether by `halves` (E(K)[2] full) or by
-    # `m_preimages`, is the reference's, over the known_groups rows and the
-    # cases above; m_preimages takes a square root in K only when P = -P
+    # every preimage the lift takes, by `halves` for p = 2 and by
+    # `m_preimages` for odd p, is the reference's, over the known_groups rows
+    # and the cases above; m_preimages takes no square root in K
     sqrt, preimages, halves = ellcurve.sqrt_in_field, torsion.m_preimages, torsion.halves
     forbid = [False]
     paths = set()
 
     def guarded_sqrt(*args):
         if forbid[0]:
-            raise AssertionError("square root taken in m_preimages for P != -P")
+            raise AssertionError("square root taken in m_preimages")
         return sqrt(*args)
 
     def checked_preimages(E, P, K, m):
-        forbid[0] = P != -P
+        forbid[0] = True
         try:
             out = preimages(E, P, K, m)
         finally:
             forbid[0] = False
         assert out == sqrt_reference_preimages(E, P, K, m)
-        paths.add(("m_preimages", m, P == -P))
+        paths.add(("m_preimages", m))
         return out
 
     def checked_halves(E, P, K, es):
         out = halves(E, P, K, es)
         assert out == sqrt_reference_preimages(E, P, K, 2)
-        paths.add(("halves", 2, P == -P))
+        paths.add(("halves", P == -P, len(es)))
         return out
 
     monkeypatch.setattr(ellcurve, "sqrt_in_field", guarded_sqrt)
@@ -575,8 +629,8 @@ def test_lift_preimages_match_the_square_root_reference(monkeypatch):
     monkeypatch.setattr(torsion, "halves", checked_halves)
     for curve, field, structure in PINNED_CASES + M_PREIMAGE_LIFTS:
         assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == structure
-    assert paths == {("halves", 2, True), ("halves", 2, False), ("m_preimages", 2, True),
-                     ("m_preimages", 2, False), ("m_preimages", 3, False)}
+    assert paths == {("halves", True, 1), ("halves", True, 3), ("halves", False, 1),
+                     ("halves", False, 3), ("m_preimages", 3)}
 
 
 @pytest.mark.parametrize("curve, field, expected", PINNED_CASES + list(WITNESSES))
@@ -588,8 +642,9 @@ def test_generators_match_the_multiples_rule(curve, field, expected):
     assert report.generators == multiples_generators(report.points, *expected)
 
 
+# in Z/2 + Z/2 no g1 != g2 meets <g2> outside O, so no candidate is rejected
 @pytest.mark.parametrize("curve, field, expected",
-                         [c for c in PINNED_CASES + list(WITNESSES) if c[2][0] > 1])
+                         [c for c in PINNED_CASES + list(WITNESSES) if c[2][0] > 1 and c[2] != (2, 2)])
 def test_generators_match_the_multiples_rule_in_any_order(monkeypatch, curve, field, expected):
     # the same rule under seeded orders of the points that put g2 first and
     # then every candidate g1 whose cyclic group meets <g2> outside O, so
@@ -679,26 +734,41 @@ def test_generator_cases_cover_every_subgroup_test():
     assert {(5, 5), (6, 6), (2, 16)} <= structures
 
 
-# the cases with E(K)[2] full and a point of order 4, found by halving
-FULL_TWO_TORSION = [c for c in PINNED_CASES + list(WITNESSES) if c[2][0] % 2 == c[2][1] % 4 == 0]
-
-
-@pytest.mark.parametrize("curve, field, expected", FULL_TWO_TORSION)
-def test_full_two_torsion_halves_without_the_lift(monkeypatch, curve, field, expected):
-    # with E(K)[2] full every halving is Knapp's, and no point is halved by
-    # the lift of m_preimages(., 2)
-    preimages, halves = torsion.m_preimages, torsion.halves
-    halved = []
+@pytest.mark.parametrize("curve, field, expected", PINNED_CASES + list(WITNESSES) + M_PREIMAGE_LIFTS)
+def test_two_primary_lift_takes_no_polynomial_root(monkeypatch, curve, field, expected):
+    # p alone picks the rule: m_preimages never halves, and the p = 2 search
+    # finds no root of a polynomial over K; a point of order 4 comes from
+    # `halves`, whether E(K)[2] is full or not
+    preimages, halves, part = torsion.m_preimages, torsion.halves, torsion.p_primary_part
+    searching_two, halved = [False], []
 
     def odd_only(E, P, K, m):
         if m == 2:
-            raise AssertionError("m_preimages(., 2) called with E(K)[2] full")
+            raise AssertionError("m_preimages(., 2) called")
         return preimages(E, P, K, m)
 
+    def flagged_part(E, K, p, bound):
+        searching_two[0] = p == 2
+        try:
+            return part(E, K, p, bound)
+        finally:
+            searching_two[0] = False
+
+    for module in (numfield, ellcurve, torsion):
+        roots = module.roots_in_field
+
+        def guarded_roots(h, *args, roots=roots):
+            if searching_two[0] and isinstance(h, KPoly):
+                raise AssertionError(f"root of {h!r} over K in the 2-primary search")
+            return roots(h, *args)
+
+        monkeypatch.setattr(module, "roots_in_field", guarded_roots)
     monkeypatch.setattr(torsion, "m_preimages", odd_only)
     monkeypatch.setattr(torsion, "halves", lambda *args: halved.append(args[1]) or halves(*args))
+    monkeypatch.setattr(torsion, "p_primary_part", flagged_part)
     assert torsion_over_field(Curve.from_str(curve), parse_field_spec(field)).structure == expected
-    assert halved
+    if expected[1] % 4 == 0:
+        assert halved
 
 
 class TestReductionBound:
