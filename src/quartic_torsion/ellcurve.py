@@ -17,9 +17,12 @@ order-n primitive part are precisely the x-coordinates of points of exact
 order n.
 
 A Curve keeps, each filled on first use and never at construction, what the
-engine asks of it again for every field it is searched over: the division
-polynomials psi_n by n, the factors over QQ of `x_division_poly(n)` of
-degree <= d by (n, d), d = [K:QQ], and a_p by p, which `reduction_order`
+engine asks of it again for every field it is searched over: the 2-division
+cubic T = `two_division_poly`, which every point above an x, every halving,
+every [m]-preimage and every even psi_n reads; the division polynomials psi_n
+by n; the factors over QQ of `x_division_poly(n)` of degree <= d by (n, d),
+d = [K:QQ], for odd n only, since `numfield.roots_in_field` solves the cubic
+T in closed form and never factors it; and a_p by p, which `reduction_order`
 counts from p residues and every field's reduction bound asks for at the same
 small primes.  Nothing is keyed by a field, so a curve keeps no field alive,
 and every value is a function of the a-invariants alone.  The rational roots
@@ -49,7 +52,7 @@ class Curve:
     """E: y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over QQ."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "disc", "label", "_psi_cache", "_factor_cache", "_ap_cache")
+                 "disc", "label", "_two_division", "_psi_cache", "_factor_cache", "_ap_cache")
 
     def __init__(self, a_invariants, label: str | None = None):
         a = tuple(Fraction(a) for a in a_invariants)
@@ -63,6 +66,7 @@ class Curve:
         if self.disc == 0:
             raise SingularCurveError(f"singular curve {list(map(rat_to_str, a))}")
         self.label = label
+        self._two_division: RatPoly | None = None
         self._psi_cache: dict[int, RatPoly] = {}
         self._factor_cache: dict[tuple[int, int], frozenset[RatPoly]] = {}
         self._ap_cache: dict[int, int | None] = {}
@@ -93,8 +97,11 @@ class Curve:
     # -- x-line polynomials --------------------------------------------------
 
     def two_division_poly(self) -> RatPoly:
-        """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6; roots are the 2-torsion x's."""
-        return RatPoly([self.b6, 2 * self.b4, self.b2, 4])
+        """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6; roots are the 2-torsion x's.
+        Built on first use and kept."""
+        if self._two_division is None:
+            self._two_division = RatPoly([self.b6, 2 * self.b4, self.b2, 4])
+        return self._two_division
 
     def division_polynomial(self, n: int) -> RatPoly:
         """y-free psi_n: for odd n this is psi_n itself; for even n it is

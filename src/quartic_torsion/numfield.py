@@ -23,29 +23,47 @@ dense base it shares with `RatPoly`, and only `gcd` and `squarefree` are its
 own.
 
 Set-up decides the rest from the rational roots of f and of its resolvent
-cubic, searched in QQ, never in K: whether f is irreducible, and a quartic
-field's Galois type and quadratic subfields (`_galois_structure`).
+cubic, searched in QQ, never in K: whether f is irreducible, a quartic
+field's Galois type and quadratic subfields (`_galois_structure`), and the
+least rational resolvent root, kept for the square roots below.
 
-Root-finding works at completely split primes.  `NumberField.iter_split_primes`
-lists, on first use and never at construction, the primes p > 58 at which f
-has d = deg f distinct roots r mod p (so p does not divide disc f).  Each r
-gives a ring map from the p-integral elements of K onto F_p, theta -> r.
-`NumberField.residue_degree` gives, also lazily, the residue degree at any
-odd prime p not dividing disc f, and None at the primes that divide it.  K is
-Galois, so that degree is the order of Frobenius at p, and the Legendre
-symbols (m | p) of the quadratic subfields QQ(sqrt m) of K fix it: 1 if every
-m is a square mod p, else 2, except that a cyclic quartic K has degree 4 when
-its one m is not, and one test x^p = x mod (f, p) tells 1 from 2 when it is.
+Square roots take no prime.  A field of degree 2 or 4 is a tower of two
+quadratic steps QQ < F < K at most, and keeps it from its first square root
+on, never from construction (`_field_tower`): an involution sigma of K, its
+fixed field F = QQ(u) with u^2 = delta rational (F = QQ when d = 2), and
+omega = theta - sigma(theta), with omega^2 in F.  A square root in K is
+taken by norm and trace down that tower (`sqrt_in_field`, with the integer
+kernels of `_quadtower`): nu = +-sqrt(beta sigma(beta)) and
+T = sqrt(beta + sigma(beta) + 2 nu) in F give gamma = (beta + nu)/T, and
+every square root of beta in K arises so, or lies in F or omega F when beta
+is in F.  So a missing root is proved by algebra, and a square root in F is
+two integer square roots.  Over QQ it is one isqrt.  A rational polynomial
+whose roots have degree <= 2 over QQ takes the same closed form in
+`roots_in_field`: a quadratic factor has the roots (-b +- sqrt delta)/2a, and
+a cubic has its rational roots and those of one quadratic cofactor.
 
-Most root searches of the engine find nothing, and they end at the one prime
-the lift below works at: each root of h in K maps to a root of every image
-h~_i mod p of the scaled h~ defined there, so an image with no root mod p
-proves h rootless in K, and nothing is lifted.  There is no other modular test.
-A quadratic image y^2 + a1 y + a0 is decided without a search: it has a root
-mod p iff delta = a1^2 - 4 a0 is a square mod p, which Euler's criterion
-delta^((p-1)/2) = 1 tests, and then its roots are (-a1 +- sqrt delta)/2
-(`_intpoly.gf_sqrt`).  An image of higher degree is scanned over the p
-residues, and the scan stops at the first image with no root.
+Every other root search works at completely split primes.
+`NumberField.iter_split_primes` lists, on first use and never at
+construction, the primes p > 58 at which f has d = deg f distinct roots r
+mod p (so p does not divide disc f).  Each r gives a ring map from the
+p-integral elements of K onto F_p, theta -> r.  `NumberField.residue_degree`
+gives, also lazily, the residue degree at any odd prime p not dividing
+disc f, and None at the primes that divide it.  K is Galois, so that degree
+is the order of Frobenius at p, and the Legendre symbols (m | p) of the
+quadratic subfields QQ(sqrt m) of K fix it: 1 if every m is a square mod p,
+else 2, except that a cyclic quartic K has degree 4 when its one m is not,
+and one test x^p = x mod (f, p) tells 1 from 2 when it is.
+
+Most lifted searches of the engine find nothing, and they end at the one
+prime the lift below works at: each root of h in K maps to a root of every
+image h~_i mod p of the scaled h~ defined there, so an image with no root mod
+p proves h rootless in K, and nothing is lifted.  There is no other modular
+test.  A quadratic image y^2 + a1 y + a0 is decided without a search: it has
+a root mod p iff delta = a1^2 - 4 a0 is a square mod p, which Euler's
+criterion delta^((p-1)/2) = 1 tests, and then its roots are
+(-a1 +- sqrt delta)/2 (`_intpoly.gf_sqrt`).  An image of higher degree is
+scanned over the p residues, and the scan stops at the first image with no
+root.
 
 Roots that do exist are found by lifting them at a split prime (Belabas, J.
 Symb. Comp. 37, 2004; Cohen, A Course in Computational Algebraic Number Theory,
@@ -73,24 +91,15 @@ image is tried; two extra p-adic digits keep wrong matchings from passing the
 bound, and a candidate is kept only if it passes exact substitution.  The
 bound makes the search complete, so there is no other method to fall back on.
 
-A square root takes the same prime choice and the same recombination
-(`_split_images`, `_lifted_roots`) with half the lifting (`sqrt_in_field`).
-For beta = num/den, a = num * den lies in Z[theta] and y^2 - a is already h~.
-An image y^2 - a(r_i) is settled by Euler's criterion on a(r_i), and one root
-s_i is lifted per image, -s_i being the other.  As -gamma is a root with
-gamma, only the 2^(d-1) sign choices with the first sign + are tried, and the
-first that passes the exact check is the answer.
-
-QQ = QQ[theta]/(theta) is the degree-1 case of all of this, with no path of its
+QQ = QQ[theta]/(theta) is the degree-1 case of the lift, with no path of its
 own: f = x, every prime p > 58 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
-`rational_roots` searches one such field, built at import, and `sqrt_in_field`
-lifts y^2 - beta over QQ as over any other field, with one root and no
-matching.  A RatPoly over QQ is lifted directly, with no factorization: its
-one image leaves no matchings to prune.  The factorizer serves only
-[K:QQ] > 1, where a rational h is factored over QQ first and only factors of
-degree dividing [K:QQ] are lifted; a caller that meets one h over many fields
-may hand its factors in (`roots_in_field`).
+`rational_roots` searches one such field, built at import.  A RatPoly over
+QQ is lifted directly, with no factorization: its one image leaves no
+matchings to prune.  The factorizer serves only [K:QQ] > 1, where a rational
+h of degree 4 or more is factored over QQ first: factors of degree <= 2 take
+the closed form, and a quartic one is lifted over a quartic K; a caller that
+meets one h over many fields may hand its factors in (`roots_in_field`).
 
 The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
 so each field keeps them per split prime at the highest precision any search
@@ -104,8 +113,9 @@ modular inverse in all (`_lift_root`).
 
 The norm method (Trager: factor Norm_{K/QQ} h(x - s*theta) over QQ and take a
 gcd over K per factor) is the independent oracle the tests compare the lift
-against; the engine never runs it.  It stays in this module, and not with the
-tests' other oracles, only because the benchmark's tracer binds it.
+and the square roots against; the engine never runs it.  It stays in this
+module, and not with the tests' other oracles, only because the benchmark's
+tracer binds it.
 """
 
 from __future__ import annotations
@@ -118,6 +128,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from . import _intpoly as zp
+from . import _quadtower as zt
 from .errors import DataFormatError, DegenerateTowerError, InvariantViolationError, UnsupportedFieldError
 from .exactmath import (
     DensePoly,
@@ -154,7 +165,8 @@ class NumberField:
     """QQ[theta]/(f) with f monic integral irreducible of degree 1, 2, or 4."""
 
     __slots__ = ("defining_poly", "degree", "disc", "galois_type", "_f_int", "_quadratics",
-                 "_split_primes", "_split_stream", "_split_lifts", "_residue_degrees")
+                 "_resolvent_root", "_tower", "_split_primes", "_split_stream", "_split_lifts",
+                 "_residue_degrees")
 
     def __init__(self, poly: RatPoly):
         """f = poly made monic integral.  f of degree 2 or 4 is reducible iff
@@ -172,11 +184,14 @@ class NumberField:
         self.disc = (-1) ** (d * (d - 1) // 2) * int(resultant(poly, poly.derivative()))  # monic f
         if d > 1 and rational_roots(poly):
             raise UnsupportedFieldError(f"defining polynomial is reducible: {poly!r}")
+        self._resolvent_root = None
         if d == 4:
-            self.galois_type, self._quadratics = _galois_structure(poly, self.disc)
+            self.galois_type, self._quadratics, self._resolvent_root = _galois_structure(poly, self.disc)
         else:
             self.galois_type = GaloisType.Rational if d == 1 else GaloisType.Quadratic
             self._quadratics = None
+        # (P, pd, Q, qd, w, delta), filled by `_field_tower` on the first square root
+        self._tower = None
         self._split_primes: list[tuple[int, tuple[int, ...]]] = []
         self._split_stream: Iterator[tuple[int, tuple[int, ...]]] | None = None
         # p -> (p^N, rho, weights) at the highest p^N lifted so far; filled by
@@ -721,17 +736,12 @@ def _split_images(K: NumberField, image_roots) -> Iterator[tuple[int, tuple[int,
 
 
 def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ...],
-                  root_lists: list[list[int]], pm: bool = False) -> list[list[int]]:
+                  root_lists: list[list[int]]) -> list[list[int]]:
     """Delta * beta in Z[theta] for the roots beta of the monic h~ in K, from
     root_lists[i], the roots mod p of the squarefree image at theta -> rs[i]:
     each is lifted mod q = p^N > 2 L p^2, and the matchings of one lifted
     root per image are recombined.  A matching within the bound L is kept
-    only if h~ vanishes at it exactly (`_vanishes_at`).
-
-    With pm, h~ = y^2 - a and root_lists[i] holds one root s_i, whose
-    negative is the other: the matchings are the 2^(d-1) sign choices with
-    the first sign +, which meet exactly one of +-gamma, and the first gamma
-    that passes is returned alone."""
+    only if h~ vanishes at it exactly (`_vanishes_at`)."""
     L = _coordinate_bound(K, ht)
     q = p
     while q <= 2 * L * p * p:
@@ -743,8 +753,6 @@ def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ..
     for rho_i, weight, rts in zip(rho, weights, root_lists):
         hi = [_eval_mod(a, rho_i, q) for a in ht]
         vecs.append([[b * c % q for c in weight] for b in (_lift_root(hi, x, p, q) for x in rts)])
-    if pm:
-        vecs[1:] = [[v, [-c % q for c in v]] for (v,) in vecs[1:]]
     Delta = abs(K.disc)
     gammas = []
     half = q // 2
@@ -759,8 +767,6 @@ def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ..
         else:
             if _vanishes_at(ht, gamma, Delta, K._f_int):
                 gammas.append(gamma)
-                if pm:
-                    break
     return gammas
 
 
@@ -779,8 +785,10 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     The roots rho_i of f mod q and the Lagrange weights come from the field's
     lift context (`_split_prime_lift`), lifted once per field and prime to the
     highest precision needed so far; only the roots of the images are lifted
-    here, each from its residue mod p (`_lifted_roots`).  `sqrt_in_field`
-    shares the prime choice and the lift, with one root lifted per image."""
+    here, each from its residue mod p (`_lifted_roots`).  It serves a KPoly,
+    a RatPoly over QQ, and a rational factor of degree 4 over a quartic K;
+    square roots and roots of degree <= 2 over QQ take no lift
+    (`sqrt_in_field`, `roots_in_field`)."""
     if h.degree == 0:
         return set()
     D, ht = _scaled_monic(h)
@@ -827,13 +835,17 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
 
     h may be a RatPoly (rational coefficients) or a KPoly over K.  A KPoly is
     lifted as it is, and so is a RatPoly over QQ: there is one image, so there
-    are no matchings for a factorization to prune.  A RatPoly over K != QQ is
-    factored over QQ: its roots in QQ are read off the linear factors, and only
-    the other factors whose degree divides [K:QQ] are lifted.  `factors`, if
-    given, is a function d -> factor_bounded(h, d) for a caller that keeps
-    them (`Curve.x_division_factors`); it is called only there, with
-    d = [K:QQ].  A lift with an image rootless mod p returns at once
-    (`_hensel_roots`).
+    are no matchings for a factorization to prune (`_hensel_roots`).  Over a
+    K != QQ, a RatPoly of degree <= 2 takes a closed form, with no lift:
+    ax^2 + bx + c has the roots (-b +- sqrt(b^2 - 4ac))/2a, one
+    `sqrt_in_field`.  A cubic h has its rational roots (`rational_roots`)
+    and, if it has exactly one, r, the roots of the quadratic h/(x - r); a
+    cubic with no rational root is irreducible, and 3 does not divide [K:QQ],
+    so it has no root in K and is not factored.  Any other h is factored over
+    QQ: its factors of degree <= 2 take the closed form, and one of degree 4
+    is lifted when [K:QQ] = 4.  `factors`, if given, is a function
+    d -> factor_bounded(h, d) for a caller that keeps them
+    (`Curve.x_division_factors`); it is called only there, with d = [K:QQ].
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
@@ -841,17 +853,32 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
         raise ValueError("polynomial over a different field")
     if isinstance(h, KPoly) or K.degree == 1:
         roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly(K, h.coeffs), K)
+    elif h.degree == 3:
+        rs = rational_roots(h)
+        roots = {K.element(r) for r in rs}
+        if len(rs) == 1:
+            roots |= _quadratic_roots(h.divmod(RatPoly([-rs.pop(), 1]))[0], K)
     else:
         roots = set()
-        for q in (factors or partial(factor_bounded, h))(K.degree):
-            if q.degree == 1:
-                roots.add(K.element(-q.coeffs[0]))
+        for q in ((h,) if h.degree <= 2 else (factors or partial(factor_bounded, h))(K.degree)):
+            if q.degree <= 2:
+                roots |= _quadratic_roots(q, K)
             elif K.degree % q.degree == 0:
                 roots |= _hensel_roots(KPoly(K, q.coeffs), K)
     for r in roots:
         if not (h(r) if isinstance(h, KPoly) else rat_eval(h, r)).is_zero():
             raise InvariantViolationError(f"root verification failed: {r!r} is not a root")
     return roots
+
+
+def _quadratic_roots(q: RatPoly, K: NumberField) -> set[FieldElement]:
+    """The roots in K of q in QQ[x] of degree <= 2: none, -c/b, or
+    (-b +- sqrt(b^2 - 4ac))/2a from one square root in K."""
+    if q.degree < 2:
+        return {K.element(-q.coeffs[0] / q.coeffs[1])} if q.degree else set()
+    c, b, a = q.coeffs
+    s = sqrt_in_field(b * b - 4 * a * c, K)
+    return set() if s is None else {(s - b) * (1 / (2 * a)), (-s - b) * (1 / (2 * a))}
 
 
 def rational_roots(h: RatPoly) -> set[Fraction]:
@@ -861,15 +888,61 @@ def rational_roots(h: RatPoly) -> set[Fraction]:
     return {r.rational_value() for r in roots_in_field(h, _QQ)}
 
 
-def _sqrt_image(a: list[int], r: int, p: int) -> list[int] | None:
-    """[s] with s^2 = a(r) mod p, [] when a(r) is a nonsquare mod p (Euler's
-    criterion), and None when a(r) = 0 mod p."""
-    v = _eval_mod(a, r, p)
-    if v == 0:
-        return None
-    if pow(v, (p - 1) // 2, p) != 1:
-        return []
-    return [zp.gf_sqrt(v, p)]
+def _field_tower(K: NumberField, y: int | None = None) -> tuple:
+    """(P, pd, Q, qd, w, delta): K as a quadratic tower, for `sqrt_in_field`.
+
+    sigma is an involution of K and omega = theta - sigma(theta), so that
+    sigma(omega) = -omega.  For d = 2, sigma(theta) = -f_1 - theta, the tower
+    is QQ < K, and w = omega^2 = f_1^2 - 4 f_0.  For d = 4, f = x^4 + px^3 +
+    qx^2 + rx + s, y is a rational root of its resolvent cubic, which pairs
+    the roots of f as the two factors x^2 + ax + b and x^2 + a'x + b' with
+    b + b' = y over the fixed field F of sigma = the swap within each factor
+    (`_galois_structure`).  With d1 = y^2 - 4s, d2 = p^2 - 4q + 4y and
+    c = py - 2r, alpha = a - a' and alpha' = b - b' have alpha^2 = d2,
+    alpha'^2 = d1 and alpha alpha' = c, and 2 theta^2 + p theta + y =
+    -(alpha theta + alpha'), so
+
+        alpha = -(d2 theta + c) / (2 theta^2 + p theta + y),
+        alpha' = -(2 theta^2 + (p + alpha) theta + y),
+        sigma(theta) = -(p + alpha)/2 - theta.
+
+    F = QQ(u) for u, whichever of alpha (delta = d2) and alpha' (delta = d1)
+    is irrational; not both are rational, or f would factor over QQ.  These
+    are checked exactly, once: alpha^2 = d2, alpha'^2 = d1, f(sigma(theta)) =
+    0, sigma(theta) != theta, and that w = omega^2 lies in F.
+
+    The basis 1, omega (d = 2) or 1, u, omega, u omega (d = 4) has the power
+    coordinates Q / qd, column by column, and P / pd = (Q / qd)^-1 maps power
+    coordinates to it.  For d = 2, w is the delta of `_quadtower.quad_sqrt`
+    with u = omega; for d = 4 it is the triple (w0, w1, we),
+    w = (w0 + w1 u)/we.  A quartic with no rational resolvent root has no
+    quadratic subfield and raises."""
+    th, f = K.gen(), K._f_int
+    if K.degree == 2:
+        basis, w, delta = [K.one(), th * 2 + f[1]], f[1] * f[1] - 4 * f[0], None
+    else:
+        if y is None:
+            raise UnsupportedFieldError(f"no quadratic subfield to take square roots down: {K!r}")
+        s, r, q, p = f[:4]
+        d1, d2 = y * y - 4 * s, p * p - 4 * q + 4 * y
+        g = th * th * 2 + th * p + y
+        alpha = -(th * d2 + (p * y - 2 * r)) / g
+        alpha1 = -(g + th * alpha)
+        sigma_th = (alpha + p) * Fraction(-1, 2) - th
+        if (alpha * alpha != d2 or alpha1 * alpha1 != d1 or sigma_th == th
+                or not rat_eval(K.defining_poly, sigma_th).is_zero()):
+            raise InvariantViolationError(f"resolvent root {y} gives no involution of {K!r}")
+        u, delta = (alpha1, d1) if alpha.is_rational() else (alpha, d2)
+        omega = th - sigma_th
+        basis = [K.one(), u, omega, u * omega]
+    P, pd, Q, qd = zt.tower_basis([(b.num, b.den) for b in basis])
+    if K.degree == 4:
+        w2 = basis[2] * basis[2]
+        w = zt.mat_vec(P, w2.num)
+        if w[2] or w[3]:
+            raise InvariantViolationError(f"omega^2 is not in the subfield QQ(sqrt {delta}) of {K!r}")
+        w = (w[0], w[1], pd * w2.den)
+    return P, pd, Q, qd, w, delta
 
 
 def sqrt_in_field(beta, K: NumberField):
@@ -877,27 +950,29 @@ def sqrt_in_field(beta, K: NumberField):
     (first nonzero power-basis coordinate positive).  The roots of y^2 - beta
     are +-gamma, which have the same canonical sign.
 
-    Its own lift, for every K, QQ included.  a = beta den^2 = num den lies in
-    Z[theta], and y^2 - a is the h~ of `_hensel_roots`, whose roots are
-    den * (+-gamma).  An image a(r_i) that is a nonsquare mod a split prime
-    (Euler's criterion) ends the search.  At the first split prime p where
-    no image a(r_i) is 0 mod p, one root s_i of y^2 = a(rho_i) is lifted per
-    image, -s_i being the other, and the 2^(d-1) sign choices with the first
-    sign + are recombined until one passes y^2 = a exactly (`_lifted_roots`
-    with pm).  That is the only substitution check."""
+    Over QQ, beta = n/m has the root sqrt(n m)/m if n m is a square.  Over a
+    K of degree 2 or 4 the root is taken by norm and trace down the quadratic
+    tower that K keeps from its first square root on (`_field_tower`, never
+    built at construction): beta's power coordinates go to the tower basis
+    by P, the root is taken there by integer square roots
+    (`_quadtower.tower_sqrt`: over QQ for d = 2, over F for d = 4), and its
+    coordinates come back by Q.  A None is proved by
+    that algebra, with no prime; a returned gamma passes gamma^2 = beta
+    exactly before its canonical sign is taken."""
     beta = K.element(beta)
-    if beta.is_zero():
-        return K.zero()
-    a = [c * beta.den for c in beta.num]
-    for p, rs, images in _split_images(K, partial(_sqrt_image, a)):
-        if None not in images:
-            break
-    else:
+    if K.degree == 1:
+        s = zt.exact_isqrt(beta.num[0] * beta.den)
+        return None if s is None else FieldElement(K, (s,), beta.den)
+    if K._tower is None:
+        K._tower = _field_tower(K, K._resolvent_root)
+    P, pd, Q, qd, w, delta = K._tower
+    r = zt.tower_sqrt(zt.mat_vec(P, beta.num), pd * beta.den, w, delta)
+    if r is None:
         return None
-    d = K.degree
-    ht = [[-c for c in a], [0] * d, [1] + [0] * (d - 1)]
-    gammas = _lifted_roots(K, ht, p, rs, images, pm=True)
-    return FieldElement(K, gammas[0], abs(K.disc) * beta.den).canonical_sign() if gammas else None
+    gamma = FieldElement(K, zt.mat_vec(Q, r[:-1]), qd * r[-1])
+    if gamma * gamma != beta:
+        raise InvariantViolationError(f"{gamma!r} squared is not {beta!r}")
+    return gamma.canonical_sign()
 
 
 # ---------------------------------------------------------------------------
@@ -905,29 +980,33 @@ def sqrt_in_field(beta, K: NumberField):
 # ---------------------------------------------------------------------------
 
 
-def _galois_structure(f: RatPoly, disc: int) -> tuple[GaloisType, frozenset[int]]:
-    """Galois type and quadratic subfields of QQ[x]/(f), f = x^4 + px^3 +
-    qx^2 + rx + s monic integral with no rational root, from the rational roots
-    y of its resolvent cubic (Kappe and Warren, Amer. Math. Monthly 96, 1989).
-    Each y gives d1 = y^2 - 4s and d2 = p^2 - 4q + 4y.  f = (x^2 + ax + b) *
-    (x^2 + cx + d) over QQ iff some y = b + d has both d's rational squares:
-    {b, d} = (y +- sqrt d1)/2, {a, c} = (p +- sqrt d2)/2, the signs paired by
-    d1 d2 = (py - 2r)^2.  Such an f is rejected.  Otherwise the nonsquare d's
-    give the subfields.  Three roots: biquadratic.  One: cyclic quartic iff
-    both its d's are squares in QQ(sqrt disc), else D4.  None: A4 or S4."""
+def _galois_structure(f: RatPoly, disc: int) -> tuple[GaloisType, frozenset[int], int | None]:
+    """Galois type, quadratic subfields and least rational resolvent root of
+    QQ[x]/(f), f = x^4 + px^3 + qx^2 + rx + s monic integral with no rational
+    root, from the rational roots y of its resolvent cubic (Kappe and Warren,
+    Amer. Math. Monthly 96, 1989).  Each y, an integer, gives d1 = y^2 - 4s
+    and d2 = p^2 - 4q + 4y.  f = (x^2 + ax + b) * (x^2 + cx + d) over QQ iff
+    some y = b + d has both d's rational squares: {b, d} = (y +- sqrt d1)/2,
+    {a, c} = (p +- sqrt d2)/2, the signs paired by d1 d2 = (py - 2r)^2.  Such
+    an f is rejected.  Otherwise the nonsquare d's give the subfields.  Three
+    roots: biquadratic.  One: cyclic quartic iff both its d's are squares in
+    QQ(sqrt disc), else D4.  None: A4 or S4.  The least y, None when there is
+    none, is the one `_field_tower` builds the involution of K from."""
     p, q, r, s = f.coeffs[3], f.coeffs[2], f.coeffs[1], f.coeffs[0]
     res_cubic = RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])
-    deltas = [(y * y - 4 * s, p * p - 4 * q + 4 * y) for y in rational_roots(res_cubic)]
+    ys = sorted(rational_roots(res_cubic))
+    deltas = [(y * y - 4 * s, p * p - 4 * q + 4 * y) for y in ys]
     if any(is_rational_square(d1) and is_rational_square(d2) for d1, d2 in deltas):
         raise UnsupportedFieldError(f"defining polynomial is reducible: {f!r}")
     subfields = frozenset(squarefree_part_rational(D) for pair in deltas for D in pair
                           if not is_rational_square(D))
+    y = int(ys[0]) if ys else None
     if len(deltas) == 3:
-        return GaloisType.Biquadratic, subfields
+        return GaloisType.Biquadratic, subfields, y
     if len(deltas) == 1:
         if all(is_rational_square(D) or is_rational_square(D * disc) for D in deltas[0]):
-            return GaloisType.CyclicQuartic, subfields
-    return GaloisType.NonGaloisQuartic, subfields
+            return GaloisType.CyclicQuartic, subfields, y
+    return GaloisType.NonGaloisQuartic, subfields, y
 
 
 # ---------------------------------------------------------------------------

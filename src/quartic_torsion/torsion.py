@@ -13,14 +13,18 @@ not divide B aborts the run.
 
 The computation is per prime.  The points of order p come from the roots in K
 of the 2-division cubic (p = 2) or of the division polynomial psi_p (odd p),
-with y recovered by a square root in K.  Points of order p^k come from one
-lift loop for every p, which takes the preimages under [p] of each point P of
-order p^(k-1), by one rule for each kind of prime.  For p = 2, P is halved by
-Knapp's criterion (`halves`): its halves are read off square roots in K,
-given the x of one point of order 2, and it has none if one of them is not in
-K.  For odd p the loop solves phi_p(x) = x_P psi_p^2(x) over K, and above
-each root the y of the preimage follows from y_P by the formula for [p]
-(`m_preimages`).
+with y recovered by a square root in K.  The cubic is solved in closed form
+(`roots_in_field`): its rational roots, and when there is exactly one, the
+roots of the quadratic cofactor by one square root in K; with none it is
+irreducible and, 3 not dividing [K:QQ], has no root in K.  psi_p is factored
+over QQ once per curve and [K:QQ], and its factors solved.  Points of order
+p^k come from one lift loop for every p, which takes the preimages under [p]
+of each point P of order p^(k-1), by one rule for each kind of prime.  For
+p = 2, P is halved by Knapp's criterion (`halves`): its halves are read off
+square roots in K, given the x of one point of order 2, and it has none if
+one of them is not in K.  For odd p the loop solves phi_p(x) = x_P psi_p^2(x)
+over K, and above each root the y of the preimage follows from y_P by the
+formula for [p] (`m_preimages`).
 
 E(K)_tors is computed once; everything else is derived from its points.
 Each point's order is the lift level at which it appeared (p^k for a point of
@@ -168,8 +172,9 @@ def p_primary_part(E: Curve, K: NumberField, p: int,
     p^(k+1) would multiply the group's order by at least p.  The frontier starts as the
     points of order p: those above the roots of `x_division_poly(p)`.  For
     p = 2 that is the 2-division cubic, on whose roots the discriminant in y
-    vanishes, so each root gives one point.  Over K != QQ the roots come from
-    the curve's own factors of that polynomial (`Curve.x_division_factors`),
+    vanishes, so each root gives one point.  Over K != QQ the cubic is
+    solved in closed form and never factored, and the roots of psi_p come
+    from the curve's own factors of it (`Curve.x_division_factors`),
     factored once per [K:QQ].  A point found at lift level k has order
     exactly p^k: the frontier at level k-1 holds every point of order
     p^(k-1), and a preimage under [p] of such a point has order p^k.  p

@@ -49,8 +49,15 @@ with the engine:
 - `charpoly`: the characteristic polynomial of an element of K by
   Faddeev-LeVerrier, which presents K by another defining polynomial for the
   presentation-invariance tests of `torsion.torsion_over_field`.
+- `sqrt_against_norm_method`: square roots by the norm method
+  (`numfield._trager_roots` on y^2 - beta, which factors a norm over QQ),
+  against `numfield.sqrt_in_field`, which takes them by norm and trace down
+  the quadratic tower of K.  Its betas come from `tower_involution`, the
+  tower's own sigma, so that beta in F and sigma(beta) = -beta both occur.
 """
 
+import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 from sympy import factorint
@@ -58,8 +65,8 @@ from sympy import factorint
 from quartic_torsion import _intpoly as zp
 from quartic_torsion.ellcurve import Curve, Point, curve_points_y
 from quartic_torsion.exactmath import RatPoly, is_rational_square, squarefree_part_rational
-from quartic_torsion.numfield import (GaloisType, KPoly, NumberField, rational_field,
-                                      rational_roots, roots_in_field, sqrt_in_field)
+from quartic_torsion.numfield import (FieldElement, GaloisType, KPoly, NumberField, _trager_roots,
+                                      rational_field, rational_roots, roots_in_field, sqrt_in_field)
 from quartic_torsion.torsion import structure_of_orders
 
 
@@ -344,3 +351,66 @@ def charpoly(alpha) -> RatPoly:
               for j in range(n)] for i in range(n)]
         c[n - k] = -sum(M[i][t] * N[t][i] for i in range(n) for t in range(n)) / k
     return RatPoly(c)
+
+
+def tower_involution(K: NumberField):
+    """beta -> sigma(beta) for the involution sigma of the quadratic tower that
+    K keeps from its first square root on (`numfield._field_tower`): sigma
+    negates the omega coordinates, the second half of the tower basis."""
+    if K._tower is None:
+        sqrt_in_field(K.one(), K)
+    P, pd, Q, qd, _, _ = K._tower
+    h = K.degree // 2
+
+    def sigma(beta):
+        t = [sum(a * c for a, c in zip(row, beta.num)) for row in P]
+        t[h:] = [-c for c in t[h:]]
+        return FieldElement(K, [sum(a * c for a, c in zip(row, t)) for row in Q], pd * qd * beta.den)
+
+    return sigma
+
+
+# representatives of square classes of QQ, beside the quadratic subfields of K
+SQUARE_CLASSES = (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 15, -15, 30)
+
+
+def sqrt_against_norm_method(K: NumberField, rng: random.Random, classes: int = 1,
+                             guard=nullcontext) -> set:
+    """Compare `sqrt_in_field(beta, K)` with the roots of y^2 - beta by the
+    norm method, for beta = 0, m r^2 for `classes` random square classes m
+    of QQ and for m = 1 and the m of each quadratic subfield, a random
+    square, a random element and, for [K:QQ] > 1, x + sigma(x) in F,
+    x - sigma(x) with sigma(beta) = -beta, and the squares of both.  Each
+    square root is taken inside the context guard().  Returns the set of
+    (kind, has a root) met."""
+    def element(dens=(1, 2, 3)):
+        x = K.zero()
+        while x.is_zero():
+            x = K.element([Fraction(rng.randrange(-9, 10), rng.choice(dens)) for _ in range(K.degree)])
+        return x
+
+    ms = set(rng.sample(SQUARE_CLASSES, classes)) | {1}
+    ms |= K.quadratic_subfields() if K.degree == 4 else {K.disc} if K.degree == 2 else set()
+    cases = [("rational", K.element(m * Fraction(rng.randrange(1, 30), rng.randrange(1, 30)) ** 2))
+             for m in sorted(ms)]
+    y = element()
+    cases += [("square", y * y), ("any", element((1, 5)))]
+    if K.degree > 1:
+        sigma, x = tower_involution(K), element()
+        fixed, anti = x + sigma(x), x - sigma(x)
+        assert sigma(fixed) == fixed and sigma(anti) == -anti and not anti.is_zero()
+        cases += [("fixed", fixed), ("fixed square", fixed * fixed),
+                  ("anti", anti), ("anti square", anti * anti)]
+    with guard():
+        assert sqrt_in_field(K.zero(), K) == K.zero()
+    found = set()
+    for kind, beta in cases:
+        if beta.is_zero():
+            continue
+        with guard():
+            root = sqrt_in_field(beta, K)
+        expected = _trager_roots(KPoly(K, [-beta, 0, 1]), K)
+        assert expected == (set() if root is None else {root, -root}), (K, kind, beta)
+        assert root is None or root == root.canonical_sign()
+        found.add((kind, root is not None))
+    return found

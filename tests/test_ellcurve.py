@@ -750,6 +750,18 @@ class TestCurveCaches:
         assert counted == [5, 7, 13] and expected[3:6] == [None] * 3
         assert E._ap_cache == {5: 5 + 1 - expected[0], 7: None, 13: 13 + 1 - expected[6]}
 
+    def test_two_division_poly_is_built_once(self, monkeypatch):
+        # T is built on first use, kept, and read by every later caller
+        E = Curve.from_str(self.SPEC)
+        assert E._two_division is None
+        T = E.two_division_poly()
+        assert T == RatPoly([E.b6, 2 * E.b4, E.b2, 4])
+        built = []
+        monkeypatch.setattr(ellcurve, "RatPoly", lambda *args: built.append(args) or RatPoly(*args))
+        torsion_over_field(E, parse_field_spec("5;35;7"))
+        assert E.two_division_poly() is T and E.x_division_poly(2) == T
+        assert [args for args in built if args == ([E.b6, 2 * E.b4, E.b2, 4],)] == []
+
     def test_a_search_keys_nothing_by_field(self):
         E = Curve.from_str(self.SPEC)
         torsion_over_field(E, parse_field_spec("5;35;7"))

@@ -368,11 +368,12 @@ class TestSplitPrimeCertificate:
         split_prime_lift, lifted = numfield._split_prime_lift, []
         monkeypatch.setattr(numfield, "_split_prime_lift",
                             lambda K, *args: lifted.append(K) or split_prime_lift(K, *args))
-        assert roots_in_field(RatPoly([-3, 0, 1]), ZETA5) == set()
+        assert roots_in_field(KPoly(ZETA5, [-3, 0, 1]), ZETA5) == set()
         assert lifted == [ZETA5]
         monkeypatch.setattr(numfield, "_split_prime_lift", forbidden)
         monkeypatch.setattr(numfield, "factor_bounded", forbidden)
         assert roots_in_field(KPoly(ZETA5, [-(th + 2), 0, 1]), ZETA5) == set()
+        assert numfield._hensel_roots(KPoly(ZETA5, [-2 * th, 0, 1]), ZETA5) == set()
         assert sqrt_in_field(th * 2, ZETA5) is None
 
 
@@ -566,7 +567,7 @@ class TestQuadraticImages:
         calls = []
         eval_mod = numfield._eval_mod
         monkeypatch.setattr(numfield, "_eval_mod", lambda *args: calls.append(args) or eval_mod(*args))
-        assert sqrt_in_field(ZETA5.gen() + 2, ZETA5) is None
+        assert numfield._hensel_roots(KPoly(ZETA5, [-(ZETA5.gen() + 2), 0, 1]), ZETA5) == set()
         assert 0 < len(calls) < p
 
 
@@ -911,8 +912,8 @@ def _isqrt_reference(q):
 
 
 class TestSqrtOverRationals:
-    """QQ has no square-root path of its own: y^2 - beta goes to the split
-    primes of the degree-1 field and is lifted there, as in any other field."""
+    """A square root in QQ is one isqrt: no split prime is walked and nothing
+    is lifted."""
 
     def cases(self):
         rng = random.Random(41)
@@ -925,14 +926,11 @@ class TestSqrtOverRationals:
                 + [2 * r * r for r in roots] + [r * r + 1 for r in roots])
 
     def test_matches_isqrt(self, monkeypatch):
-        lifted = []
-        split_images = numfield._split_images
+        def forbidden(*args):
+            raise AssertionError("a square root walked the split primes")
 
-        def counted(K, image_roots):
-            lifted.append(K)
-            return split_images(K, image_roots)
-
-        monkeypatch.setattr(numfield, "_split_images", counted)
+        monkeypatch.setattr(numfield, "_split_images", forbidden)
+        monkeypatch.setattr(NumberField, "iter_split_primes", forbidden)
         Q = rational_field()
         cases = self.cases()
         for beta in cases:
@@ -941,8 +939,7 @@ class TestSqrtOverRationals:
                 assert got is None, beta
             else:
                 assert got == Q.element(expected) and got.rational_value() >= 0, beta
-        # every beta but 0 takes the split-prime step, in QQ itself
-        assert lifted == [Q] * (len(cases) - 1)
+        assert Q._split_primes == [] and Q._split_stream is None
 
 
 class TestGaloisType:
@@ -1107,14 +1104,15 @@ def _workload_fields(benchmark_cases, seeds):
 
 
 class TestSqrtAgainstNormMethod:
-    """`sqrt_in_field` takes its own lift: one root per image and the sign
-    choices with the first sign +.  It gives the roots the norm method gives
+    """`sqrt_in_field` (norm and trace down the tower) and the lift of
+    y^2 - beta (`_hensel_roots`) give the roots the norm method gives
     y^2 - beta."""
 
     def test_every_workload_field(self, benchmark_cases, monkeypatch):
         # squares, nonsquares and 0, over every field of seeds 0-2; p0^2 x^2
         # and p0 x^2 vanish at every image mod the first split prime p0, so
-        # the lift goes on to a later prime, where only the first is a square
+        # the lift of y^2 - beta goes on to a later prime, where only the
+        # first is a square
         lifted_at = []
         lifted_roots = numfield._lifted_roots
         monkeypatch.setattr(numfield, "_lifted_roots",
@@ -1135,11 +1133,12 @@ class TestSqrtAgainstNormMethod:
                                ("vanishing nonsquare", x * x * p0)):
                 if beta.is_zero():
                     continue
-                lifted_at.clear()
                 root = sqrt_in_field(beta, K)
                 expected = numfield._trager_roots(KPoly(K, [-beta, 0, 1]), K)
                 assert expected == (set() if root is None else {root, -root}), (K, beta)
                 assert root is None or root == root.canonical_sign()
+                lifted_at.clear()
+                assert numfield._hensel_roots(KPoly(K, [-beta, 0, 1]), K) == expected, (K, beta)
                 if kind.startswith("vanishing"):
                     assert all(p > p0 for p in lifted_at), (K, beta)
                     assert lifted_at or root is None, (K, beta)

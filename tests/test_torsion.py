@@ -28,6 +28,7 @@ from oracles import (
     quadratic_twist,
     short_model,
     span_subfield,
+    sqrt_against_norm_method,
     sqrt_reference_preimages,
 )
 from quartic_torsion import grouptables as gt
@@ -480,6 +481,22 @@ def test_seed0_reports_invariant(change):
     assert not changed, "\n".join(changed)
 
 
+def test_sqrt_on_other_presentations():
+    # the quadratic tower of K presented by a characteristic polynomial, one
+    # per seed-0 field as `_other_presentation` gives it for the field's
+    # first case, against the norm method
+    firsts = {}
+    for row in SEED0_DIGESTS:
+        firsts.setdefault(row["field"], row["curve"])
+    rng = random.Random(29)
+    found = set()
+    for field, curve in firsts.items():
+        L = _other_presentation(Curve.from_str(curve), parse_field_spec(field))
+        found |= sqrt_against_norm_method(L, rng)
+    assert len(firsts) > 40
+    assert {("fixed square", True), ("anti square", True), ("rational", True), ("rational", False)} <= found
+
+
 def test_every_theorem_group_has_a_row():
     # each group of the two theorems is the answer of at least one case that
     # Tier-1 pins: a known_groups row, a witness or a seed-0 case
@@ -563,19 +580,22 @@ def _count_factored(monkeypatch):
 ])
 def test_second_field_factors_no_division_polynomial(curve, fields, monkeypatch):
     # one curve over quartic fields that search the same primes: only the
-    # first factors psi_l, once per l; the later ones read the curve's factors
+    # first factors psi_l, once per odd l; the later ones read the curve's
+    # factors.  The 2-division cubic is never factored: its rational roots
+    # and one quadratic cofactor give its roots in K
     E = Curve.from_str(curve)
     Ks = [parse_field_spec(f) for f in fields]
     ells = set(primefactors(reduction_bound(E, Ks[0])))
     assert all(set(primefactors(reduction_bound(E, K))) == ells for K in Ks)
+    odd = [ell for ell in sorted(ells) if ell % 2]
     factored = _count_factored(monkeypatch)
     torsion_over_field(E, Ks[0])
-    assert factored == [E.x_division_poly(ell) for ell in sorted(ells)]
+    assert factored == [E.x_division_poly(ell) for ell in odd]
     del factored[:]
     for K in Ks[1:]:
         torsion_over_field(E, K)
     assert factored == []
-    assert sorted(E._factor_cache) == [(ell, 4) for ell in sorted(ells)]
+    assert sorted(E._factor_cache) == [(ell, 4) for ell in odd]
 
 
 def test_rational_field_factors_no_division_polynomial(monkeypatch):
