@@ -310,31 +310,6 @@ def gf_derivative(a: list[int], p: int) -> list[int]:
     return trim([i * a[i] % p for i in range(1, len(a))])
 
 
-def gf_sqrt(a: int, p: int) -> int:
-    """A square root mod the odd prime p of a nonzero square a mod p, by
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 1.5.1).  With p - 1 = 2^e q, q odd, z = n^q for the least nonsquare
-    n generates the subgroup of order 2^e, and the loop keeps a*b = x^2 while the 2-power order 2^m of b falls:
-    x <- x t and b <- b t^2 for t = z^(2^(e-m-1)) of order 2^(m+1).  For
-    p = 3 mod 4, e = 1 and b = a^q = 1 at once, so the loop does not run.  A
-    nonsquare or zero a, where b^(2^(e-1)) != 1, raises ValueError."""
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q, e = q // 2, e + 1
-    z = pow(next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1), q, p)
-    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
-    while b != 1:
-        m, c = 0, b
-        while c != 1:
-            if m == e - 1:
-                raise ValueError(f"{a} is not a nonzero square mod {p}")
-            m, c = m + 1, c * c % p
-        t = pow(z, 1 << (e - m - 1), p)
-        z, e = t * t % p, m
-        x, b = x * t % p, b * z % p
-    return x
-
-
 def gf_is_squarefree(a: list[int], p: int) -> bool:
     d = gf_derivative(a, p)
     if not d:

@@ -24,6 +24,10 @@ Over M = QQ (`quad_sqrt`) the norm and the trace are integers once the
 element is scaled, so a square root in F is two integer square roots.  Over
 M = F (`tower_sqrt`, which takes a field of degree 2 to `quad_sqrt`) they lie
 in F, so a square root in K is at most three square roots in F.
+
+`solve` is the package's one fraction-free linear solver: it inverts the
+tower basis (`tower_basis`) and serves `numfield.FieldElement.inverse` for
+d = 4.
 """
 
 from __future__ import annotations
@@ -113,28 +117,51 @@ def mat_vec(m: list[list[int]], v) -> list[int]:
     return [sum(a * c for a, c in zip(row, v)) for row in m]
 
 
+def solve(m: list[list[int]], cols) -> tuple[list[list[int]], int]:
+    """(X, D) with m X = D B, for a square integer matrix m (a list of rows)
+    and the columns cols of B: X is the list of its integral columns, and
+    D = +-det m.  Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22,
+    1968) with row pivoting: after step k every entry below row k is a minor
+    of [m | B] of order k + 1, so each division by the previous pivot is
+    exact, and the last pivot is D.  Back substitution on the triangular
+    system then gives X = D m^-1 B, integral by Cramer's rule, so its
+    divisions are exact too.  A singular m raises."""
+    d = len(m)
+    rows = [[*row, *b] for row, b in zip(m, zip(*cols))]
+    n = len(rows[0])
+    prev = 1
+    for k in range(d):
+        for i in range(k, d):
+            if rows[i][k]:
+                break
+        else:
+            raise InvariantViolationError(f"the matrix {m} is singular")
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    X = []
+    for c in range(d, n):
+        x = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            x[i] = (prev * row[c] - sum(row[j] * x[j] for j in range(i + 1, d))) // row[i]
+        X.append(x)
+    return X, prev
+
+
 def tower_basis(basis) -> tuple[list[list[int]], int, list[list[int]], int]:
     """(P, pd, Q, qd) for a basis of K given as pairs (num, den), the
     element num / den in power coordinates: Q / qd has the columns num / den,
-    and P / pd is its inverse; P, Q integral and pd, qd > 0.  Q is inverted by
-    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
-    after step k every entry is a minor of [Q | I] of order k + 1, so each
-    division by the previous pivot is exact, and the end is [D I | D Q^-1]
-    with D = +-det Q."""
+    and P / pd is its inverse; P, Q integral and pd, qd > 0.  P is read off
+    `solve` with B = I, P / pd = qd Q^-1.  A set that is no basis raises."""
     d = len(basis)
     qd = lcm(*(den for _, den in basis))
     Q = [[num[i] * (qd // den) for num, den in basis] for i in range(d)]
-    rows = [row + [int(i == j) for j in range(d)] for i, row in enumerate(Q)]
-    prev = 1
-    for k in range(d):
-        pivot = next((i for i in range(k, d) if rows[i][k]), None)
-        if pivot is None:
-            raise InvariantViolationError(f"the tower basis {basis} is not a basis")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        top = rows[k]
-        for i in range(d):
-            if i != k:
-                rows[i] = [(top[k] * x - rows[i][k] * y) // prev for x, y in zip(rows[i], top)]
-        prev = top[k]
-    sign = -1 if prev < 0 else 1
-    return [[sign * qd * x for x in row[d:]] for row in rows], sign * prev, Q, qd
+    X, D = solve(Q, [[int(i == j) for i in range(d)] for j in range(d)])
+    sign = -1 if D < 0 else 1
+    return [[sign * qd * x[i] for x in X] for i in range(d)], sign * D, Q, qd

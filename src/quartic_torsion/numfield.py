@@ -9,11 +9,11 @@ each element has exactly one (num, den).  Sums and products are integer
 arithmetic.  A product is written out in closed form for each degree 1, 2 and
 4, reduced modulo the monic integral f (`_mul_mod_f`, the multiply that the
 root lift, `rat_eval` and `smallest_subfield` use too).  The inverse is
-den / num_0 for d = 1 and den times the conjugate over the norm for d = 2; for
-d = 4 it solves M x = e_0, M the integer matrix of multiplication by num, by
-fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968): by
-Cramer's rule det(M) * x is integral, so the inverse is den * (det(M) * x) /
-det(M) with no fraction on the way.  `rat_eval` evaluates a rational
+den / num_0 for a rational element in every K and den times the conjugate
+over the norm for d = 2; for d = 4 it solves M X = D e_0, M the integer
+matrix of multiplication by num and D = +-det M, by the fraction-free
+elimination of `_quadtower.solve`, so the inverse is den * X / D with no
+fraction on the way.  `rat_eval` evaluates a rational
 polynomial at an element by Horner's rule over Z[theta], normalized once.
 `FieldElement.coeffs` gives the coordinates as Fractions for reports and the
 tests; nothing sorts by them (`torsion._sort_keys` orders points in integers).
@@ -39,8 +39,9 @@ every square root of beta in K arises so, or lies in F or omega F when beta
 is in F.  So a missing root is proved by algebra, and a square root in F is
 two integer square roots.  Over QQ it is one isqrt.  A rational polynomial
 whose roots have degree <= 2 over QQ takes the same closed form in
-`roots_in_field`: a quadratic factor has the roots (-b +- sqrt delta)/2a, and
-a cubic has its rational roots and those of one quadratic cofactor.
+`roots_in_field`, in every K, QQ included: a quadratic factor has the roots
+(-b +- sqrt delta)/2a, and a cubic has its rational roots and those of one
+quadratic cofactor.
 
 Every other root search works at completely split primes.
 `NumberField.iter_split_primes` lists, on first use and never at
@@ -58,12 +59,8 @@ Most lifted searches of the engine find nothing, and they end at the one
 prime the lift below works at: each root of h in K maps to a root of every
 image h~_i mod p of the scaled h~ defined there, so an image with no root mod
 p proves h rootless in K, and nothing is lifted.  There is no other modular
-test.  A quadratic image y^2 + a1 y + a0 is decided without a search: it has
-a root mod p iff delta = a1^2 - 4 a0 is a square mod p, which Euler's
-criterion delta^((p-1)/2) = 1 tests, and then its roots are
-(-a1 +- sqrt delta)/2 (`_intpoly.gf_sqrt`).  An image of higher degree is
-scanned over the p residues, and the scan stops at the first image with no
-root.
+test.  Each image is scanned over the p residues, and the scan stops at the
+first image with no root.
 
 Roots that do exist are found by lifting them at a split prime (Belabas, J.
 Symb. Comp. 37, 2004; Cohen, A Course in Computational Algebraic Number Theory,
@@ -94,12 +91,13 @@ bound makes the search complete, so there is no other method to fall back on.
 QQ = QQ[theta]/(theta) is the degree-1 case of the lift, with no path of its
 own: f = x, every prime p > 58 splits with the root 0, R = B = F = Delta = 1,
 and L = M is Cauchy's bound on the roots of the monic integral h~.
-`rational_roots` searches one such field, built at import.  A RatPoly over
-QQ is lifted directly, with no factorization: its one image leaves no
-matchings to prune.  The factorizer serves only [K:QQ] > 1, where a rational
-h of degree 4 or more is factored over QQ first: factors of degree <= 2 take
-the closed form, and a quartic one is lifted over a quartic K; a caller that
-meets one h over many fields may hand its factors in (`roots_in_field`).
+`rational_roots` searches one such field, built at import.  A RatPoly of
+degree >= 3 over QQ is lifted directly, with no factorization: its one image
+leaves no matchings to prune.  The factorizer serves only [K:QQ] > 1, where
+a rational h of degree 4 or more is factored over QQ first: factors of
+degree <= 2 take the closed form, and a quartic one is lifted over a quartic
+K; a caller that meets one h over many fields may hand its factors in
+(`roots_in_field`).
 
 The rho_i and the Lagrange weights of that system depend on K, p and p^N only,
 so each field keeps them per split prime at the highest precision any search
@@ -376,46 +374,28 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        """den * x / det, where M x = e_0 and M is the integer matrix of
-        multiplication by num, solved by Bareiss elimination for d = 4.  For
-        d <= 2 that is den / num_0, and den * num' / Norm(num) with the
-        conjugate num' = num_0 - num_1 f_1 - num_1 theta."""
+        """den / num_0 for a rational element, in every K.  Otherwise
+        den * num' / Norm(num) for d = 2, with the conjugate
+        num' = num_0 - num_1 f_1 - num_1 theta, and den * X / D for d = 4,
+        where M X = D e_0 (`_quadtower.solve`) and M is the integer matrix of
+        multiplication by num."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field._f_int
         d = len(f) - 1
-        if d == 1:
-            return FieldElement(self.field, (self.den,), self.num[0])
+        if self.is_rational():
+            return FieldElement(self.field, (self.den,) + (0,) * (d - 1), self.num[0])
         if d == 2:
             a0, a1 = self.num
             c = a0 - a1 * f[1]
             return FieldElement(self.field, (self.den * c, -self.den * a1), a0 * c + a1 * a1 * f[0])
-        # column j of M is num * theta^j; the rows are augmented with e_0
+        # column j of M is num * theta^j
         cols = [self.num]
         for _ in range(d - 1):
             c = cols[-1]
             cols.append([-c[-1] * f[0]] + [c[i - 1] - c[-1] * f[i] for i in range(1, d)])
-        rows = [list(r) + [int(i == 0)] for i, r in enumerate(zip(*cols))]
-        prev = 1
-        for k in range(d):
-            if rows[k][k] == 0:
-                swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
-                if swap is None:
-                    raise InvariantViolationError(f"{self!r} has a singular multiplication matrix")
-                rows[k], rows[swap] = rows[swap], rows[k]
-            pivot = rows[k]
-            for row in rows[k + 1:]:
-                a = row[k]
-                for j in range(k + 1, d + 1):
-                    row[j] = (row[j] * pivot[k] - a * pivot[j]) // prev
-                row[k] = 0
-            prev = pivot[k]
-        # U y = det * b with det = prev: y = det * x is integral (Cramer)
-        y = [0] * d
-        for i in range(d - 1, -1, -1):
-            row = rows[i]
-            y[i] = (prev * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))) // row[i]
-        return FieldElement(self.field, [self.den * c for c in y], prev)
+        (x,), D = zt.solve(list(zip(*cols)), [(1, 0, 0, 0)])
+        return FieldElement(self.field, [self.den * c for c in x], D)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -719,22 +699,6 @@ def _vanishes_at(ht: list[list[int]], gamma: list[int], Delta: int, f: list[int]
     return not any(v)
 
 
-def _split_images(K: NumberField, image_roots) -> Iterator[tuple[int, tuple[int, ...], list]]:
-    """(p, rs, [image_roots(r, p) for r in rs]) at each split prime p of K in
-    turn, rs the roots of f mod p.  image_roots(r, p) gives the roots mod p of
-    the image at theta -> r, or None where that image does not settle the
-    lift at p.  The stream ends at the first image with no root mod p: a root
-    in K would map to one, so there is none, at any split prime."""
-    for p, rs in K.iter_split_primes():
-        lists = []
-        for r in rs:
-            rts = image_roots(r, p)
-            if rts == []:
-                return
-            lists.append(rts)
-        yield p, rs, lists
-
-
 def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ...],
                   root_lists: list[list[int]]) -> list[list[int]]:
     """Delta * beta in Z[theta] for the roots beta of the monic h~ in K, from
@@ -772,9 +736,10 @@ def _lifted_roots(K: NumberField, ht: list[list[int]], p: int, rs: tuple[int, ..
 
 def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     """Roots in K of h in K[x], lifted at a split prime.  Every root returned
-    has passed exact substitution.  An image with no root mod p ends the
-    search at once, at any split prime (`_split_images`); `_image_roots` finds
-    the roots of each image, a quadratic one from its discriminant.
+    has passed exact substitution.  The images at each split prime p are
+    scanned for their roots mod p in turn (`_image_roots`), and the first
+    image with no root ends the search: a root in K would map to one, so
+    there is none, at any split prime.
 
     One squarefree image proves h squarefree: if h = g^2 k with deg g > 0, the
     monic g~ has algebraic-integer roots, so its coefficients are p-integral
@@ -786,44 +751,34 @@ def _hensel_roots(h: KPoly, K: NumberField) -> set[FieldElement]:
     lift context (`_split_prime_lift`), lifted once per field and prime to the
     highest precision needed so far; only the roots of the images are lifted
     here, each from its residue mod p (`_lifted_roots`).  It serves a KPoly,
-    a RatPoly over QQ, and a rational factor of degree 4 over a quartic K;
-    square roots and roots of degree <= 2 over QQ take no lift
-    (`sqrt_in_field`, `roots_in_field`)."""
+    a RatPoly of degree >= 3 over QQ, and a rational factor of degree 4 over
+    a quartic K; square roots and rational polynomials of degree <= 2 take
+    no lift (`sqrt_in_field`, `roots_in_field`)."""
     if h.degree == 0:
         return set()
     D, ht = _scaled_monic(h)
     # h squarefree: only the finitely many p dividing Norm(disc h~) fail; the
     # images read ht when they are taken, so a squarefree part serves the
     # primes after it
-    images = lambda r, p: _image_roots([_eval_mod(a, r, p) for a in ht], p)
-    for p, rs, root_lists in _split_images(K, images):
+    for p, rs in K.iter_split_primes():
+        root_lists = []
+        for r in rs:
+            rts = _image_roots([_eval_mod(a, r, p) for a in ht], p)
+            if rts == []:
+                return set()
+            root_lists.append(rts)
         if None not in root_lists:
             break
         if all(rts is None for rts in root_lists):
             h = h.squarefree()
             D, ht = _scaled_monic(h)
-    else:
-        return set()
     Delta = abs(K.disc)
     return {FieldElement(K, gamma, Delta * D) for gamma in _lifted_roots(K, ht, p, rs, root_lists)}
 
 
 def _image_roots(img: list[int], p: int) -> list[int] | None:
-    """The roots mod p of the monic image img, in increasing order, or None
-    when img is not squarefree mod p.  A quadratic y^2 + a1 y + a0 is decided
-    by delta = a1^2 - 4 a0: not squarefree iff delta = 0, rootless iff delta is
-    a nonsquare (Euler's criterion), else its roots are (-a1 +- sqrt delta)/2.
-    A higher degree is tested for squarefreeness and scanned over all p
-    residues."""
-    if len(img) == 3:
-        a0, a1, _ = img
-        delta = (a1 * a1 - 4 * a0) % p
-        if delta == 0:
-            return None
-        if pow(delta, (p - 1) // 2, p) != 1:
-            return []
-        s = zp.gf_sqrt(delta, p)
-        return sorted((t - a1) * ((p + 1) // 2) % p for t in (s, p - s))
+    """The roots mod p of the monic image img, in increasing order, from a
+    scan over all p residues, or None when img is not squarefree mod p."""
     if not zp.gf_is_squarefree(img, p):
         return None
     return [x for x in range(p) if _eval_mod(img, x, p) == 0]
@@ -834,24 +789,27 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
     one root solver of the package, for every degree of K, QQ included.
 
     h may be a RatPoly (rational coefficients) or a KPoly over K.  A KPoly is
-    lifted as it is, and so is a RatPoly over QQ: there is one image, so there
-    are no matchings for a factorization to prune (`_hensel_roots`).  Over a
-    K != QQ, a RatPoly of degree <= 2 takes a closed form, with no lift:
-    ax^2 + bx + c has the roots (-b +- sqrt(b^2 - 4ac))/2a, one
-    `sqrt_in_field`.  A cubic h has its rational roots (`rational_roots`)
-    and, if it has exactly one, r, the roots of the quadratic h/(x - r); a
-    cubic with no rational root is irreducible, and 3 does not divide [K:QQ],
-    so it has no root in K and is not factored.  Any other h is factored over
-    QQ: its factors of degree <= 2 take the closed form, and one of degree 4
-    is lifted when [K:QQ] = 4.  `factors`, if given, is a function
-    d -> factor_bounded(h, d) for a caller that keeps them
-    (`Curve.x_division_factors`); it is called only there, with d = [K:QQ].
+    lifted as it is.  A RatPoly of degree <= 2 takes a closed form in every
+    K, QQ included, with no lift: ax^2 + bx + c has the roots
+    (-b +- sqrt(b^2 - 4ac))/2a, one `sqrt_in_field`.  Any other RatPoly over
+    QQ is lifted as it is: there is one image, so there are no matchings for
+    a factorization to prune (`_hensel_roots`).  Over a K != QQ, a cubic h
+    has its rational roots (`rational_roots`) and, if it has exactly one, r,
+    the roots of the quadratic h/(x - r); a cubic with no rational root is
+    irreducible, and 3 does not divide [K:QQ], so it has no root in K and is
+    not factored.  Any other h is factored over QQ: its factors of degree
+    <= 2 take the closed form, and one of degree 4 is lifted when [K:QQ] = 4.
+    `factors`, if given, is a function d -> factor_bounded(h, d) for a caller
+    that keeps them (`Curve.x_division_factors`); it is called only there,
+    with d = [K:QQ].
     """
     if h.is_zero():
         raise ValueError("roots of zero polynomial")
     if isinstance(h, KPoly) and h.field != K:
         raise ValueError("polynomial over a different field")
-    if isinstance(h, KPoly) or K.degree == 1:
+    if isinstance(h, RatPoly) and h.degree <= 2:
+        roots = _quadratic_roots(h, K)
+    elif isinstance(h, KPoly) or K.degree == 1:
         roots = _hensel_roots(h if isinstance(h, KPoly) else KPoly(K, h.coeffs), K)
     elif h.degree == 3:
         rs = rational_roots(h)
@@ -860,7 +818,7 @@ def roots_in_field(h, K: NumberField, factors=None) -> set[FieldElement]:
             roots |= _quadratic_roots(h.divmod(RatPoly([-rs.pop(), 1]))[0], K)
     else:
         roots = set()
-        for q in ((h,) if h.degree <= 2 else (factors or partial(factor_bounded, h))(K.degree)):
+        for q in (factors or partial(factor_bounded, h))(K.degree):
             if q.degree <= 2:
                 roots |= _quadratic_roots(q, K)
             elif K.degree % q.degree == 0:

@@ -70,7 +70,6 @@ from .ellcurve import Curve, Point, curve_points_y, halves, m_preimages
 from .numfield import (
     GaloisType,
     NumberField,
-    rational_roots,
     roots_in_field,
     smallest_subfield,
 )
@@ -410,9 +409,10 @@ def _validate_report(E: Curve, K: NumberField, table: frozenset[tuple[int, int]]
         # Phi_5 is irreducible over QQ, so it is its own factor
         record("full_five_needs_zeta5", bool(roots_in_field(CYCLOTOMIC5, K, lambda d: (CYCLOTOMIC5,))))
     # 2-torsion rigidity: an irreducible 2-division cubic has no root in a
-    # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root
+    # field of degree prime to 3, so nontrivial E(K)[2] needs a rational root,
+    # the x of a point of order 2 defined over QQ, which the search found
     if d2 % 2 == 0:
-        record("two_torsion_rigidity", bool(rational_roots(E.two_division_poly())))
+        record("two_torsion_rigidity", any(n == 2 and homes[P] == 1 for P, n in points.items()))
     # points of order 7 = 3 mod 4 over a quartic field are defined over a
     # quadratic subfield
     if K.degree == 4:

@@ -154,9 +154,11 @@ class TestFieldElementArithmetic:
                 assert got == K.element(want) and hash(got) == hash(K.element(want))
 
     def test_closed_forms_on_every_workload_field(self, benchmark_cases):
-        # the product written out per degree and the inverse for d <= 2 (and
-        # Bareiss for d = 4), with coordinates past 2^200 over large
-        # denominators, on every field of seeds 0-2 of the three workloads
+        # the product written out per degree, the inverse of a rational
+        # element (den / num_0 in every K) and of any other element (closed
+        # for d = 2, `_quadtower.solve` for d = 4), with coordinates past
+        # 2^200 over large denominators, on every field of seeds 0-2 of the
+        # three workloads
         rng = random.Random(61)
         degrees = set()
         for K in sorted(_workload_fields(benchmark_cases, range(3)), key=repr):
@@ -165,10 +167,12 @@ class TestFieldElementArithmetic:
             for _ in range(3):
                 x, y = (K.element([Fraction(rng.randrange(-2**230, 2**230), rng.randrange(1, 2**70))
                                    for _ in range(K.degree)]) for _ in range(2))
+                r = K.element(Fraction(rng.randrange(2**210, 2**230), rng.randrange(1, 2**70)))
                 assert max(map(abs, x.num + y.num)) > 2**200
                 a, b = x.coeffs, y.coeffs
                 for got, want in ((x * y, _reference_mul(a, b, f)), (x * x, _reference_mul(a, a, f)),
-                                  (x.inverse(), _reference_inverse(a, f))):
+                                  (x.inverse(), _reference_inverse(a, f)),
+                                  (r.inverse(), _reference_inverse(r.coeffs, f))):
                     assert got.coeffs == want, (K, a, b)
                     assert _is_canonical(got)
         assert degrees == {1, 2, 4}
@@ -308,8 +312,9 @@ class TestSplitPrimeCertificate:
             raise AssertionError("split-prime table built during field set-up")
 
         # setting up a quartic field searches its resolvent cubic in the one
-        # QQ field of `rational_roots`, which builds its own table on first use
-        rational_roots(RatPoly([-2, 0, 1]))
+        # QQ field of `rational_roots`, which builds its own table on first
+        # use; a quadratic takes its closed form there and builds none
+        rational_roots(RatPoly([-2, 0, 0, 1]))
         monkeypatch.setattr(numfield, "_split_prime_stream", forbidden)
         for spec in SPLIT_PRIME_SPECS + ("13;13;3", "-7,-15"):
             parse_field_spec(spec)
@@ -522,8 +527,9 @@ class TestHenselRoots:
 
 
 class TestQuadraticImages:
-    """A quadratic image y^2 + a1 y + a0 mod p is decided by its discriminant
-    delta = a1^2 - 4 a0: no scan over the p residues."""
+    """A quadratic image y^2 + a1 y + a0 mod p, scanned over the p residues
+    like any image, has the roots its discriminant delta = a1^2 - 4 a0 says,
+    and is not squarefree exactly when delta = 0."""
 
     @pytest.mark.parametrize("p", (7, 13, 61))
     def test_every_monic_quadratic(self, p):
@@ -559,16 +565,6 @@ class TestQuadraticImages:
             root, expected = sqrt_in_field(K.element(beta), K), numfield._trager_roots(h, K)
             assert expected == (set() if root is None else {root, -root}), beta
             assert (root is not None) == (beta in {p0 * p0 * m for m in {1} | subfields}), beta
-
-    def test_rootless_lift_scans_no_residues(self, monkeypatch):
-        # y^2 - (theta + 2) over QQ(zeta5) has an image with delta a nonsquare
-        # mod 61: the answer takes the images' coefficients, not p evaluations
-        p, _ = next(ZETA5.iter_split_primes())
-        calls = []
-        eval_mod = numfield._eval_mod
-        monkeypatch.setattr(numfield, "_eval_mod", lambda *args: calls.append(args) or eval_mod(*args))
-        assert numfield._hensel_roots(KPoly(ZETA5, [-(ZETA5.gen() + 2), 0, 1]), ZETA5) == set()
-        assert 0 < len(calls) < p
 
 
 KNOWN_GROUP_CURVES = [row["curve"] for row in json.loads(
@@ -929,7 +925,6 @@ class TestSqrtOverRationals:
         def forbidden(*args):
             raise AssertionError("a square root walked the split primes")
 
-        monkeypatch.setattr(numfield, "_split_images", forbidden)
         monkeypatch.setattr(NumberField, "iter_split_primes", forbidden)
         Q = rational_field()
         cases = self.cases()

@@ -32,6 +32,27 @@ def _resolvent_roots(K):
         RatPoly([-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, 1])))
 
 
+def _fraction_solve(m, cols):
+    """(m^-1 B, det m) by Gauss-Jordan elimination over QQ, (None, 0) for a
+    singular m."""
+    d = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(c[i]) for c in cols] for i, row in enumerate(m)]
+    det = Fraction(1)
+    for k in range(d):
+        pivot = next((i for i in range(k, d) if rows[i][k]), None)
+        if pivot is None:
+            return None, 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(d):
+            if i != k:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [[rows[i][d + j] for i in range(d)] for j in range(len(cols))], det
+
+
 @pytest.fixture
 def no_split_primes(monkeypatch):
     """A context in which walking the split primes of any field fails."""
@@ -41,7 +62,6 @@ def no_split_primes(monkeypatch):
     @contextmanager
     def guard():
         with monkeypatch.context() as m:
-            m.setattr(numfield, "_split_images", forbidden)
             m.setattr(NumberField, "iter_split_primes", forbidden)
             yield
 
@@ -71,6 +91,31 @@ class TestKernels:
     def test_exact_isqrt(self):
         assert [zt.exact_isqrt(n) for n in (-4, -1, 0, 1, 2, 4, 10**40, 10**40 + 1)] == \
             [None, None, 0, 1, None, 2, 10**20, None]
+
+    def test_solve_against_fraction_elimination(self):
+        # m X = D B with D = +-det m, on seeded 2x2 and 4x4 matrices with 1
+        # and 4 right-hand sides; each first matrix has m[0][0] = 0, so
+        # elimination swaps rows before its first step
+        rng = random.Random(83)
+        swapped = 0
+        for d, k in ((2, 1), (2, 4), (4, 1), (4, 4)):
+            for trial in range(12):
+                m = [[rng.randrange(-9, 10) for _ in range(d)] for _ in range(d)]
+                m[0][0] *= trial > 0
+                cols = [[rng.randrange(-9, 10) for _ in range(d)] for _ in range(k)]
+                expected, det = _fraction_solve(m, cols)
+                if det == 0:
+                    with pytest.raises(InvariantViolationError):
+                        zt.solve(m, cols)
+                    continue
+                swapped += m[0][0] == 0
+                X, D = zt.solve(m, cols)
+                assert D in (det, -det)
+                assert all(type(x) is int for col in X for x in col)
+                assert [[Fraction(x, D) for x in col] for col in X] == expected
+        assert swapped >= 4
+        with pytest.raises(InvariantViolationError):
+            zt.solve([[1, 2, 0, 0], [0, 0, 1, 0], [2, 4, 0, 1], [0, 0, 0, 1]], [[1, 0, 0, 0]])
 
     def test_tower_basis_inverts(self):
         rng = random.Random(5)

@@ -395,6 +395,19 @@ def test_trivial_torsion_takes_no_square_root(curve, field, monkeypatch):
     assert calls == []
 
 
+def test_no_quadratic_is_lifted(benchmark_cases, monkeypatch):
+    # a rational polynomial of degree <= 2 takes the closed form of
+    # `roots_in_field` in every K, QQ included, so neither field set-up nor
+    # a search nor validation lifts one
+    degrees = []
+    lift = numfield._hensel_roots
+    monkeypatch.setattr(numfield, "_hensel_roots", lambda h, K: degrees.append(h.degree) or lift(h, K))
+    cases = {case for w in ("known_groups", "curve_sweep", "field_sweep") for case in benchmark_cases(w, 0)}
+    for curve, field in sorted(cases | {(row["curve"], row["field"]) for row in PINNED_REPORTS}):
+        torsion_over_field(Curve.from_str(curve), parse_field_spec(field))
+    assert degrees and min(degrees) >= 3
+
+
 def test_point_in_an_unlisted_quadratic_subfield_raises(monkeypatch):
     # (i, 1 - i) on y^2 = x^3 - x lies in QQ(i), which QQ(i, sqrt 2) has but
     # the patched list lacks: the run stops instead of filing it under K
