@@ -298,6 +298,27 @@ def test_factorizer_splits_at_one_prime(ell, monkeypatch):
     assert len(primes) == 1, primes
 
 
+# every odd prime below 300, and three with deep 2-power parts of p - 1:
+# 1009 - 1 = 2^4 * 63, 7681 - 1 = 2^9 * 15, 65537 - 1 = 2^16
+SQRT_PRIMES = tuple(p for p in range(3, 300, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2))) + (
+    1009, 7681, 65537)
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_sqrt_squares_back(p):
+    # the degree split and Cantor-Zassenhaus split x^2 - a, for every nonzero
+    # square a = x^2 mod p with x < 1024 (every square for p < 2048), into
+    # x - r and x + r with r^2 = a; for a nonsquare the irreducible x^2 - a
+    # has no block of degree 1
+    for a in {x * x % p for x in range(1, min(p, 1024))}:
+        f = [-a % p, 0, 1]
+        assert zp.gf_ddf_bounded(f, p, 1) == [(1, f)], a
+        (r, one), (s, _) = zp.gf_edf(f, 1, p)
+        assert one == 1 and r * r % p == a and (r + s) % p == 0, a
+    nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    assert zp.gf_ddf_bounded([p - nonsquare, 0, 1], p, 1) == []
+
+
 # ---------------------------------------------------------------------------
 # the integer factorization and the prime stream
 # ---------------------------------------------------------------------------
